@@ -46,7 +46,10 @@ from .oscillators import (
     vec_scale,
     vec_sub,
 )
-from .report import RelationResult, numeric_check
+from .report import RelationResult, compare_cases
+# Re-exported: perfbench/spans.py swaps affine.numeric_check for a timing
+# wrapper and fails if the attribute is missing.
+from .report import numeric_check  # noqa: F401
 from .ring import LinForm, RingElem, affine_symbols
 
 A_CARTAN = {(1, 1): 2, (1, 2): -1, (2, 1): -1, (2, 2): 0}
@@ -82,15 +85,6 @@ class AffineContext:
                 lst = [self.engine.fuse(f, t) for f in lst for t in self.currents[nm]]
             self._fused[key] = lst
         return lst
-
-    def product_vec_fused(self, names, modes, state: FockState) -> dict:
-        """(X_{modes[0]} ... X_{modes[-1]}) |state> via one joint extraction."""
-        targets = tuple(-n - 1 for n in modes)
-        out: dict = {}
-        for f in self.fused_terms(names):
-            for s, c in self.engine.extract(f, targets, state).items():
-                add_term(out, s, c)
-        return out
 
     def product_vec(self, names, modes, state: FockState) -> dict:
         """(X_{modes[0]} ... X_{modes[-1]}) |state> for E/F currents.
@@ -202,31 +196,9 @@ def _state_key(state: FockState):
 
 
 def _run_cases(ctx: AffineContext, rel_id: str, params: dict, cases) -> RelationResult:
-    """Compare lhs/rhs vectors case by case; mirror of the flag-space checker."""
-    zero = ctx.table.zero()
-    pairs = []
-    witness = None
-    checked = 0
-    for label, lhs, rhs in cases:
-        checked += 1
-        outs = set(lhs) | set(rhs)
-        for s in sorted(outs, key=_state_key):
-            lc = lhs.get(s, zero)
-            rc = rhs.get(s, zero)
-            if len(pairs) < 64:
-                pairs.append((lc, rc))
-            if witness is None and not (lc - rc).is_zero():
-                witness = {
-                    "element": label,
-                    "at": format_state(s),
-                    "lhs": str(lc),
-                    "rhs": str(rc),
-                }
-    if witness is not None:
-        return RelationResult(rel_id, "fail", checked, params, witness)
-    numeric = numeric_check(ctx.seed, rel_id, pairs)
-    status = "pass" if numeric["status"] == "pass" else "fail"
-    return RelationResult(rel_id, status, checked, params, None, numeric)
+    """Compare lhs/rhs state vectors case by case, outputs in state order."""
+    return compare_cases(ctx.seed, rel_id, params, cases, ctx.table.zero(),
+                         _state_key, format_state)
 
 
 def _kstr(k) -> str:
@@ -542,24 +514,30 @@ def _prod(it) -> int:
     return out
 
 
+# Every relation family in run order, each called as
+# family(ctx, basis, window, psi_nmax) -> list of RelationResult.
+FAMILIES = {
+    "eq6": lambda ctx, basis, window, psi_nmax: check_eq6(ctx, window),
+    "eq7": lambda ctx, basis, window, psi_nmax: check_eq7(ctx, basis, window),
+    "eq8": lambda ctx, basis, window, psi_nmax: check_eq8(ctx, basis, window),
+    "eq9": lambda ctx, basis, window, psi_nmax: check_eq9(ctx, basis, window),
+    "eq10": lambda ctx, basis, window, psi_nmax: check_eq10(ctx, basis, window),
+    "eq11": lambda ctx, basis, window, psi_nmax: check_eq11(ctx, basis, window),
+    "eq12": lambda ctx, basis, window, psi_nmax: check_eq12(ctx, basis, window),
+    "eq13": lambda ctx, basis, window, psi_nmax: check_eq13(ctx, basis, window),
+    "eq14": lambda ctx, basis, window, psi_nmax: check_eq14(ctx),
+    "eq15": lambda ctx, basis, window, psi_nmax: check_eq15(ctx, basis, psi_nmax),
+}
+
+
 def run_affine(E_cut: int = 2, window: int = 2, k=None, radius: int = 0,
                norm: str = "l1", psi_nmax: int = 4, seed: int = 0,
-               f_overrides=None, override_spec=None) -> list:
+               f_overrides=None) -> list:
     """All affine relation results for one configuration, unsorted."""
     ctx = AffineContext(k=k, f_overrides=f_overrides, seed=seed)
     basis = enumerate_basis(E_cut, radius, norm)
-    out = []
-    out += check_eq6(ctx, window)
-    out += check_eq7(ctx, basis, window)
-    out += check_eq8(ctx, basis, window)
-    out += check_eq9(ctx, basis, window)
-    out += check_eq10(ctx, basis, window)
-    out += check_eq11(ctx, basis, window)
-    out += check_eq12(ctx, basis, window)
-    out += check_eq13(ctx, basis, window)
-    out += check_eq14(ctx)
-    out += check_eq15(ctx, basis, psi_nmax)
-    return out
+    return [r for family in FAMILIES.values()
+            for r in family(ctx, basis, window, psi_nmax)]
 
 
 def affine_config(E_cut: int, window: int, k, radius: int, norm: str,

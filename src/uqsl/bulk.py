@@ -27,7 +27,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .oscillators import FockState
-from .ring import _BASE, _HALF, _MASK, _SLOT_BITS, RingElem, _mul_by_qdiff
+from .ring import _HALF, _MASK, _SLOT_BITS, RingElem, _mul_by_qdiff
 
 # One side of a product: s biased by 2^12, Gamma by 2^11.  Sums of two
 # sides then need 14 and 13 bits.

@@ -10,27 +10,16 @@ configuration or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 
-from .affine import (
-    AffineContext,
-    affine_config,
-    check_eq6,
-    check_eq7,
-    check_eq8,
-    check_eq9,
-    check_eq10,
-    check_eq11,
-    check_eq12,
-    check_eq13,
-    check_eq14,
-    check_eq15,
-)
+from .affine import FAMILIES, AffineContext, affine_config
 from .finite import (
     SABOTAGE_IDS,
     FiniteRealization,
@@ -47,8 +36,6 @@ F_NAMES = ("f11", "f12", "f13", "f21", "f22", "f23", "f24")
 BRACKET_NMAX = 4
 
 _FINITE_TASKS = ("chevalley", "intermediate", "remarks", "bracket")
-_AFFINE_TASKS = ("eq6", "eq7", "eq8", "eq9", "eq10", "eq11", "eq12", "eq13",
-                 "eq14", "eq15")
 
 
 def parse_scalar(table, text: str):
@@ -115,46 +102,37 @@ def _finite_task(args) -> list:
     return bracket_results()
 
 
-def _affine_eq_results(ctx, basis, eq, window, psi_nmax) -> list:
-    if eq == "eq6":
-        return check_eq6(ctx, window)
-    if eq == "eq14":
-        return check_eq14(ctx)
-    if eq == "eq15":
-        return check_eq15(ctx, basis, psi_nmax)
-    fn = {"eq7": check_eq7, "eq8": check_eq8, "eq9": check_eq9,
-          "eq10": check_eq10, "eq11": check_eq11, "eq12": check_eq12,
-          "eq13": check_eq13}[eq]
-    return fn(ctx, basis, window)
+@functools.lru_cache(maxsize=1)
+def _affine_setup(k, seed, spec_items, E_cut, radius, norm):
+    """One context and basis per process, shared by the families it runs."""
+    overrides = _override_elems(affine_symbols(k), dict(spec_items)) or None
+    ctx = AffineContext(k=k, f_overrides=overrides, seed=seed)
+    return ctx, enumerate_basis(E_cut, radius, norm)
 
 
 def _affine_task(args) -> list:
-    eq, E_cut, window, k, radius, norm, psi_nmax, seed, spec = args
-    overrides = _override_elems(affine_symbols(k), spec) or None
-    ctx = AffineContext(k=k, f_overrides=overrides, seed=seed)
-    basis = enumerate_basis(E_cut, radius, norm)
-    return _affine_eq_results(ctx, basis, eq, window, psi_nmax)
+    eq, setup, window, psi_nmax = args
+    ctx, basis = _affine_setup(*setup)
+    return FAMILIES[eq](ctx, basis, window, psi_nmax)
+
+
+def _timed(task_fn, args):
+    t0 = time.monotonic()
+    out = task_fn(args)
+    return out, time.monotonic() - t0
 
 
 def _run_tasks(task_fn, argslist, jobs: int, labels, want_timings: bool):
-    """Run tasks in a fixed order; results and timings merge deterministically."""
-    results = []
-    timings = {} if want_timings else None
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            t0 = time.monotonic()
-            for label, chunk in zip(labels, pool.map(task_fn, argslist)):
-                results.extend(chunk)
-            if want_timings:
-                timings["total_seconds"] = round(time.monotonic() - t0, 3)
-        return results, timings
-    for label, args in zip(labels, argslist):
-        t0 = time.monotonic()
-        results.extend(task_fn(args))
-        if want_timings:
-            timings[label] = round(time.monotonic() - t0, 3)
-    if want_timings:
-        timings["total_seconds"] = round(sum(timings.values()), 3)
+    """Run tasks in a fixed order, in this process or in a pool of `jobs`;
+    results and timings merge deterministically."""
+    timed = functools.partial(_timed, task_fn)
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
+        outs = list((pool.map if pool else map)(timed, argslist))
+    results = [r for chunk, _ in outs for r in chunk]
+    if not want_timings:
+        return results, None
+    timings = {label: round(dt, 3) for label, (_, dt) in zip(labels, outs)}
+    timings["total_seconds"] = round(sum(timings.values()), 3)
     return results, timings
 
 
@@ -193,34 +171,15 @@ def _cmd_check_finite(args) -> int:
 
 def _cmd_check_affine(args) -> int:
     spec = _parse_overrides(args.override)
-    table = affine_symbols(args.k)
-    overrides = _override_elems(table, spec) or None  # validates the grammar
+    _override_elems(affine_symbols(args.k), spec)  # validates the grammar
     cfg = affine_config(args.energy_cut, args.mode_window, args.k,
                         args.momentum_radius, args.momentum_norm,
                         args.psi_nmax, spec)
-    if args.jobs > 1:
-        argslist = [
-            (eq, args.energy_cut, args.mode_window, args.k,
-             args.momentum_radius, args.momentum_norm, args.psi_nmax,
-             args.seed, spec)
-            for eq in _AFFINE_TASKS
-        ]
-        results, timings = _run_tasks(
-            _affine_task, argslist, args.jobs, _AFFINE_TASKS, args.timings)
-    else:
-        ctx = AffineContext(k=args.k, f_overrides=overrides, seed=args.seed)
-        basis = enumerate_basis(args.energy_cut, args.momentum_radius,
-                                args.momentum_norm)
-        results = []
-        timings = {} if args.timings else None
-        for eq in _AFFINE_TASKS:
-            t0 = time.monotonic()
-            results.extend(_affine_eq_results(
-                ctx, basis, eq, args.mode_window, args.psi_nmax))
-            if args.timings:
-                timings[eq] = round(time.monotonic() - t0, 3)
-        if args.timings:
-            timings["total_seconds"] = round(sum(timings.values()), 3)
+    setup = (args.k, args.seed, tuple(spec.items()), args.energy_cut,
+             args.momentum_radius, args.momentum_norm)
+    argslist = [(eq, setup, args.mode_window, args.psi_nmax) for eq in FAMILIES]
+    results, timings = _run_tasks(
+        _affine_task, argslist, args.jobs, tuple(FAMILIES), args.timings)
     report = SuiteReport("affine", cfg, args.seed, results, timings)
     return _emit(report, args.report)
 
@@ -325,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     app.add_argument("--M", type=int, default=2)
     app.add_argument("--N", type=int, default=1)
     app.add_argument("--variant", choices=("i", "ii"), default="i")
-    app.add_argument("--jobs", type=int, default=1)
     app.set_defaults(func=_cmd_apply)
 
     return parser

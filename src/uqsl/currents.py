@@ -296,23 +296,6 @@ class VertexEngine:
         self._buckets[key] = out
         return out
 
-    def bucket_product(self, vts, dvec):
-        """Creation buckets of all variables merged into one list of
-        (occupation delta, scalar).  The key ignores variable order, so
-        permuted products of the same terms share one entry."""
-        pairs = tuple(
-            sorted(
-                ((vt, d) for vt, d in zip(vts, dvec) if d),
-                key=lambda p: (p[0].uid, p[1]),
-            )
-        )
-        key = tuple((vt.uid, d) for vt, d in pairs)
-        out = self._prodcache.get(key)
-        if out is None:
-            out = self._merge_buckets(pairs)
-            self._prodcache[key] = out
-        return out
-
     def _merge_buckets(self, pairs):
         acc = [({}, self.table.one())]
         for vt, d in pairs:
@@ -452,32 +435,6 @@ class VertexEngine:
             return
         raise ValueError(f"unsupported number of fused variables: {r}")
 
-    def extract(self, fused: FusedTerm, targets, state: FockState) -> dict:
-        """The (z_0^targets[0] ... ) coefficient of fused applied to state,
-        as a dict FockState -> RingElem."""
-        branches, taueig, momenta = self._state_branches(fused, state)
-        r = len(fused.vterms)
-        out: dict = {}
-        for base, annE, occ_after in branches:
-            res = tuple(
-                targets[v] - fused.p0s[v] - taueig[v] + annE[v] for v in range(r)
-            )
-            if sum(res) < 0:
-                continue
-            for dvec, series_scalar in self.flows_map(fused, res):
-                mid = base * series_scalar
-                if mid.is_zero():
-                    continue
-                for delta, pscal in self.bucket_product(fused.vterms, dvec):
-                    coeff = mid * pscal
-                    if coeff.is_zero():
-                        continue
-                    occ = dict(occ_after)
-                    for mode, mu in delta:
-                        occ[mode] = occ.get(mode, 0) + mu
-                    add_term(out, FockState(momenta, tuple(sorted(occ.items()))), coeff)
-        return out
-
     def aggregate(self, jobs, state: FockState):
         """Scalar prefactors of weighted extractions, summed per
         (momenta, leftover occupation, creation-degree multiset).
@@ -523,6 +480,9 @@ class VertexEngine:
         return acc, pairs_of
 
     def bucket_product_key(self, dkey, dpairs):
+        """Creation buckets of all variables merged into one list of
+        (occupation delta, scalar).  The key ignores variable order, so
+        permuted products of the same terms share one entry."""
         part = self._prodcache.get(dkey)
         if part is None:
             part = self._merge_buckets(dpairs)
@@ -547,6 +507,11 @@ class VertexEngine:
                     occ[mode] = occ.get(mode, 0) + mu
                 add_term(out, FockState(momenta, tuple(sorted(occ.items()))), coeff)
         return out
+
+    def extract(self, fused: FusedTerm, targets, state: FockState) -> dict:
+        """The (z_0^targets[0] ... ) coefficient of fused applied to state,
+        as a dict FockState -> RingElem."""
+        return self.extract_sum(((fused, targets, None),), state)
 
 
 def _prod_factorials(js) -> int:

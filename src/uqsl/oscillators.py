@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import LinForm, RingElem, SymbolTable, affine_symbols
+from .ring import LinForm, RingElem, SymbolTable
 
 FAMILIES = ("a1", "a2", "b12", "b13", "b23", "c12")
 Q_SLOTS = ("b12", "b13", "b23", "c12")

@@ -108,8 +108,8 @@ def numeric_assignments(seed: int, rel_id: str, table, count: int = 3) -> list:
 
 def numeric_check(seed: int, rel_id: str, pairs: list, count: int = 3, cap: int = 64) -> dict:
     """Evaluate (lhs, rhs) ring-element pairs at random-looking rational
-    points; the symbolic checker has already compared them exactly, so this
-    is an independent guard against a systematically broken equality test.
+    points; compare_cases has already compared them exactly, so this is an
+    independent guard against a systematically broken equality test.
     """
     pairs = pairs[:cap]
     if not pairs:
@@ -120,3 +120,31 @@ def numeric_check(seed: int, rel_id: str, pairs: list, count: int = 3, cap: int 
             if lhs.subst_numeric(vals) != rhs.subst_numeric(vals):
                 return {"assignments": count, "pairs": len(pairs), "status": "fail"}
     return {"assignments": count, "pairs": len(pairs), "status": "pass"}
+
+
+def compare_cases(seed: int, rel_id: str, params: dict, cases, zero, key,
+                  fmt) -> RelationResult:
+    """Check one relation: compare both sides of every case exactly.
+
+    cases: iterable of (label, lhs, rhs), each side a dict output -> ring
+    element.  Outputs are visited in `key` order; the first nonzero
+    difference is the witness, its output rendered by `fmt`.  Without one,
+    the first 64 (lhs, rhs) coefficient pairs go to the numeric oracle.
+    """
+    pairs = []
+    witness = None
+    checked = 0
+    for label, lhs, rhs in cases:
+        checked += 1
+        for out in sorted(set(lhs) | set(rhs), key=key):
+            lc = lhs.get(out, zero)
+            rc = rhs.get(out, zero)
+            if len(pairs) < 64:
+                pairs.append((lc, rc))
+            if witness is None and not (lc - rc).is_zero():
+                witness = {"element": label, "at": fmt(out), "lhs": str(lc), "rhs": str(rc)}
+    if witness is not None:
+        return RelationResult(rel_id, "fail", checked, params, witness)
+    numeric = numeric_check(seed, rel_id, pairs)
+    status = "pass" if numeric["status"] == "pass" else "fail"
+    return RelationResult(rel_id, status, checked, params, None, numeric)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from uqsl import LinForm, affine_symbols
+from uqsl.affine import run_affine
 from uqsl.cli import main, parse_scalar
 
 FAST_AFFINE = ["check-affine", "--energy-cut", "0", "--mode-window", "1",
@@ -162,9 +163,22 @@ class TestCheckAffine:
         assert exc.value.code == 2
 
     def test_jobs_byte_identical(self, tmp_path):
-        for name, extra in (("a", []), ("b", ["--jobs", "2"])):
-            assert main(FAST_AFFINE + extra + ["--report", str(tmp_path / name)]) == 0
-        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        # the failing run (exit 1, witnesses) goes through the same task path
+        for override, code in (([], 0), (["--override", "f13=1"], 1)):
+            for name, extra in (("a", []), ("b", ["--jobs", "2"])):
+                argv = FAST_AFFINE + override + extra + ["--report", str(tmp_path / name)]
+                assert main(argv) == code
+            assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_matches_run_affine(self, tmp_path):
+        _, data = run_json(tmp_path, FAST_AFFINE + ["--override", "f13=1"])
+        T = affine_symbols()
+        direct = run_affine(E_cut=0, window=1, psi_nmax=1,
+                            f_overrides={"f13": T.one()})
+        want = sorted((r.id, r.status, r.witness) for r in direct)
+        got = [(r["id"], r["status"], r.get("witness")) for r in data["relations"]]
+        assert got == want
+        assert any(status == "fail" for _, status, _ in got)
 
     def test_timings_opt_in(self, tmp_path):
         _, plain = run_json(tmp_path, FAST_AFFINE, "p.json")

@@ -185,14 +185,14 @@ class TestFusedRoute:
 
     @pytest.mark.parametrize("names,modes", samples)
     def test_on_vacuum(self, ctx, names, modes):
-        assert ctx.product_vec_fused(names, modes, VACUUM) == ctx.product_vec(
+        assert ctx.combo_vec([(names, modes, None)], VACUUM) == ctx.product_vec(
             names, modes, VACUUM
         )
 
     @pytest.mark.parametrize("names,modes", samples)
     def test_on_excited_state(self, ctx, names, modes):
         state = FockState((0, 1, 0, 0)).with_creation("b12", 1)
-        assert ctx.product_vec_fused(names, modes, state) == ctx.product_vec(
+        assert ctx.combo_vec([(names, modes, None)], state) == ctx.product_vec(
             names, modes, state
         )
 

@@ -2,10 +2,11 @@
 
 import json
 
-from uqsl import finite_symbols
+from uqsl import finite_symbols, report
 from uqsl.report import (
     RelationResult,
     SuiteReport,
+    compare_cases,
     numeric_assignments,
     numeric_check,
 )
@@ -112,3 +113,66 @@ class TestNumericCheck:
         T = finite_symbols(2)
         pairs = [(T.one(), T.one())] * 80
         assert numeric_check(0, "r", pairs)["pairs"] == 64
+
+
+class TestCompareCases:
+    T = finite_symbols(2)
+
+    def compare(self, cases, key=None):
+        return compare_cases(0, "r", {"n": 1}, cases, self.T.zero(), key, str)
+
+    def test_witness_first_in_key_order(self):
+        T = self.T
+        # outputs 1 and 3 both differ; descending order visits 3 first
+        lhs = {1: T.qint(2), 2: T.one(), 3: T.qint(3)}
+        rhs = {2: T.one()}
+        res = self.compare([("a", lhs, rhs)], key=lambda out: -out)
+        assert res.status == "fail"
+        assert res.witness == {"element": "a", "at": "3", "lhs": str(T.qint(3)),
+                               "rhs": "0"}
+        res = self.compare([("a", lhs, rhs)], key=lambda out: out)
+        assert res.witness["at"] == "1"
+
+    def test_witness_from_first_failing_case(self):
+        T = self.T
+        cases = [("ok", {0: T.one()}, {0: T.one()}),
+                 ("bad", {0: T.one()}, {}),
+                 ("worse", {}, {5: T.one()})]
+        res = self.compare(cases)
+        assert res.witness["element"] == "bad"
+        assert res.numeric is None
+
+    def test_no_oracle_with_witness(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle ran despite a witness")
+
+        monkeypatch.setattr(report, "numeric_check", refuse)
+        res = self.compare([("bad", {0: self.T.one()}, {})])
+        assert res.status == "fail"
+
+    def test_oracle_gets_at_most_64_pairs(self, monkeypatch):
+        seen = []
+
+        def spy(seed, rel_id, pairs):
+            seen.append(len(pairs))
+            return numeric_check(seed, rel_id, pairs)
+
+        monkeypatch.setattr(report, "numeric_check", spy)
+        T = self.T
+        vec = {out: T.qint(out + 1) for out in range(30)}
+        res = self.compare([(f"c{i}", vec, dict(vec)) for i in range(3)])
+        assert seen == [64]
+        assert res.status == "pass" and res.numeric["pairs"] == 64
+
+    def test_checked_counts_cases(self):
+        T = self.T
+        cases = [("empty", {}, {})] * 4 + [("one", {0: T.one()}, {0: T.one()})]
+        res = self.compare(cases)
+        assert res.checked == 5
+        assert res.status == "pass" and res.numeric["pairs"] == 1
+
+    def test_oracle_failure_fails_relation(self, monkeypatch):
+        monkeypatch.setattr(report, "numeric_check",
+                            lambda seed, rel_id, pairs: {"status": "fail"})
+        res = self.compare([("a", {0: self.T.one()}, {0: self.T.one()})])
+        assert res.status == "fail" and res.witness is None
