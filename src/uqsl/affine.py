@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .bulk import BulkEngine, BulkError
 from .currents import (
@@ -51,6 +51,7 @@ from .report import RelationResult, compare_cases
 # wrapper and fails if the attribute is missing.
 from .report import numeric_check  # noqa: F401
 from .ring import LinForm, RingElem, affine_symbols
+from .structure import graded_bracket_sign
 
 A_CARTAN = {(1, 1): 2, (1, 2): -1, (2, 1): -1, (2, 2): 0}
 RANK = 2
@@ -156,7 +157,7 @@ class AffineContext:
     def _pair_pieces(self, nameA: str, nA: int, nameB: str, nB: int,
                      xi: RingElem = None) -> list:
         """The two pieces of [A_nA, B_nB]_xi with the Koszul sign."""
-        sign = -1 if CURRENT_PARITY[nameA] and CURRENT_PARITY[nameB] else 1
+        sign = graded_bracket_sign(CURRENT_PARITY[nameA], CURRENT_PARITY[nameB])
         w = self.table.rational(-sign)
         if xi is not None:
             w = w * xi
@@ -496,7 +497,7 @@ def check_eq15(ctx: AffineContext, basis: list, nmax: int) -> list:
                                 vec = ctx.h_vec(i, sgn * p, vec)
                             mults = Counter(parts)
                             coeff = (T.qdiff() * sgn) ** len(parts) * Fraction(
-                                1, _prod(factorial(mu) for mu in mults.values())
+                                1, prod(map(factorial, mults.values()))
                             )
                             for s, c in vec.items():
                                 add_term(rhs, s, c * coeff * keig)
@@ -504,13 +505,6 @@ def check_eq15(ctx: AffineContext, basis: list, nmax: int) -> list:
                 rel_id = f"psi.eq15.i={i}.sign={sign}.n={n}"
                 params = {"i": i, "sign": sign, "n": n}
                 out.append(_run_cases(ctx, rel_id, params, cases))
-    return out
-
-
-def _prod(it) -> int:
-    out = 1
-    for x in it:
-        out *= x
     return out
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,65 +71,88 @@ class BulkError(Exception):
     """A value or exponent fell outside the packed ranges."""
 
 
-class _Enc:
+class _Enc(NamedTuple):
     """One scalar as parallel arrays: biased low fields and numerators."""
 
-    __slots__ = ("keys", "vals", "denom", "meta", "smax", "gmax",
-                 "maxabs", "sumabs", "dpow")
-
-    def __init__(self, keys, vals, denom, meta, smax, gmax, maxabs, sumabs, dpow):
-        self.keys = keys
-        self.vals = vals
-        self.denom = denom
-        self.meta = meta
-        self.smax = smax
-        self.gmax = gmax
-        self.maxabs = maxabs
-        self.sumabs = sumabs
-        self.dpow = dpow
+    keys: np.ndarray
+    vals: np.ndarray
+    denom: int
+    meta: int
+    smax: int
+    gmax: int
+    maxabs: int
+    sumabs: int
+    dpow: int
 
 
-class _FlowEnc:
-    """All flow scalars of one (fused, residue) concatenated, with the
-    creation-degree multiset of each row resolved through dvec_idx and
-    the denominator power of each row kept alongside."""
+class _Rows(NamedTuple):
+    """Several scalars stacked over one common denominator: a flow map
+    (one entry per dkey) or a merged creation bucket list (one entry per
+    occupation delta).  Row i came from entry idx[i], tagged tags[idx[i]],
+    at denominator power dpows[i]; dpow is the largest of them."""
 
-    __slots__ = ("keys", "vals", "dvec_idx", "denom", "dkeys", "dpows",
-                 "dmax", "smax", "gmax", "maxabs", "sumabs")
-
-    def __init__(self, keys, vals, dvec_idx, denom, dkeys, dpows, dmax,
-                 smax, gmax, maxabs, sumabs):
-        self.keys = keys
-        self.vals = vals
-        self.dvec_idx = dvec_idx
-        self.denom = denom
-        self.dkeys = dkeys
-        self.dpows = dpows
-        self.dmax = dmax
-        self.smax = smax
-        self.gmax = gmax
-        self.maxabs = maxabs
-        self.sumabs = sumabs
+    keys: np.ndarray
+    vals: np.ndarray
+    idx: np.ndarray
+    dpows: np.ndarray
+    tags: tuple
+    denom: int
+    dpow: int
+    smax: int
+    gmax: int
+    maxabs: int
+    sumabs: int
 
 
-class _PEnc:
-    """A merged creation bucket list as rows, one entry id per row."""
+def _stack(encs, tags) -> _Rows:
+    """Concatenate encoded scalars, lifting each onto the lcm denominator."""
+    denom = lcm(*(e.denom for e in encs))
+    ups = [denom // e.denom for e in encs]
+    sizes = [e.keys.size for e in encs]
+    dpows = [e.dpow for e in encs]
+    return _Rows(
+        np.concatenate([e.keys for e in encs]),
+        np.concatenate([e.vals * up for e, up in zip(encs, ups)]),
+        np.repeat(np.arange(len(encs), dtype=np.int64), sizes),
+        np.repeat(np.asarray(dpows, dtype=np.int64), sizes),
+        tuple(tags), denom, max(dpows),
+        max(e.smax for e in encs), max(e.gmax for e in encs),
+        max(e.maxabs * up for e, up in zip(encs, ups)),
+        sum(e.sumabs * up for e, up in zip(encs, ups)),
+    )
 
-    __slots__ = ("keys", "vals", "entry_idx", "denom", "dpow", "deltas",
-                 "smax", "gmax", "maxabs", "sumabs")
 
-    def __init__(self, keys, vals, entry_idx, denom, dpow, deltas,
-                 smax, gmax, maxabs, sumabs):
-        self.keys = keys
-        self.vals = vals
-        self.entry_idx = entry_idx
-        self.denom = denom
-        self.dpow = dpow
-        self.deltas = deltas
-        self.smax = smax
-        self.gmax = gmax
-        self.maxabs = maxabs
-        self.sumabs = sumabs
+class _Bound:
+    """One stage's common denominator and the bound on the absolute sum
+    of all its row values, taken over the outer products of row sets
+    before any row exists."""
+
+    __slots__ = ("denom", "total")
+
+    def __init__(self):
+        self.denom = 1
+        self.total = 0
+
+    def add(self, left, right):
+        """Count the rows of left x right; both carry smax, gmax, denom,
+        maxabs and sumabs."""
+        if left.smax + right.smax > _S_MASK or left.gmax + right.gmax > _G_MASK:
+            raise BulkError("exponent field overflow")
+        d = left.denom * right.denom
+        up = d // gcd(self.denom, d)
+        if up > 1:
+            self.total *= up
+            self.denom *= up
+        part = self.denom // d
+        if left.maxabs * right.maxabs * part >= _VAL_LIMIT:
+            raise BulkError("row value overflow")
+        self.total += left.sumabs * right.sumabs * part
+
+    def check(self, dpow: int = 0):
+        """Stage A settles up to dpow missing (q - q^-1) factors after its
+        first merge, which grows the absolute sum by at most 2^dpow."""
+        if (self.total << dpow) >= _SUM_LIMIT:
+            raise BulkError("stage sum bound exceeded")
 
 
 def _reduce(keys_list, vals_list):
@@ -156,9 +180,12 @@ class _Pool:
         self.rows = 0
         self.parts = []
 
-    def add(self, keys, vals):
+    def outer(self, lkeys, lvals, rkeys, rvals):
+        """Every left row against every right row: keys add, values
+        multiply."""
+        keys = (lkeys[:, None] + rkeys[None, :]).ravel()
         self.keys.append(keys)
-        self.vals.append(vals)
+        self.vals.append((lvals[:, None] * rvals[None, :]).ravel())
         self.rows += keys.size
         if self.rows >= _CHUNK:
             self.flush()
@@ -181,11 +208,13 @@ class _Pool:
 
 
 class BulkEngine:
-    """Packed-row twin of VertexEngine.extract_sum for one symbol table.
+    """Packed-row twin of VertexEngine.extract_sum for one symbol table:
+    stage A is the packed aggregate, stage B the creation-bucket expansion.
 
-    Shares the engine's branch, flow and bucket caches; adds its own
-    encodings keyed by object identity (pinned, so ids stay unique) and
-    global state registries.  Entry point is combo_residual."""
+    Fed by the engine's residues and dkeys, so branches, flows and buckets
+    come from the engine's caches; adds its own encodings keyed by object
+    identity (pinned, so ids stay unique) and global state registries.
+    Entry point is combo_residual."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -202,9 +231,8 @@ class BulkEngine:
         self._elem_cache: dict = {}  # (id(elem), dtarget) -> _Enc
         self._pins: dict = {}  # id -> object, keeps ids unique
         self._wprod: dict = {}  # (id(base), id(weight)) -> RingElem
-        self._flow_cache: dict = {}  # (fused.uid, res) -> _FlowEnc | None
-        self._p_cache: dict = {}  # dkey -> _PEnc | None
-        self._dpairs: dict = {}  # dkey -> ((vterm, degree), ...)
+        self._flow_cache: dict = {}  # (fused.uid, res) -> _Rows | None
+        self._p_cache: dict = {}  # dkey -> _Rows | None
         self._occ_ids: dict = {}
         self._occ_list: list = []
         self._mom_ids: dict = {}
@@ -311,93 +339,51 @@ class BulkEngine:
         if hit is not _MISSING:
             return hit
         flows = self.engine.flows_map(fused, res)
-        if not flows:
-            self._flow_cache[key] = None
-            return None
-        vterms = fused.vterms
-        encs = []
-        dkeys = []
-        denom = 1
-        for dvec, ssum in flows:
-            e = self._enc_elem(ssum, ssum.dpow)
-            if e.meta:
-                raise BulkError("flow scalar carries symbol content")
-            encs.append(e)
-            denom = lcm(denom, e.denom)
-            dpairs = tuple(sorted(
-                ((vt, d) for vt, d in zip(vterms, dvec) if d),
-                key=lambda p: (p[0].uid, p[1]),
-            ))
-            dkey = tuple((vt.uid, d) for vt, d in dpairs)
-            self._dpairs.setdefault(dkey, dpairs)
-            dkeys.append(dkey)
-        sizes = [e.keys.size for e in encs]
-        keys = np.concatenate([e.keys for e in encs])
-        vals = np.concatenate([
-            e.vals * (denom // e.denom) for e in encs
-        ])
-        dvec_idx = np.repeat(np.arange(len(encs), dtype=np.int64), sizes)
-        dpows = np.repeat(
-            np.asarray([e.dpow for e in encs], dtype=np.int64), sizes
-        )
-        smax = max(e.smax for e in encs)
-        gmax = max(e.gmax for e in encs)
-        maxabs = max(e.maxabs * (denom // e.denom) for e in encs)
-        sumabs = sum(e.sumabs * (denom // e.denom) for e in encs)
-        if maxabs >= _SUM_LIMIT:
-            raise BulkError("flow numerator outside packed range")
-        enc = _FlowEnc(keys, vals, dvec_idx, denom, tuple(dkeys), dpows,
-                       max(e.dpow for e in encs), smax, gmax, maxabs, sumabs)
-        self._flow_cache[key] = enc
-        return enc
+        rows = None
+        if flows:
+            encs = []
+            for _, ssum in flows:
+                e = self._enc_elem(ssum, ssum.dpow)
+                if e.meta:
+                    raise BulkError("flow scalar carries symbol content")
+                encs.append(e)
+            rows = _stack(encs, (dkey for dkey, _ in flows))
+            if rows.maxabs >= _SUM_LIMIT:
+                raise BulkError("flow numerator outside packed range")
+        self._flow_cache[key] = rows
+        return rows
 
     def _enc_p(self, dkey):
         hit = self._p_cache.get(dkey, _MISSING)
         if hit is not _MISSING:
             return hit
-        part = self.engine.bucket_product_key(dkey, self._dpairs[dkey])
-        if not part:
-            self._p_cache[dkey] = None
-            return None
-        dpow = max(s.dpow for _, s in part)
-        encs = []
-        deltas = []
-        denom = 1
-        for delta, scal in part:
-            e = self._enc_elem(scal, dpow)
-            if e.meta:
-                raise BulkError("bucket scalar carries symbol content")
-            encs.append(e)
-            deltas.append(delta)
-            denom = lcm(denom, e.denom)
-        keys = np.concatenate([e.keys for e in encs])
-        vals = np.concatenate([e.vals * (denom // e.denom) for e in encs])
-        entry_idx = np.repeat(
-            np.arange(len(encs), dtype=np.int64),
-            [e.keys.size for e in encs],
-        )
-        smax = max(e.smax for e in encs)
-        gmax = max(e.gmax for e in encs)
-        maxabs = max(e.maxabs * (denom // e.denom) for e in encs)
-        sumabs = sum(e.sumabs * (denom // e.denom) for e in encs)
-        if maxabs >= _SUM_LIMIT:
-            raise BulkError("bucket numerator outside packed range")
-        enc = _PEnc(keys, vals, entry_idx, denom, dpow, tuple(deltas),
-                    smax, gmax, maxabs, sumabs)
-        self._p_cache[dkey] = enc
-        return enc
+        part = self.engine.bucket_product_key(dkey)
+        rows = None
+        if part:
+            dpow = max(s.dpow for _, s in part)
+            encs = []
+            for _, scal in part:
+                e = self._enc_elem(scal, dpow)
+                if e.meta:
+                    raise BulkError("bucket scalar carries symbol content")
+                encs.append(e)
+            rows = _stack(encs, (delta for delta, _ in part))
+            if rows.maxabs >= _SUM_LIMIT:
+                raise BulkError("bucket numerator outside packed range")
+        self._p_cache[dkey] = rows
+        return rows
 
-    def _occvec(self, occ_after, dkey, penc: _PEnc):
+    def _occvec(self, occ_after, dkey, penc: _Rows):
         key = (occ_after, dkey)
         hit = self._occvecs.get(key)
         if hit is None:
             ids = []
-            for delta in penc.deltas:
+            for delta in penc.tags:
                 occ = dict(occ_after)
                 for mode, mu in delta:
                     occ[mode] = occ.get(mode, 0) + mu
                 ids.append(self._occ_id(tuple(sorted(occ.items()))))
-            hit = np.asarray(ids, dtype=np.int64)[penc.entry_idx]
+            hit = np.asarray(ids, dtype=np.int64)[penc.idx]
             self._occvecs[key] = hit
         return hit
 
@@ -407,31 +393,15 @@ class BulkEngine:
         """Sum of weighted mode extractions applied to one state, computed
         through packed rows.  Same contract as VertexEngine.extract_sum;
         raises BulkError instead of answering when any guard trips."""
-        eng = self.engine
-
         blocks = []
         d_max = 0
-        for fused, targets, weight in jobs:
-            branches, taueig, momenta = eng._state_branches(fused, state)
-            if not branches:
+        for fused, res, base, weight, momenta, occ_after in self.engine.residues(jobs, state):
+            fe = self._enc_flows(fused, res)
+            if fe is None:
                 continue
-            r = len(fused.vterms)
-            momid = self._mom_id(momenta)
-            for base, annE, occ_after in branches:
-                res = tuple(
-                    targets[v] - fused.p0s[v] - taueig[v] + annE[v]
-                    for v in range(r)
-                )
-                if sum(res) < 0:
-                    continue
-                fe = self._enc_flows(fused, res)
-                if fe is None:
-                    continue
-                eff = base if weight is None else self._weighted(base, weight)
-                blocks.append((eff, fe, momid, occ_after))
-                d = eff.dpow + fe.dmax
-                if d > d_max:
-                    d_max = d
+            eff = base if weight is None else self._weighted(base, weight)
+            blocks.append((eff, fe, self._mom_id(momenta), occ_after))
+            d_max = max(d_max, eff.dpow + fe.dpow)
         if not blocks:
             return {}
 
@@ -445,14 +415,13 @@ class BulkEngine:
         metas: dict = {}
         meta_list: list = []
         encoded = []
-        denom_a = 1
-        total = 0
+        stage_a = _Bound()
         for eff, fe, momid, occ_after in blocks:
             be = self._enc_elem(eff, eff.dpow)
             if d_max - be.dpow >= _DEF_MAX:
                 raise BulkError("denominator deficit outside packed range")
             gids = []
-            for dkey in fe.dkeys:
+            for dkey in fe.tags:
                 gk = (momid, occ_after, dkey)
                 gid = gid_of.get(gk)
                 if gid is None:
@@ -469,34 +438,17 @@ class BulkEngine:
                     raise BulkError("meta registry full")
                 metas[be.meta] = mid
                 meta_list.append(be.meta)
-            if be.smax + fe.smax > _S_MASK or be.gmax + fe.gmax > _G_MASK:
-                raise BulkError("exponent field overflow")
-            d = be.denom * fe.denom
-            up = d // gcd(denom_a, d)
-            if up > 1:
-                total *= up
-                denom_a *= up
-            part = denom_a // d
-            if be.maxabs * fe.maxabs * part >= _VAL_LIMIT:
-                raise BulkError("row value overflow")
-            total += be.sumabs * fe.sumabs * part
-            encoded.append((be, np.asarray(gids, dtype=np.int64), mid))
-        if (total << d_max) >= _SUM_LIMIT:
-            raise BulkError("stage sum bound exceeded")
+            stage_a.add(be, fe)
+            encoded.append((be, fe, np.asarray(gids, dtype=np.int64), mid))
+        stage_a.check(d_max)
 
         pool = _Pool()
-        for (eff, fe, momid, occ_after), (be, gid_arr, mid) in zip(blocks, encoded):
-            scale = denom_a // (be.denom * fe.denom)
+        for be, fe, gid_arr, mid in encoded:
             defs = (d_max - be.dpow) - fe.dpows
-            fk = (
-                fe.keys
-                + (gid_arr[fe.dvec_idx] << _A_GID_SHIFT)
-                + (defs << _A_DEF_SHIFT)
-            )
-            fv = fe.vals * scale
-            pool.add(
-                ((be.keys + (mid << _B_META_SHIFT))[:, None] + fk[None, :]).ravel(),
-                (be.vals[:, None] * fv[None, :]).ravel(),
+            pool.outer(
+                be.keys + (mid << _B_META_SHIFT), be.vals,
+                fe.keys + (gid_arr[fe.idx] << _A_GID_SHIFT) + (defs << _A_DEF_SHIFT),
+                fe.vals * (stage_a.denom // (be.denom * fe.denom)),
             )
         akeys, avals = pool.final()
         if akeys.size == 0:
@@ -539,18 +491,16 @@ class BulkEngine:
             raise BulkError("aggregate exponent above packed range")
 
         gids = akeys >> _A_GID_SHIFT
-        bounds = np.flatnonzero(np.concatenate(([True], gids[1:] != gids[:-1])))
-        ends = np.append(bounds[1:], gids.size)
+        starts = np.flatnonzero(np.concatenate(([True], gids[1:] != gids[:-1])))
+        ends = np.append(starts[1:], gids.size)
 
         # Stage B runs the same two-pass shape over the surviving groups:
         # denominators and bounds first, rows second.
         live = []
-        denom_b = 1
-        total = 0
+        stage_b = _Bound()
         p_dpow = None
-        for s, e in zip(bounds, ends):
-            gid = int(gids[s])
-            momid, occ_after, dkey = group_info[gid]
+        for s, e in zip(starts, ends):
+            momid, occ_after, dkey = group_info[int(gids[s])]
             penc = self._enc_p(dkey)
             if penc is None:
                 continue
@@ -560,40 +510,29 @@ class BulkEngine:
                 raise BulkError("mixed denominator powers across groups")
             seg_keys = akeys[s:e] & _LO_MASK
             seg_vals = avals[s:e]
-            g = gcd(int(np.gcd.reduce(np.abs(seg_vals))), denom_a)
+            g = gcd(int(np.gcd.reduce(np.abs(seg_vals))), stage_a.denom)
             if g > 1:
                 seg_vals = seg_vals // g
-            den = denom_a // g
-            smax = int((seg_keys & _S_MASK).max())
-            gmax = int(((seg_keys >> _A_G_SHIFT) & _G_MASK).max())
-            if smax + penc.smax > _S_MASK or gmax + penc.gmax > _G_MASK:
-                raise BulkError("exponent field overflow")
-            maxabs = int(np.abs(seg_vals).max())
-            sumabs = int(np.abs(seg_vals).sum())
-            d = den * penc.denom
-            up = d // gcd(denom_b, d)
-            if up > 1:
-                total *= up
-                denom_b *= up
-            part = denom_b // d
-            if maxabs * penc.maxabs * part >= _VAL_LIMIT:
-                raise BulkError("row value overflow")
-            total += sumabs * penc.sumabs * part
-            live.append((seg_keys, seg_vals, den, momid, occ_after, dkey, penc))
-        if total >= _SUM_LIMIT:
-            raise BulkError("stage sum bound exceeded")
+            absv = np.abs(seg_vals)
+            seg = _Enc(
+                seg_keys, seg_vals, stage_a.denom // g, 0,
+                int((seg_keys & _S_MASK).max()),
+                int(((seg_keys >> _A_G_SHIFT) & _G_MASK).max()),
+                int(absv.max()), int(absv.sum()), d_max,
+            )
+            stage_b.add(seg, penc)
+            live.append((seg, momid, occ_after, dkey, penc))
+        stage_b.check()
         if not live:
             return {}
 
         pool = _Pool()
-        for seg_keys, seg_vals, den, momid, occ_after, dkey, penc in live:
-            scale = denom_b // (den * penc.denom)
+        for seg, momid, occ_after, dkey, penc in live:
             occrows = self._occvec(occ_after, dkey, penc)
-            pk = penc.keys + (occrows << _B_OCC_SHIFT) + (momid << _B_MOM_SHIFT)
-            pv = penc.vals * scale
-            pool.add(
-                (seg_keys[:, None] + pk[None, :]).ravel(),
-                (seg_vals[:, None] * pv[None, :]).ravel(),
+            pool.outer(
+                seg.keys, seg.vals,
+                penc.keys + (occrows << _B_OCC_SHIFT) + (momid << _B_MOM_SHIFT),
+                penc.vals * (stage_b.denom // (seg.denom * penc.denom)),
             )
         bkeys, bvals = pool.final()
         if bkeys.size == 0:
@@ -613,6 +552,6 @@ class BulkEngine:
             elif g_exp:
                 raise BulkError("Gamma exponent without a Gamma slot")
             st = FockState(momenta, occ)
-            by_state.setdefault(st, {})[rk] = Fraction(val, denom_b)
+            by_state.setdefault(st, {})[rk] = Fraction(val, stage_b.denom)
         return {st: RingElem(self.table, terms, dpow_out)
                 for st, terms in by_state.items()}

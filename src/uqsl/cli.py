@@ -156,6 +156,8 @@ def _cmd_check_finite(args) -> int:
     }
     if args.M + args.N < 2:
         raise ValueError("need M + N >= 2")
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be >= 0")
     if args.sabotage is not None and args.sabotage not in SABOTAGE_IDS:
         raise ValueError(f"unknown sabotage id {args.sabotage!r}")
     argslist = [
@@ -170,6 +172,9 @@ def _cmd_check_finite(args) -> int:
 
 
 def _cmd_check_affine(args) -> int:
+    for opt in ("energy_cut", "mode_window", "psi_nmax", "momentum_radius"):
+        if getattr(args, opt) < 0:
+            raise ValueError(f"--{opt.replace('_', '-')} must be >= 0")
     spec = _parse_overrides(args.override)
     _override_elems(affine_symbols(args.k), spec)  # validates the grammar
     cfg = affine_config(args.energy_cut, args.mode_window, args.k,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .oscillators import (
@@ -179,8 +179,9 @@ class VertexEngine:
         self._series: dict = {}  # (uidA, uidB) -> list of C_l, l >= 0
         self._buckets: dict = {}  # (vt.uid, degree) -> [(delta occ, scalar)]
         self._branches: dict = {}  # (fused.uid, state) -> branch data
-        self._prodcache: dict = {}  # sorted ((vt.uid, degree), ...) -> merged buckets
-        self._flowcache: dict = {}  # (fused.uid, res) -> ((dvec, scalar), ...)
+        self._prodcache: dict = {}  # dkey -> merged buckets
+        self._flowcache: dict = {}  # (fused.uid, res) -> ((dkey, scalar), ...)
+        self._dpairs: dict = {}  # dkey = sorted ((vt.uid, degree), ...) -> ((vt, degree), ...)
 
     def make_vterm(self, const: RingElem, p0: int, occs) -> VTerm:
         return VTerm(self.alg, const, p0, occs, next(self._uids))
@@ -357,7 +358,7 @@ class VertexEngine:
                 if total > mult:
                     continue
                 coeff = Fraction(factorial(mult), factorial(mult - total))
-                scalar = T.rational(coeff / _prod_factorials(js))
+                scalar = T.rational(coeff / prod(map(factorial, js)))
                 for v in range(r):
                     for _ in range(js[v]):
                         scalar = scalar * values[v]
@@ -382,9 +383,29 @@ class VertexEngine:
         self._branches[key] = data
         return data
 
+    def residues(self, jobs, state: FockState):
+        """Every annihilation branch of every job on `state` that leaves a
+        reachable residue: yields (fused, res, base, weight, momenta,
+        occ_after) with res the z-powers the creation side and the
+        contraction series still owe, sum(res) >= 0."""
+        for fused, targets, weight in jobs:
+            branches, taueig, momenta = self._state_branches(fused, state)
+            r = len(fused.vterms)
+            for base, annE, occ_after in branches:
+                res = tuple(
+                    targets[v] - fused.p0s[v] - taueig[v] + annE[v] for v in range(r)
+                )
+                if sum(res) >= 0:
+                    yield fused, res, base, weight, momenta, occ_after
+
     def flows_map(self, fused: FusedTerm, res):
-        """Creation-degree vectors reachable from `res` with their summed
-        series scalars, nonnegative degrees only."""
+        """Creation-degree multisets reachable from `res` with their summed
+        series scalars, nonnegative degrees only, as (dkey, scalar) pairs.
+
+        A dkey is the sorted ((vterm uid, degree), ...) of the nonzero
+        degrees; it ignores variable order, so permuted products of the
+        same terms share creation buckets.  Each dkey's (vterm, degree)
+        pairs are recorded on first sight for bucket_product_key."""
         key = (fused.uid, res)
         out = self._flowcache.get(key)
         if out is None:
@@ -394,7 +415,18 @@ class VertexEngine:
                     continue
                 prev = local.get(dvec)
                 local[dvec] = ss if prev is None else prev + ss
-            out = tuple((d, s) for d, s in local.items() if not s.is_zero())
+            pairs = []
+            for dvec, s in local.items():
+                if s.is_zero():
+                    continue
+                dpairs = tuple(sorted(
+                    ((vt, d) for vt, d in zip(fused.vterms, dvec) if d),
+                    key=lambda p: (p[0].uid, p[1]),
+                ))
+                dkey = tuple((vt.uid, d) for vt, d in dpairs)
+                self._dpairs.setdefault(dkey, dpairs)
+                pairs.append((dkey, s))
+            out = tuple(pairs)
             self._flowcache[key] = out
         return out
 
@@ -435,57 +467,31 @@ class VertexEngine:
             return
         raise ValueError(f"unsupported number of fused variables: {r}")
 
-    def aggregate(self, jobs, state: FockState):
+    def aggregate(self, jobs, state: FockState) -> dict:
         """Scalar prefactors of weighted extractions, summed per
-        (momenta, leftover occupation, creation-degree multiset).
+        (momenta, leftover occupation, dkey).
 
         jobs: iterable of (fused, targets, weight or None).  Permuted
         factor orders land on the same key, so terms of a relation that
         cancel do so while still cheap, and a zero aggregate later skips
-        its whole block of output states.  Returns (groups, dpairs_of)
-        with groups a dict key -> scalar and dpairs_of resolving each
-        degree multiset to its (vterm, degree) pairs."""
+        its whole block of output states."""
         acc: dict = {}
-        pairs_of: dict = {}
-        for fused, targets, weight in jobs:
-            branches, taueig, momenta = self._state_branches(fused, state)
-            if not branches:
-                continue
-            r = len(fused.vterms)
-            for base, annE, occ_after in branches:
-                res = tuple(
-                    targets[v] - fused.p0s[v] - taueig[v] + annE[v] for v in range(r)
-                )
-                if sum(res) < 0:
-                    continue
-                flows = self.flows_map(fused, res)
-                if not flows:
-                    continue
-                for dvec, ssum in flows:
-                    dpairs = tuple(
-                        sorted(
-                            ((vt, d) for vt, d in zip(fused.vterms, dvec) if d),
-                            key=lambda p: (p[0].uid, p[1]),
-                        )
-                    )
-                    dkey = tuple((vt.uid, d) for vt, d in dpairs)
-                    if dkey not in pairs_of:
-                        pairs_of[dkey] = dpairs
-                    key = (momenta, occ_after, dkey)
-                    mid = base * ssum
-                    if weight is not None:
-                        mid = mid * weight
-                    prev = acc.get(key)
-                    acc[key] = mid if prev is None else prev + mid
-        return acc, pairs_of
+        for fused, res, base, weight, momenta, occ_after in self.residues(jobs, state):
+            for dkey, ssum in self.flows_map(fused, res):
+                key = (momenta, occ_after, dkey)
+                mid = base * ssum
+                if weight is not None:
+                    mid = mid * weight
+                prev = acc.get(key)
+                acc[key] = mid if prev is None else prev + mid
+        return acc
 
-    def bucket_product_key(self, dkey, dpairs):
+    def bucket_product_key(self, dkey):
         """Creation buckets of all variables merged into one list of
-        (occupation delta, scalar).  The key ignores variable order, so
-        permuted products of the same terms share one entry."""
+        (occupation delta, scalar), for a dkey that flows_map has seen."""
         part = self._prodcache.get(dkey)
         if part is None:
-            part = self._merge_buckets(dpairs)
+            part = self._merge_buckets(self._dpairs[dkey])
             self._prodcache[dkey] = part
         return part
 
@@ -493,12 +499,11 @@ class VertexEngine:
         """Sum of weighted mode extractions applied to one state.
 
         jobs: iterable of (fused, targets, weight or None)."""
-        acc, pairs_of = self.aggregate(jobs, state)
         out: dict = {}
-        for (momenta, occ_after, dkey), mid in acc.items():
+        for (momenta, occ_after, dkey), mid in self.aggregate(jobs, state).items():
             if mid.is_zero():
                 continue
-            for delta, pscal in self.bucket_product_key(dkey, pairs_of[dkey]):
+            for delta, pscal in self.bucket_product_key(dkey):
                 coeff = mid * pscal
                 if coeff.is_zero():
                     continue
@@ -512,13 +517,6 @@ class VertexEngine:
         """The (z_0^targets[0] ... ) coefficient of fused applied to state,
         as a dict FockState -> RingElem."""
         return self.extract_sum(((fused, targets, None),), state)
-
-
-def _prod_factorials(js) -> int:
-    out = 1
-    for j in js:
-        out *= factorial(j)
-    return out
 
 
 def _lf(c=0, k=0) -> LinForm:

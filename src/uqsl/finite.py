@@ -22,7 +22,7 @@ from .report import RelationResult, compare_cases
 # wrapper and fails if the attribute is missing.
 from .report import numeric_check  # noqa: F401
 from .ring import LinForm, finite_symbols
-from .structure import build_root_data
+from .structure import build_root_data, graded_bracket_sign
 
 _NO_SHIFT = LinForm(0)
 
@@ -112,12 +112,6 @@ def compose(A, B) -> LinMap:
     return LinMap(lambda p: A.apply(B.apply(p)), (A.parity + B.parity) % 2)
 
 
-def add_maps(A, B) -> LinMap:
-    if A.parity != B.parity:
-        raise ValueError("parity mismatch in map sum")
-    return LinMap(lambda p: A.apply(p) + B.apply(p), A.parity)
-
-
 def scale_map(A, c) -> LinMap:
     return LinMap(lambda p: A.apply(p).scale(c), A.parity)
 
@@ -128,7 +122,7 @@ def zero_map(space: FlagSpace, parity: int = 0) -> LinMap:
 
 def graded_commutator(A, B, xi=None) -> LinMap:
     """[A, B]_xi = AB - (-1)^(|A||B|) xi BA as a linear map."""
-    sign = -1 if (A.parity and B.parity) else 1
+    sign = graded_bracket_sign(A.parity, B.parity)
 
     def bracket(p):
         out = A.apply(B.apply(p))

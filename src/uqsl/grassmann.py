@@ -189,48 +189,35 @@ class SuperPoly:
                     out[m2] = c2
         return SuperPoly(self.space, out)
 
-    def dx(self, i: int, j: int) -> "SuperPoly":
-        """Left partial derivative by x_ij with Koszul sign."""
-        pos = self.space.index[(i, j)]
-        parity = self.space.parity
-
-        def deriv(m, c):
-            e = m[pos]
-            if not e:
-                return
-            sign = 1
-            if parity[pos]:
-                for p in range(pos):
-                    if parity[p] and m[p] & 1:
-                        sign = -sign
-            m2 = m[:pos] + (e - 1,) + m[pos + 1 :]
-            coeff = c * e if not parity[pos] else (c if sign > 0 else -c)
-            yield m2, coeff
-
-        return self.map_terms(deriv)
-
-    def lower(self, i: int, j: int) -> "SuperPoly":
-        """q-deformed lowering by x_ij: exponent e maps to [e] x^(e-1) for
-        even coordinates and to the signed left derivative for odd ones."""
-        pos = self.space.index[(i, j)]
-        parity = self.space.parity
-        table = self.space.table
+    def _lowered(self, i: int, j: int, even_coeff) -> "SuperPoly":
+        """Lower the exponent e of x_ij by one.  Even coordinates scale by
+        even_coeff(c, e); an odd one is a left derivative, whose Koszul
+        sign is the parity of the odd letters standing before it."""
+        space = self.space
+        pos = space.index[(i, j)]
+        odd = space.parity[pos]
 
         def lowering(m, c):
             e = m[pos]
             if not e:
                 return
             m2 = m[:pos] + (e - 1,) + m[pos + 1 :]
-            if parity[pos]:
-                sign = 1
-                for p in range(pos):
-                    if parity[p] and m[p] & 1:
-                        sign = -sign
-                yield m2, (c if sign > 0 else -c)
+            if odd:
+                yield m2, (-c if space.monomial_parity(m[:pos]) else c)
             else:
-                yield m2, c * table.qint(e)
+                yield m2, even_coeff(c, e)
 
         return self.map_terms(lowering)
+
+    def dx(self, i: int, j: int) -> "SuperPoly":
+        """Left partial derivative by x_ij with Koszul sign."""
+        return self._lowered(i, j, lambda c, e: c * e)
+
+    def lower(self, i: int, j: int) -> "SuperPoly":
+        """q-deformed lowering by x_ij: exponent e maps to [e] x^(e-1) for
+        even coordinates and to the signed left derivative for odd ones."""
+        qint = self.space.table.qint
+        return self._lowered(i, j, lambda c, e: c * qint(e))
 
     def qshift(self, form: LinForm) -> "SuperPoly":
         """Multiply each monomial by q^(form at that monomial's exponents);
@@ -284,6 +271,8 @@ class SuperPoly:
 
 def basis_upto(space: FlagSpace, max_degree: int) -> list:
     """All monomials of total degree <= max_degree, odd exponents <= 1."""
+    if max_degree < 0:
+        raise ValueError(f"max degree must be >= 0, got {max_degree}")
     out = [space.zero_exp()]
     frontier = [space.zero_exp()]
     for _ in range(max_degree):

@@ -229,6 +229,8 @@ def enumerate_basis(E_cut: int, radius: int = 0, norm: str = "l1") -> list:
     """All Fock states with energy <= E_cut and momenta in the given window."""
     if norm not in ("l1", "box"):
         raise ValueError(f"momentum norm must be l1 or box, got {norm!r}")
+    if E_cut < 0 or radius < 0:
+        raise ValueError(f"energy cut {E_cut} and momentum radius {radius} must be >= 0")
     momenta = [()]
     for _ in Q_SLOTS:
         momenta = [m + (v,) for m in momenta for v in range(-radius, radius + 1)]

@@ -30,6 +30,12 @@ def ctx():
     return AffineContext()
 
 
+@pytest.fixture(scope="module")
+def sab_k2():
+    """Level 2 with f13 corrupted to 1: nonzero residuals on every state."""
+    return AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()})
+
+
 class TestSmokeSuite:
     def test_counts_by_relation(self, smoke):
         counts = {}
@@ -178,7 +184,13 @@ class TestPackedEngine:
             slow = ctx.engine.extract_sum(jobs, state)
             assert fast == slow == {}
 
-    def test_sabotage_residual_matches(self):
+    def answered(self, ctx, jobs, state):
+        try:
+            return ctx.bulk.combo_residual(jobs, state)
+        except BulkError as exc:
+            pytest.fail(f"packed engine declined: {exc}")
+
+    def test_sabotage_residual_matches(self, sab_k2):
         # a corrupted constant must leak identically through both paths
         sab = AffineContext(f_overrides={"f13": affine_symbols().one()})
         pieces = self.serre_pieces(sab, "F", -1, -1, 0)
@@ -187,13 +199,26 @@ class TestPackedEngine:
         slow = sab.engine.extract_sum(jobs, VACUUM)
         assert fast == slow
         assert fast and all(not c.is_zero() for c in fast.values())
+        # at a numeric level the leak spreads over many groups and states,
+        # so stage B decodes them all
+        jobs = sab_k2._jobs(self.serre_pieces(sab_k2, "F", -1, -1, 0))
+        for state in enumerate_basis(1):
+            fast = self.answered(sab_k2, jobs, state)
+            assert fast and fast == sab_k2.engine.extract_sum(jobs, state)
 
-    def test_pair_residual_matches(self, ctx):
+    def test_pair_residual_matches(self, ctx, sab_k2):
         pieces = ctx._pair_pieces("E2", 1, "E2", -1)
         jobs = ctx._jobs(pieces)
         for state in enumerate_basis(2)[:10]:
             assert ctx.bulk.combo_residual(jobs, state) == ctx.engine.extract_sum(
                 jobs, state)
+        for pieces, leaks in ((sab_k2._pair_pieces("E2", 1, "E2", -1), False),
+                              (sab_k2._pair_pieces("F1", 0, "F1", -1), True)):
+            jobs = sab_k2._jobs(pieces)
+            for state in enumerate_basis(1):
+                fast = self.answered(sab_k2, jobs, state)
+                assert bool(fast) == leaks
+                assert fast == sab_k2.engine.extract_sum(jobs, state)
 
     def test_nonzero_product_decodes(self, ctx):
         # a single product, not a cancelling combination: decode path

@@ -111,10 +111,14 @@ class TestCheckFinite:
                      "--sabotage", "nope", "--report", str(tmp_path / "x.json")])
         assert code == 2
 
-    def test_too_small(self, tmp_path):
+    def test_too_small(self, tmp_path, capsys):
         code = main(["check-finite", "--M", "1", "--N", "0",
                      "--report", str(tmp_path / "x.json")])
         assert code == 2
+        code = main(["check-finite", "--M", "2", "--N", "1", "--max-degree", "-2",
+                     "--report", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "--max-degree" in capsys.readouterr().err
 
     def test_byte_identical_and_jobs(self, tmp_path):
         args = ["check-finite", "--M", "2", "--N", "1", "--max-degree", "2"]
@@ -198,5 +202,10 @@ class TestUsage:
             main([])
         assert exc.value.code == 2
 
-    def test_jobs_floor(self):
+    def test_jobs_floor(self, capsys):
         assert main(FAST_AFFINE + ["--jobs", "0"]) == 2
+        # negative sizes would check an empty basis or window and pass
+        for opt in ("--energy-cut", "--mode-window", "--psi-nmax",
+                    "--momentum-radius"):
+            assert main(FAST_AFFINE + [opt, "-1"]) == 2
+            assert opt in capsys.readouterr().err

@@ -135,6 +135,9 @@ class TestBasis:
     def test_count_21(self, sp21):
         # 1 even + 2 odd coordinates: degrees 0..4 give 16 monomials
         assert len(basis_upto(sp21, 4)) == 16
+        assert basis_upto(sp21, 0) == [sp21.zero_exp()]
+        with pytest.raises(ValueError):
+            basis_upto(sp21, -1)
 
     def test_count_22(self, sp22):
         assert len(basis_upto(sp22, 3)) == 56

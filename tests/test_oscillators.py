@@ -262,6 +262,9 @@ class TestBasis:
         # l1 ball of radius 1 has 9 lattice points, box has 81
         assert len(enumerate_basis(1, radius=1, norm="l1")) == 9 * 7
         assert len(enumerate_basis(1, radius=1, norm="box")) == 81 * 7
+        for E_cut, radius in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                enumerate_basis(E_cut, radius)
 
     def test_vacuum_first(self):
         assert enumerate_basis(2)[0] == VACUUM

@@ -1,6 +1,7 @@
 """The traced benchmark wraps named attributes of the package; a refactor
 that drops one of them breaks `perfbench/run.py --trace 1`."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 
 from uqsl import affine, currents, finite
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +40,13 @@ def test_instrument_and_restore(spans):
     finally:
         restore()
     assert [owner.__dict__[attr] for owner, attr in hooked] == before
+
+
+def test_bulk_reasons_known(spans):
+    # perfbench counts fallbacks by message; an unlisted message would
+    # land in bulk.fallback.other.  The constructor's check cannot fire
+    # inside combo_residual.
+    text = (ROOT / "src" / "uqsl" / "bulk.py").read_text(encoding="utf-8")
+    raised = set(re.findall(r'BulkError\("([^"]*)"\)', text))
+    assert raised - {"Gamma must sit in slot 1"} <= set(spans.BULK_FALLBACK_REASONS)
+    assert "BulkError(f" not in text
