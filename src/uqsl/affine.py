@@ -71,7 +71,10 @@ class AffineContext:
         self.currents = make_currents(self.engine, {**self.e_values, **self.f_values})
         self.bulk = BulkEngine(self.engine)
         self._fused: dict = {}
-        self._app: dict = {}  # (name, n, state) -> ((state, coeff), ...)
+        # (name, n, state) -> ((state, coeff), ...) for one mode on one
+        # state; name is an E/F/psi current or "H<i>" for H^i_n.
+        self._app: dict = {}
+        self._hc: dict = {}  # (i, n) -> h_coeffs(table, i, n)
 
     def gamma_pow(self, exponent) -> RingElem:
         """gamma^exponent with gamma = q^k; exponent may be half-integral."""
@@ -104,30 +107,43 @@ class AffineContext:
         hit = self._app.get(key)
         if hit is not None:
             return hit
-        if name.startswith("psi"):
-            target = -n
-            pref = self.gamma_pow(Fraction(n, 2) if name.endswith("+") else Fraction(-n, 2))
+        if name.startswith("H"):
+            acc = apply_oscillator(self.alg, self._h_coeffs(int(name[1:]), n), n, state)
         else:
-            target = -n - 1
-            pref = None
-        acc: dict = {}
-        for vt in self.currents[name]:
-            for s, c in self.engine.extract(self.engine.single(vt), (target,), state).items():
-                add_term(acc, s, c if pref is None else c * pref)
+            if name.startswith("psi"):
+                target = -n
+                pref = self.gamma_pow(Fraction(n, 2) if name.endswith("+") else Fraction(-n, 2))
+            else:
+                target = -n - 1
+                pref = None
+            acc = {}
+            for vt in self.currents[name]:
+                for s, c in self.engine.extract(self.engine.single(vt), (target,), state).items():
+                    add_term(acc, s, c if pref is None else c * pref)
         hit = tuple(acc.items())
         self._app[key] = hit
         return hit
 
-    def mode_vec(self, name: str, n: int, vec: dict) -> dict:
-        """X_n applied to a vector; psi modes carry their gamma^(+-n) factor."""
+    def _h_coeffs(self, i: int, n: int) -> dict:
+        hit = self._hc.get((i, n))
+        if hit is None:
+            hit = self._hc[(i, n)] = h_coeffs(self.table, i, n)
+        return hit
+
+    def _act(self, name: str, n: int, vec: dict) -> dict:
         out: dict = {}
         for state, c in vec.items():
             for s, c2 in self._apply_mode(name, n, state):
                 add_term(out, s, c2 * c)
         return out
 
+    def mode_vec(self, name: str, n: int, vec: dict) -> dict:
+        """X_n applied to a vector; psi modes carry their gamma^(+-n) factor."""
+        return self._act(name, n, vec)
+
     def h_vec(self, i: int, n: int, vec: dict) -> dict:
-        return apply_oscillator(self.alg, h_coeffs(self.table, i, n), n, vec)
+        """H^i_n applied to a vector (n != 0: zero modes act through K)."""
+        return self._act(f"H{i}", n, vec)
 
     def combo_vec(self, pieces, state: FockState) -> dict:
         """Weighted sum of current products applied to one state.
@@ -170,8 +186,8 @@ class AffineContext:
 
     def h_scalar(self, i: int, j: int, n: int) -> RingElem:
         """The central value of [H^i_n, H^j_{-n}] from the raw contractions."""
-        ci = h_coeffs(self.table, i, n)
-        cj = h_coeffs(self.table, j, -n)
+        ci = self._h_coeffs(i, n)
+        cj = self._h_coeffs(j, -n)
         tot = self.table.zero()
         for f1, c1 in ci.items():
             for f2, c2 in cj.items():

@@ -195,33 +195,31 @@ def k_eigenvalue(table: SymbolTable, i: int, state: FockState) -> RingElem:
     return table.qpow(form)
 
 
-def apply_oscillator(alg: OscillatorAlgebra, coeffs: dict, n: int, vec: dict) -> dict:
-    """Apply sum_fam coeffs[fam] * fam_n (raw modes, n != 0) to a vector."""
+def apply_oscillator(alg: OscillatorAlgebra, coeffs: dict, n: int, state: FockState) -> dict:
+    """Apply sum_fam coeffs[fam] * fam_n (raw modes, n != 0) to one state."""
     if n == 0:
         raise ValueError("zero modes act diagonally; not handled here")
     out: dict = {}
     if n < 0:
         m = -n
         bracket = alg.table.qint(m)
-        for state, c in vec.items():
-            for fam, coeff in coeffs.items():
-                add_term(out, state.with_creation(fam, m), c * coeff * bracket)
+        for fam, coeff in coeffs.items():
+            add_term(out, state.with_creation(fam, m), coeff * bracket)
         return out
-    for state, c in vec.items():
-        for (fam2, m), mult in state.occ:
-            if m != n:
+    for (fam2, m), mult in state.occ:
+        if m != n:
+            continue
+        for fam, coeff in coeffs.items():
+            val = alg.contract_raw_hat(fam, fam2, n)
+            if val.is_zero():
                 continue
-            for fam, coeff in coeffs.items():
-                val = alg.contract_raw_hat(fam, fam2, n)
-                if val.is_zero():
-                    continue
-                lowered = dict(state.occ)
-                if mult == 1:
-                    del lowered[(fam2, m)]
-                else:
-                    lowered[(fam2, m)] = mult - 1
-                tgt = FockState(state.momenta, tuple(sorted(lowered.items())))
-                add_term(out, tgt, c * coeff * val * mult)
+            lowered = dict(state.occ)
+            if mult == 1:
+                del lowered[(fam2, m)]
+            else:
+                lowered[(fam2, m)] = mult - 1
+            tgt = FockState(state.momenta, tuple(sorted(lowered.items())))
+            add_term(out, tgt, coeff * val * mult)
     return out
 
 

@@ -129,7 +129,8 @@ def compare_cases(seed: int, rel_id: str, params: dict, cases, zero, key,
     cases: iterable of (label, lhs, rhs), each side a dict output -> ring
     element.  Outputs are visited in `key` order; the first nonzero
     difference is the witness, its output rendered by `fmt`.  Without one,
-    the first 64 (lhs, rhs) coefficient pairs go to the numeric oracle.
+    the first 64 (lhs, rhs) coefficient pairs go to the numeric oracle.  A
+    relation with no case at all checked nothing and is not-applicable.
     """
     pairs = []
     witness = None
@@ -143,6 +144,9 @@ def compare_cases(seed: int, rel_id: str, params: dict, cases, zero, key,
                 pairs.append((lc, rc))
             if witness is None and not (lc - rc).is_zero():
                 witness = {"element": label, "at": fmt(out), "lhs": str(lc), "rhs": str(rc)}
+    if not checked:
+        return RelationResult(rel_id, "not-applicable", 0, params,
+                              {"reason": "no case inside the bounded subspace"})
     if witness is not None:
         return RelationResult(rel_id, "fail", checked, params, witness)
     numeric = numeric_check(seed, rel_id, pairs)

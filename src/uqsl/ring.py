@@ -14,11 +14,18 @@ symbol slot, so that monomial multiplication is integer addition.  Elements
 carry an explicit denominator power d (meaning terms/(q-q^-1)^d); equality
 cross-multiplies denominators and never needs canonical forms.  canonical()
 divides out (q-q^-1) factors and is used only for display and reports.
+
+Coefficients are exact: a plain int, or a fractions.Fraction when the
+denominator is not 1.  Scalars enter through _exact(), which keeps integral
+values as int, so sums and products of integer coefficients (the large
+majority) run on int arithmetic.  A Fraction that arises from arithmetic
+may have denominator 1; equality and display do not depend on the type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 _SLOT_BITS = 24
@@ -26,19 +33,17 @@ _BASE = 1 << _SLOT_BITS
 _MASK = _BASE - 1
 _HALF = _BASE >> 1
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class RingError(ValueError):
     """Invalid ring construction or evaluation."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _exact(x) -> int | Fraction:
+    """x as an exact scalar: an int when its denominator is 1, else a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise RingError(f"not an exact rational: {x!r}")
 
 
@@ -53,29 +58,29 @@ class LinForm:
     __slots__ = ("const", "coeffs", "thetas")
 
     def __init__(self, const=0, coeffs=None, thetas=None):
-        self.const = _as_fraction(const)
+        self.const = _exact(const)
         self.coeffs = {n: c for n, c in (coeffs or {}).items() if c}
         self.thetas = {t: c for t, c in (thetas or {}).items() if c}
 
     @classmethod
     def sym(cls, name: str, coeff=1) -> "LinForm":
         """The form coeff*name."""
-        return cls(0, {name: _as_fraction(coeff)})
+        return cls(0, {name: _exact(coeff)})
 
     @classmethod
     def theta(cls, key, coeff=1) -> "LinForm":
         """The form coeff*theta_key."""
-        return cls(0, None, {key: _as_fraction(coeff)})
+        return cls(0, None, {key: _exact(coeff)})
 
     def __add__(self, other) -> "LinForm":
         if isinstance(other, (int, Fraction)):
             return LinForm(self.const + other, self.coeffs, self.thetas)
         cs = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            cs[n] = cs.get(n, _ZERO) + c
+            cs[n] = cs.get(n, 0) + c
         ts = dict(self.thetas)
         for t, c in other.thetas.items():
-            ts[t] = ts.get(t, _ZERO) + c
+            ts[t] = ts.get(t, 0) + c
         return LinForm(self.const + other.const, cs, ts)
 
     __radd__ = __add__
@@ -92,7 +97,7 @@ class LinForm:
         return (-self) + other
 
     def __mul__(self, scalar) -> "LinForm":
-        s = _as_fraction(scalar)
+        s = _exact(scalar)
         if not s:
             return LinForm(0)
         return LinForm(
@@ -198,25 +203,25 @@ class SymbolTable:
         return RingElem(self, {}, 0)
 
     def one(self) -> "RingElem":
-        return RingElem(self, {0: _ONE}, 0)
+        return RingElem(self, {0: 1}, 0)
 
     def rational(self, x) -> "RingElem":
-        c = _as_fraction(x)
+        c = _exact(x)
         return RingElem(self, {0: c} if c else {}, 0)
 
     def monomial(self, exps: Mapping[str, int], coeff=1) -> "RingElem":
-        c = _as_fraction(coeff)
+        c = _exact(coeff)
         return RingElem(self, {self.pack(exps): c} if c else {}, 0)
 
     def qdiff(self) -> "RingElem":
         """The element q - q^-1."""
-        return RingElem(self, {2: _ONE, -2: -_ONE}, 0)
+        return RingElem(self, {2: 1, -2: -1}, 0)
 
     def qdiff_inv(self, power: int = 1) -> "RingElem":
         """The element (q - q^-1)^-power."""
         if power < 0:
             raise RingError("negative denominator power")
-        return RingElem(self, {0: _ONE}, power)
+        return RingElem(self, {0: 1}, power)
 
     def qpow(self, f: LinForm) -> "RingElem":
         """The monomial q^f; all alias-scaled exponents must be integral."""
@@ -236,13 +241,13 @@ class SymbolTable:
             if e.denominator != 1:
                 raise RingError(f"exponent {c}*{name} not integral at scale {scale}")
             key += int(e) << (_SLOT_BITS * self._index[sym])
-        return RingElem(self, {key: _ONE}, 0)
+        return RingElem(self, {key: 1}, 0)
 
     def qint(self, n: int) -> "RingElem":
         """The q-integer [n] expanded without denominator."""
         if n == 0:
             return self.zero()
-        sign = _ONE if n > 0 else -_ONE
+        sign = 1 if n > 0 else -1
         m = abs(n)
         return RingElem(self, {2 * (m - 1 - 2 * t): sign for t in range(m)}, 0)
 
@@ -254,7 +259,7 @@ class SymbolTable:
         minus = self.qpow(-f)
         terms = dict(plus.terms)
         for k, c in minus.terms.items():
-            terms[k] = terms.get(k, _ZERO) - c
+            terms[k] = terms.get(k, 0) - c
             if not terms[k]:
                 del terms[k]
         return RingElem(self, terms, 1)
@@ -278,7 +283,7 @@ def _mul_terms(t1: dict, t2: dict) -> dict:
     for k1, c1 in t1.items():
         for k2, c2 in t2.items():
             k = k1 + k2
-            v = get(k, _ZERO) + c1 * c2
+            v = get(k, 0) + c1 * c2
             if v:
                 out[k] = v
             elif k in out:
@@ -291,12 +296,12 @@ def _mul_by_qdiff(terms: dict, times: int) -> dict:
         out: dict = {}
         get = out.get
         for k, c in terms.items():
-            v = get(k + 2, _ZERO) + c
+            v = get(k + 2, 0) + c
             if v:
                 out[k + 2] = v
             elif k + 2 in out:
                 del out[k + 2]
-            v = get(k - 2, _ZERO) - c
+            v = get(k - 2, 0) - c
             if v:
                 out[k - 2] = v
             elif k - 2 in out:
@@ -306,7 +311,12 @@ def _mul_by_qdiff(terms: dict, times: int) -> dict:
 
 
 class RingElem:
-    """terms/(q - q^-1)^dpow with exact Fraction coefficients."""
+    """terms/(q - q^-1)^dpow.
+
+    terms maps a packed exponent key to a nonzero coefficient: an int, or a
+    Fraction when the denominator is not 1 on entry.  subst_numeric always
+    returns a Fraction.
+    """
 
     __slots__ = ("table", "terms", "dpow")
 
@@ -339,7 +349,7 @@ class RingElem:
         out = dict(a.terms)
         get = out.get
         for k, c in bt.items():
-            v = get(k, _ZERO) + c
+            v = get(k, 0) + c
             if v:
                 out[k] = v
             elif k in out:
@@ -365,7 +375,7 @@ class RingElem:
                 return RingElem(self.table, {}, 0)
             if other == 1:
                 return self
-            c = _as_fraction(other)
+            c = _exact(other)
             return RingElem(self.table, {k: v * c for k, v in self.terms.items()}, self.dpow)
         self._check(other)
         return RingElem(self.table, _mul_terms(self.terms, other.terms), self.dpow + other.dpow)
@@ -385,7 +395,7 @@ class RingElem:
         if self.dpow != 0 or len(self.terms) != 1:
             raise RingError("only monomials are invertible")
         ((k, c),) = self.terms.items()
-        return RingElem(self.table, {-k: 1 / c}, 0)
+        return RingElem(self.table, {-k: _exact(Fraction(c.denominator, c.numerator))}, 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -412,7 +422,7 @@ class RingElem:
             emin = min(e for e, _ in pairs)
             work = {}
             for e, c in pairs:
-                work[e - emin] = work.get(e - emin, _ZERO) + c
+                work[e - emin] = work.get(e - emin, 0) + c
             quot = {}
             for d in sorted(work, reverse=True):
                 if d < 4:
@@ -422,8 +432,8 @@ class RingElem:
                 c = work.pop(d)
                 if not c:
                     continue
-                quot[d - 4] = quot.get(d - 4, _ZERO) + c
-                work[d - 4] = work.get(d - 4, _ZERO) + c
+                quot[d - 4] = quot.get(d - 4, 0) + c
+                work[d - 4] = work.get(d - 4, 0) + c
             for e, c in work.items():
                 if c:
                     return None
@@ -449,33 +459,51 @@ class RingElem:
     # -- evaluation -----------------------------------------------------------
 
     def subst_numeric(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """Exact rational value; assignment gives the s-value under key "q"."""
-        vals = []
+        """Exact rational value; assignment gives the s-value under key "q".
+
+        Evaluated on integers: each symbol's value is split once into
+        numerator and denominator, every term contributes an integer pair,
+        and a single Fraction is built from the sum at the end.
+        """
+        nums, dens = [], []
         for sym in self.table.symbols:
             try:
-                v = _as_fraction(assignment[sym])
+                v = _exact(assignment[sym])
             except KeyError:
                 raise RingError(f"no assignment for symbol {sym}") from None
-            if v == 0:
+            if not v:
                 raise RingError(f"zero assignment for invertible symbol {sym}")
-            vals.append(v)
-        s = vals[0]
-        if self.dpow > 0 and s * s == 1:
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+        n, d = nums[0], dens[0]
+        if self.dpow > 0 and n * n == d * d:
             raise RingError("q = 1 assignment hits the denominator")
-        total = _ZERO
+        num, den = 0, 1
         for key, c in self.terms.items():
-            v = c
-            k = key
-            for i in range(self.table.nslots):
-                r = k & _MASK
-                e = r - _BASE if r >= _HALF else r
-                if e:
-                    v *= vals[i] ** e
-                k = (k - e) >> _SLOT_BITS
-            total += v
-        if self.dpow:
-            total /= (s * s - 1 / (s * s)) ** self.dpow
-        return total
+            tn, td = c.numerator, c.denominator
+            i = 0
+            while key:  # stops after the last nonzero slot
+                r = key & _MASK
+                if r:
+                    if r < _HALF:
+                        tn *= nums[i] ** r
+                        td *= dens[i] ** r
+                        key -= r
+                    else:
+                        r = _BASE - r
+                        tn *= dens[i] ** r
+                        td *= nums[i] ** r
+                        key += r
+                key >>= _SLOT_BITS
+                i += 1
+            g = gcd(den, td)
+            num = num * (td // g) + tn * (den // g)
+            den *= td // g
+        if self.dpow > 0:
+            # 1/(q - q^-1) = n^2 d^2 / (n^4 - d^4) at s = n/d
+            num *= (n * d) ** (2 * self.dpow)
+            den *= (n ** 4 - d ** 4) ** self.dpow
+        return Fraction(num, den)
 
     # -- display ----------------------------------------------------------------
 

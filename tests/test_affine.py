@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from uqsl import LinForm, affine_symbols
+from uqsl import LinForm, affine, affine_symbols
 from uqsl.affine import (
     AffineContext,
     _partitions,
@@ -111,6 +111,28 @@ class TestScalars:
     def test_degenerate_pair_cancels(self, ctx):
         assert ctx.h_scalar(2, 2, 3).is_zero()
         assert ctx.eq8_rhs_scalar(2, 2, 3).is_zero()
+
+
+class TestCartanCache:
+    def test_h_action_once_per_state(self, monkeypatch):
+        ctx = AffineContext()
+        real = affine.apply_oscillator
+        seen = []
+
+        def spy(alg, coeffs, n, state):
+            seen.append((n, state))
+            return real(alg, coeffs, n, state)
+
+        monkeypatch.setattr(affine, "apply_oscillator", spy)
+        one = {VACUUM: ctx.table.one()}
+        vec = ctx.h_vec(1, -1, one)
+        vec[VACUUM] = ctx.table.qint(3)
+        first = ctx.h_vec(2, 1, vec)
+        assert ctx.h_vec(2, 1, vec) == first
+        assert ctx.h_vec(1, -1, one).keys() == vec.keys() - {VACUUM}
+        assert sorted(seen, key=repr) == sorted(
+            [(-1, VACUUM)] + [(1, s) for s in vec], key=repr)
+        assert first and VACUUM in first
 
 
 class TestPartitions:

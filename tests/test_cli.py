@@ -138,6 +138,21 @@ class TestCheckAffine:
         eq14 = next(r for r in data["relations"] if r["id"] == "drinfeld.eq14")
         assert eq14["status"] == "not-applicable"
 
+    def test_window_zero_checks_nothing_for_h(self, tmp_path):
+        # H zero modes act through K only, so window 0 leaves eq7's H
+        # relations without a single case
+        code, data = run_json(tmp_path, ["check-affine", "--energy-cut", "0",
+                                         "--mode-window", "0", "--psi-nmax", "0"])
+        assert code == 0
+        by_id = {r["id"]: r for r in data["relations"]}
+        for i in (1, 2):
+            for j in (1, 2):
+                rel = by_id[f"drinfeld.eq7.i={i}.j={j}.gen=H"]
+                assert rel["status"] == "not-applicable" and rel["checked"] == 0
+                assert "reason" in rel["witness"]
+        assert not [r["id"] for r in data["relations"]
+                    if r["status"] == "pass" and r["checked"] == 0]
+
     def test_override_detected(self, tmp_path):
         code, data = run_json(tmp_path, FAST_AFFINE + ["--override", "f13=1"])
         assert code == 1

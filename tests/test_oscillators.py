@@ -203,29 +203,29 @@ class TestKEigenvalue:
 class TestApplyOscillator:
     def test_zero_mode_rejected(self, A, alg):
         with pytest.raises(ValueError):
-            apply_oscillator(alg, {"a1": A.one()}, 0, {VACUUM: A.one()})
+            apply_oscillator(alg, {"a1": A.one()}, 0, VACUUM)
 
     def test_creation(self, A, alg):
-        out = apply_oscillator(alg, {"a1": A.one()}, -2, {VACUUM: A.one()})
+        out = apply_oscillator(alg, {"a1": A.one()}, -2, VACUUM)
         assert out == {VACUUM.with_creation("a1", 2): A.qint(2)}
 
     def test_roundtrip(self, A, alg):
         # a1_2 a1hat_-2 |0> = [2] [2(k+1)] [4]/[2] / 2 |0>
-        up = apply_oscillator(alg, {"a1": A.one()}, -2, {VACUUM: A.one()})
+        ((up, c),) = apply_oscillator(alg, {"a1": A.one()}, -2, VACUUM).items()
         out = apply_oscillator(alg, {"a1": A.one()}, 2, up)
         want = alg.level_bracket(2) * A.qint(4) * Fraction(1, 2)
-        assert out == {VACUUM: want}
+        assert {s: c * v for s, v in out.items()} == {VACUUM: want}
 
     def test_mode_mismatch(self, A, alg):
-        up = apply_oscillator(alg, {"b12": A.one()}, -2, {VACUUM: A.one()})
+        (up,) = apply_oscillator(alg, {"b12": A.one()}, -2, VACUUM)
         assert apply_oscillator(alg, {"b12": A.one()}, 1, up) == {}
 
     def test_family_mismatch(self, A, alg):
-        up = apply_oscillator(alg, {"b12": A.one()}, -1, {VACUUM: A.one()})
+        (up,) = apply_oscillator(alg, {"b12": A.one()}, -1, VACUUM)
         assert apply_oscillator(alg, {"c12": A.one()}, 1, up) == {}
 
     def test_multiplicity_factor(self, A, alg):
-        two = {VACUUM.with_creation("b13", 1, times=2): A.one()}
+        two = VACUUM.with_creation("b13", 1, times=2)
         out = apply_oscillator(alg, {"b13": A.one()}, 1, two)
         one = VACUUM.with_creation("b13", 1)
         assert out == {one: alg.contract_raw_hat("b13", "b13", 1) * 2}

@@ -176,3 +176,13 @@ class TestCompareCases:
                             lambda seed, rel_id, pairs: {"status": "fail"})
         res = self.compare([("a", {0: self.T.one()}, {0: self.T.one()})])
         assert res.status == "fail" and res.witness is None
+
+    def test_no_case_is_not_applicable(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle ran without a case")
+
+        monkeypatch.setattr(report, "numeric_check", refuse)
+        res = self.compare([])
+        assert res.status == "not-applicable" and res.checked == 0
+        assert res.witness == {"reason": "no case inside the bounded subspace"}
+        assert res.numeric is None

@@ -1,0 +1,35 @@
+"""Pinned report bytes: a change to the exact arithmetic, the oracle or the
+serialization that moves a single byte of these reports fails here.
+
+Each digest is the sha256 of the file `--report` writes.  Update a digest
+only in a change whose stated purpose is to change that report.
+"""
+
+import hashlib
+
+import pytest
+
+from uqsl.cli import main
+
+AFFINE_E0W1 = ["check-affine", "--energy-cut", "0", "--mode-window", "1",
+               "--psi-nmax", "1"]
+
+PINNED = [
+    (AFFINE_E0W1, 0,
+     "a00375ff041213901c947c929bcedd0360e04c59745d4471491cb3e48804a31e"),
+    (AFFINE_E0W1 + ["--k", "2", "--override", "f13=1"], 1,
+     "afcb983a450da5acdc1fe3ca6d7e3542b73044e45aa8a3e89388d9e481d95ac7"),
+    (["check-finite", "--M", "2", "--N", "1", "--max-degree", "2"], 0,
+     "3679a55edf0051c1ccb223980877fffcb3d4b1213d3fd3b567e54089e5ae4839"),
+    (["check-finite", "--M", "3", "--N", "1", "--max-degree", "2",
+      "--sabotage", "f2"], 1,
+     "8bb7b2181a1442309396844f67a6d491e07139d1b64f796f7a5658386dac404d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED])
+def test_report_digest(tmp_path, argv, code, digest):
+    path = tmp_path / "report.json"
+    assert main(argv + ["--report", str(path)]) == code
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

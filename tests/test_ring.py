@@ -215,3 +215,97 @@ class TestPacking:
         T = finite_symbols(1)
         with pytest.raises(RingError):
             T.pack({"q": 1 << 23})
+
+
+def reference_value(el, vals):
+    """The per-term Fraction evaluation: each term's coefficient times its
+    symbols' powers, summed, then divided by (q - q^-1)^dpow."""
+    total = Fraction(0)
+    for key, c in el.terms.items():
+        v = Fraction(c)
+        for sym, e in el.table.unpack(key).items():
+            v *= Fraction(vals[sym]) ** e
+        total += v
+    s2 = Fraction(vals["q"]) ** 2
+    return total / (s2 - 1 / s2) ** el.dpow
+
+
+EVAL_TABLES = (affine_symbols(), finite_symbols(3))
+wide_exps = st.integers(min_value=-40, max_value=40)
+coeffs = st.one_of(st.integers(-10**6, 10**6),
+                   st.fractions(-1000, 1000, max_denominator=10**4))
+values = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool)
+
+
+@st.composite
+def evaluations(draw):
+    T = draw(st.sampled_from(EVAL_TABLES))
+    el = T.zero()
+    for _ in range(draw(st.integers(0, 6))):
+        exps = {sym: draw(wide_exps) for sym in T.symbols}
+        el = el + T.monomial(exps, draw(coeffs))
+    el = el * T.qdiff_inv(draw(st.integers(0, 3)))
+    vals = {sym: draw(values) for sym in T.symbols}
+    if el.dpow:
+        vals["q"] = draw(values.filter(lambda v: v not in (1, -1)))
+    return el, vals
+
+
+class TestSubstNumeric:
+    @settings(max_examples=300, deadline=None)
+    @given(evaluations())
+    def test_matches_reference(self, case):
+        el, vals = case
+        got = el.subst_numeric(vals)
+        assert type(got) is Fraction
+        assert got == reference_value(el, vals)
+
+    def test_int_assignment_gives_fraction(self, T):
+        v = T.qint(2).subst_numeric({"q": 3, "L1": 5, "L2": 7})
+        assert type(v) is Fraction and v == Fraction(82, 9)
+
+    def test_missing_symbol(self):
+        A = affine_symbols()
+        vals = {sym: 2 for sym in A.symbols if sym != "e21"}
+        with pytest.raises(RingError, match="no assignment for symbol e21"):
+            A.one().subst_numeric(vals)
+
+    def test_zero_value(self, T):
+        with pytest.raises(RingError, match="zero assignment for invertible symbol L2"):
+            T.one().subst_numeric({"q": 3, "L1": 5, "L2": Fraction(0)})
+
+    def test_inexact_value(self, T):
+        with pytest.raises(RingError, match="not an exact rational"):
+            T.one().subst_numeric({"q": 3, "L1": 5.0, "L2": 7})
+
+    @pytest.mark.parametrize("s", [1, -1, Fraction(-1)])
+    def test_unit_s(self, T, s):
+        el = T.qbracket(LinForm.sym("l1"))
+        vals = {"q": s, "L1": Fraction(5), "L2": Fraction(7)}
+        with pytest.raises(RingError, match="q = 1 assignment hits the denominator"):
+            el.subst_numeric(vals)
+        # without a denominator s = +-1 is an ordinary point
+        assert (el * T.qdiff()).canonical().subst_numeric(vals) == Fraction(24, 5)
+        assert T.qint(2).subst_numeric(vals) == 2
+
+
+class TestCoefficientTypes:
+    def test_integral_rational_is_int(self, T):
+        c = T.rational(Fraction(6, 3)).terms[0]
+        assert type(c) is int and c == 2
+
+    def test_inverse_is_exact(self, T):
+        (c,) = T.monomial({"L1": 2}, 3).inverse().terms.values()
+        assert type(c) is Fraction and c == Fraction(1, 3)
+        (c,) = T.monomial({"L1": 2}, -1).inverse().terms.values()
+        assert type(c) is int and c == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements(), elements(), st.integers(-3, 3),
+           st.fractions(-5, 5, max_denominator=5).filter(bool))
+    def test_no_float(self, a, b, n, r):
+        T = a.table
+        mono = T.monomial({"L1": n, "q": 1}, r)
+        for el in (a + b, a - b, a * b, a * r, a + r, b ** 2, mono ** n,
+                   mono.inverse(), a * mono.inverse()):
+            assert all(type(c) in (int, Fraction) for c in el.terms.values())
