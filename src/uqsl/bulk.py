@@ -10,6 +10,12 @@ products become numpy outer products and cancellation becomes one sort
 plus a segmented sum, which is where the savings come from: the work is
 identical, term for term, to the RingElem pipeline.
 
+Each of the two stages (the aggregate over residue blocks, then the
+creation-bucket expansion of the surviving groups) is one segmented outer
+product: a Python pass collects every block's cached arrays and per-block
+integers, then one repeat/gather builds all of the stage's rows, so numpy's
+per-call overhead is paid per stage, not per block.
+
 Exactness is non-negotiable.  Every packing step is guarded: exponent
 fields are range checked, values are numerators over one common
 denominator with the largest possible absolute partial sum bounded below
@@ -65,6 +71,9 @@ _VAL_LIMIT = 1 << 63
 _CHUNK = 1 << 22
 
 _MISSING = object()
+# _BINOM[d, j] = (-1)^j C(d, j): the expansion of (q - q^-1)^d.
+_BINOM = np.asarray([[(-1) ** j * comb(d, j) for j in range(_DEF_MAX)]
+                     for d in range(_DEF_MAX)], dtype=np.int64)
 
 
 class BulkError(Exception):
@@ -86,10 +95,10 @@ class _Enc(NamedTuple):
 
 
 class _Rows(NamedTuple):
-    """Several scalars stacked over one common denominator: a flow map
-    (one entry per dkey) or a merged creation bucket list (one entry per
-    occupation delta).  Row i came from entry idx[i], tagged tags[idx[i]],
-    at denominator power dpows[i]; dpow is the largest of them."""
+    """Several scalars stacked over one common denominator: a flow map (one
+    entry per dkey, tagged with its id) or a merged creation bucket list
+    (one entry per occupation delta).  Row i came from entry idx[i], tagged
+    tags[idx[i]], at denominator power dpows[i]; dpow is the largest."""
 
     keys: np.ndarray
     vals: np.ndarray
@@ -122,43 +131,37 @@ def _stack(encs, tags) -> _Rows:
     )
 
 
-class _Bound:
-    """One stage's common denominator and the bound on the absolute sum
-    of all its row values, taken over the outer products of row sets
-    before any row exists."""
+def _fit(left, right):
+    """Guard one left x right product before any of its rows exist: both
+    sides carry smax, gmax, denom, maxabs and sumabs.  Returns the rows'
+    denominator with the largest absolute row value and the absolute sum
+    of all rows, both over that denominator."""
+    if left.smax + right.smax > _S_MASK or left.gmax + right.gmax > _G_MASK:
+        raise BulkError("exponent field overflow")
+    return (left.denom * right.denom, left.maxabs * right.maxabs,
+            left.sumabs * right.sumabs)
 
-    __slots__ = ("denom", "total")
 
-    def __init__(self):
-        self.denom = 1
-        self.total = 0
-
-    def add(self, left, right):
-        """Count the rows of left x right; both carry smax, gmax, denom,
-        maxabs and sumabs."""
-        if left.smax + right.smax > _S_MASK or left.gmax + right.gmax > _G_MASK:
-            raise BulkError("exponent field overflow")
-        d = left.denom * right.denom
-        up = d // gcd(self.denom, d)
-        if up > 1:
-            self.total *= up
-            self.denom *= up
-        part = self.denom // d
-        if left.maxabs * right.maxabs * part >= _VAL_LIMIT:
+def _stage_denom(fits, dpow: int = 0) -> int:
+    """The common denominator of a stage's products, given the _fit of
+    each.  Lifted onto it, every row value must fit int64 and the absolute
+    sum of all rows must stay below 2^62; stage A settles up to dpow
+    missing (q - q^-1) factors after its first merge, which grows that sum
+    by at most 2^dpow."""
+    denom = lcm(*(d for d, _, _ in fits))
+    total = 0
+    for d, maxabs, sumabs in fits:
+        up = denom // d
+        if maxabs * up >= _VAL_LIMIT:
             raise BulkError("row value overflow")
-        self.total += left.sumabs * right.sumabs * part
-
-    def check(self, dpow: int = 0):
-        """Stage A settles up to dpow missing (q - q^-1) factors after its
-        first merge, which grows the absolute sum by at most 2^dpow."""
-        if (self.total << dpow) >= _SUM_LIMIT:
-            raise BulkError("stage sum bound exceeded")
+        total += sumabs * up
+    if (total << dpow) >= _SUM_LIMIT:
+        raise BulkError("stage sum bound exceeded")
+    return denom
 
 
-def _reduce(keys_list, vals_list):
+def _reduce(k, v):
     """Merge rows with equal keys; drops zero sums."""
-    k = np.concatenate(keys_list)
-    v = np.concatenate(vals_list)
     order = np.argsort(k)
     k = k[order]
     v = v[order]
@@ -168,43 +171,34 @@ def _reduce(keys_list, vals_list):
     return k[starts][keep], sums[keep]
 
 
-class _Pool:
-    """Chunked accumulator: rows are reduced whenever the buffer fills,
-    so peak memory stays bounded while the final merge sees few arrays."""
-
-    __slots__ = ("keys", "vals", "rows", "parts")
-
-    def __init__(self):
-        self.keys = []
-        self.vals = []
-        self.rows = 0
-        self.parts = []
-
-    def outer(self, lkeys, lvals, rkeys, rvals):
-        """Every left row against every right row: keys add, values
-        multiply."""
-        keys = (lkeys[:, None] + rkeys[None, :]).ravel()
-        self.keys.append(keys)
-        self.vals.append((lvals[:, None] * rvals[None, :]).ravel())
-        self.rows += keys.size
-        if self.rows >= _CHUNK:
-            self.flush()
-
-    def flush(self):
-        if self.rows:
-            self.parts.append(_reduce(self.keys, self.vals))
-            self.keys = []
-            self.vals = []
-            self.rows = 0
-
-    def final(self):
-        self.flush()
-        if not self.parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        if len(self.parts) == 1:
-            return self.parts[0]
-        return _reduce([p[0] for p in self.parts], [p[1] for p in self.parts])
+def _outer_blocks(lk, lv, ln, rk, rv, rn):
+    """Segmented outer product, merged: block b pairs its ln[b] left rows
+    with its rn[b] right rows (keys add, values multiply); rows of both
+    sides are stored block after block.  Rows are built and reduced in
+    pieces of at most _CHUNK rows, cut at block boundaries, so peak memory
+    stays bounded while the final merge sees few arrays."""
+    rep = np.repeat(rn, ln)  # right rows met by each left row
+    rfirst = np.repeat(np.cumsum(rn) - rn, ln)
+    sizes = ln * rn
+    bend = np.cumsum(sizes)
+    lend = np.cumsum(ln)
+    parts = []
+    b0 = 0
+    while b0 < sizes.size:
+        base = int(bend[b0] - sizes[b0])
+        b1 = max(int(np.searchsorted(bend, base + _CHUNK, side="right")), b0 + 1)
+        l0 = int(lend[b0] - ln[b0])
+        l1 = int(lend[b1 - 1])
+        r = rep[l0:l1]
+        li = np.repeat(np.arange(l0, l1), r)
+        rj = np.arange(int(bend[b1 - 1]) - base) + np.repeat(
+            rfirst[l0:l1] - (np.cumsum(r) - r), r)
+        parts.append(_reduce(lk[li] + rk[rj], lv[li] * rv[rj]))
+        b0 = b1
+    if len(parts) == 1:
+        return parts[0]
+    return _reduce(np.concatenate([p[0] for p in parts]),
+                   np.concatenate([p[1] for p in parts]))
 
 
 class BulkEngine:
@@ -233,33 +227,13 @@ class BulkEngine:
         self._wprod: dict = {}  # (id(base), id(weight)) -> RingElem
         self._flow_cache: dict = {}  # (fused.uid, res) -> _Rows | None
         self._p_cache: dict = {}  # dkey -> _Rows | None
+        self._occkeys: dict = {}  # (occ_after, dkey) -> bucket keys with occ ids
+        # Registries, key -> dense id in insertion order: output occupations,
+        # output momenta and the flow entries' dkeys.  A key whose id does
+        # not fit its row field is refused whenever it is looked up.
         self._occ_ids: dict = {}
-        self._occ_list: list = []
         self._mom_ids: dict = {}
-        self._mom_list: list = []
-        self._occvecs: dict = {}  # (occ_after, dkey) -> per-row occ ids
-
-    # -- interning ---------------------------------------------------------
-
-    def _mom_id(self, momenta) -> int:
-        mid = self._mom_ids.get(momenta)
-        if mid is None:
-            mid = len(self._mom_list)
-            if mid >= _MOM_MAX:
-                raise BulkError("momentum registry full")
-            self._mom_ids[momenta] = mid
-            self._mom_list.append(momenta)
-        return mid
-
-    def _occ_id(self, occ) -> int:
-        oid = self._occ_ids.get(occ)
-        if oid is None:
-            oid = len(self._occ_list)
-            if oid >= _OCC_MAX:
-                raise BulkError("occupation registry full")
-            self._occ_ids[occ] = oid
-            self._occ_list.append(occ)
-        return oid
+        self._dkey_ids: dict = {}
 
     # -- scalar encoding -----------------------------------------------------
 
@@ -347,7 +321,8 @@ class BulkEngine:
                 if e.meta:
                     raise BulkError("flow scalar carries symbol content")
                 encs.append(e)
-            rows = _stack(encs, (dkey for dkey, _ in flows))
+            ids = self._dkey_ids
+            rows = _stack(encs, [ids.setdefault(dkey, len(ids)) for dkey, _ in flows])
             if rows.maxabs >= _SUM_LIMIT:
                 raise BulkError("flow numerator outside packed range")
         self._flow_cache[key] = rows
@@ -373,18 +348,22 @@ class BulkEngine:
         self._p_cache[dkey] = rows
         return rows
 
-    def _occvec(self, occ_after, dkey, penc: _Rows):
+    def _occ_keys(self, occ_after, dkey, penc: _Rows):
+        """penc's row keys with each row's output occupation id in place."""
         key = (occ_after, dkey)
-        hit = self._occvecs.get(key)
+        hit = self._occkeys.get(key)
         if hit is None:
             ids = []
             for delta in penc.tags:
                 occ = dict(occ_after)
                 for mode, mu in delta:
                     occ[mode] = occ.get(mode, 0) + mu
-                ids.append(self._occ_id(tuple(sorted(occ.items()))))
-            hit = np.asarray(ids, dtype=np.int64)[penc.idx]
-            self._occvecs[key] = hit
+                ids.append(self._occ_ids.setdefault(tuple(sorted(occ.items())), len(self._occ_ids)))
+                if ids[-1] >= _OCC_MAX:
+                    raise BulkError("occupation registry full")
+            occrows = np.asarray(ids, dtype=np.int64)[penc.idx]
+            hit = penc.keys + (occrows << _B_OCC_SHIFT)
+            self._occkeys[key] = hit
         return hit
 
     # -- the two passes -------------------------------------------------------
@@ -393,92 +372,83 @@ class BulkEngine:
         """Sum of weighted mode extractions applied to one state, computed
         through packed rows.  Same contract as VertexEngine.extract_sum;
         raises BulkError instead of answering when any guard trips."""
-        blocks = []
-        d_max = 0
+        # One pass over the blocks (a job's branch with its flows) interns
+        # sectors and meta ids and guards every product; group ids, the
+        # stage denominator and the sum bound follow, and all of it has to
+        # exist before any rows do.  Meta travels as a row field: rows of
+        # one group may mix monomials (a degree-0 vertex term drops out of
+        # the dkey but keeps its constant), and distinct monomials never
+        # cancel, so the field costs nothing.
+        sector_of: dict = {}  # (momentum id, occ_after) -> sector id
+        metas: dict = {}
+        pairs = []
+        fits = []
+        kadd = []  # per block key offset: meta id, less its power in the deficit field
+        sectors = []  # per block
+        tag_ids = []  # dkey id of every (block, flow entry)
+        tag_off = []  # per block: its first entry in tag_ids
         for fused, res, base, weight, momenta, occ_after in self.engine.residues(jobs, state):
             fe = self._enc_flows(fused, res)
             if fe is None:
                 continue
             eff = base if weight is None else self._weighted(base, weight)
-            blocks.append((eff, fe, self._mom_id(momenta), occ_after))
-            d_max = max(d_max, eff.dpow + fe.dpow)
-        if not blocks:
-            return {}
-
-        # Group ids, meta ids, the stage denominator and the sum bound all
-        # have to exist before any rows do.  Meta travels as a row field:
-        # rows of one group may mix monomials (a degree-0 vertex term drops
-        # out of the dkey but keeps its constant), and distinct monomials
-        # never cancel, so the field costs nothing.
-        gid_of: dict = {}
-        group_info: list = []
-        metas: dict = {}
-        meta_list: list = []
-        encoded = []
-        stage_a = _Bound()
-        for eff, fe, momid, occ_after in blocks:
             be = self._enc_elem(eff, eff.dpow)
-            if d_max - be.dpow >= _DEF_MAX:
-                raise BulkError("denominator deficit outside packed range")
-            gids = []
-            for dkey in fe.tags:
-                gk = (momid, occ_after, dkey)
-                gid = gid_of.get(gk)
-                if gid is None:
-                    gid = len(group_info)
-                    if gid >= _GID_MAX:
-                        raise BulkError("group registry full")
-                    gid_of[gk] = gid
-                    group_info.append(gk)
-                gids.append(gid)
-            mid = metas.get(be.meta)
-            if mid is None:
-                mid = len(meta_list)
-                if mid >= _META_MAX:
-                    raise BulkError("meta registry full")
-                metas[be.meta] = mid
-                meta_list.append(be.meta)
-            stage_a.add(be, fe)
-            encoded.append((be, fe, np.asarray(gids, dtype=np.int64), mid))
-        stage_a.check(d_max)
+            momid = self._mom_ids.setdefault(momenta, len(self._mom_ids))
+            if momid >= _MOM_MAX:
+                raise BulkError("momentum registry full")
+            sectors.append(sector_of.setdefault((momid, occ_after), len(sector_of)))
+            tag_off.append(len(tag_ids))
+            tag_ids.extend(fe.tags)
+            mid = metas.setdefault(be.meta, len(metas))
+            if mid >= _META_MAX:
+                raise BulkError("meta registry full")
+            kadd.append((mid << _B_META_SHIFT) - (be.dpow << _A_DEF_SHIFT))
+            fits.append(_fit(be, fe))
+            pairs.append((be, fe))
+        if not pairs:
+            return {}
+        d_max = max(be.dpow + fe.dpow for be, fe in pairs)
+        if d_max - min(be.dpow for be, _ in pairs) >= _DEF_MAX:
+            raise BulkError("denominator deficit outside packed range")
+        denom_a = _stage_denom(fits, d_max)
 
-        pool = _Pool()
-        for be, fe, gid_arr, mid in encoded:
-            defs = (d_max - be.dpow) - fe.dpows
-            pool.outer(
-                be.keys + (mid << _B_META_SHIFT), be.vals,
-                fe.keys + (gid_arr[fe.idx] << _A_GID_SHIFT) + (defs << _A_DEF_SHIFT),
-                fe.vals * (stage_a.denom // (be.denom * fe.denom)),
-            )
-        akeys, avals = pool.final()
+        # A group is a (sector, dkey) pair; group ids follow their order.
+        ln = np.asarray([be.keys.size for be, _ in pairs], dtype=np.int64)
+        rn = np.asarray([fe.keys.size for _, fe in pairs], dtype=np.int64)
+        ndk = len(self._dkey_ids)
+        rtag = np.concatenate([fe.idx for _, fe in pairs]) + np.repeat(tag_off, rn)
+        gkeys = np.repeat(sectors, rn) * ndk + np.asarray(tag_ids)[rtag]
+        groups, row_gids = np.unique(gkeys, return_inverse=True)
+        if groups.size > _GID_MAX:
+            raise BulkError("group registry full")
+
+        # All blocks in one segmented product.  A row's deficit is d_max
+        # less its block's power (left) and its flow entry's power (right).
+        ups = [denom_a // d for d, _, _ in fits]
+        akeys, avals = _outer_blocks(
+            np.concatenate([be.keys for be, _ in pairs]) + np.repeat(kadd, ln)
+            + (d_max << _A_DEF_SHIFT),
+            np.concatenate([be.vals for be, _ in pairs]), ln,
+            np.concatenate([fe.keys for _, fe in pairs]) + (row_gids << _A_GID_SHIFT)
+            - (np.concatenate([fe.dpows for _, fe in pairs]) << _A_DEF_SHIFT),
+            np.concatenate([fe.vals for _, fe in pairs]) * np.repeat(ups, rn), rn,
+        )
         if akeys.size == 0:
             return {}
 
         # Settle the deficits now that the bulk of the rows has cancelled:
-        # each missing (q - q^-1) power becomes its binomial spread.
+        # a row missing d powers of (q - q^-1) becomes its binomial spread,
+        # d + 1 rows at s-shifts 2(d - 2j) with coefficients (-1)^j C(d, j).
         defs = (akeys >> _A_DEF_SHIFT) & (_DEF_MAX - 1)
         if defs.any():
-            parts_k = []
-            parts_v = []
-            for delta in np.unique(defs).tolist():
-                rows = defs == delta
-                k = akeys[rows] - (delta << _A_DEF_SHIFT)
-                v = avals[rows]
-                if delta == 0:
-                    parts_k.append(k)
-                    parts_v.append(v)
-                    continue
-                sf = k & _S_MASK
-                if int(sf.max()) + 2 * delta > _S_MASK or int(sf.min()) < 2 * delta:
-                    raise BulkError("exponent field overflow")
-                shifts = np.asarray(
-                    [2 * (delta - 2 * j) for j in range(delta + 1)], dtype=np.int64)
-                coeffs = np.asarray(
-                    [(-1) ** j * comb(delta, j) for j in range(delta + 1)],
-                    dtype=np.int64)
-                parts_k.append((k[:, None] + shifts[None, :]).ravel())
-                parts_v.append((v[:, None] * coeffs[None, :]).ravel())
-            akeys, avals = _reduce(parts_k, parts_v)
+            sf = akeys & _S_MASK
+            if (sf + 2 * defs > _S_MASK).any() or (sf < 2 * defs).any():
+                raise BulkError("exponent field overflow")
+            li = np.repeat(np.arange(defs.size), defs + 1)
+            d = defs[li]
+            j = np.arange(li.size) - np.repeat(np.cumsum(defs + 1) - defs - 1, defs + 1)
+            akeys, avals = _reduce(akeys[li] - (d << _A_DEF_SHIFT) + 2 * (d - 2 * j),
+                                   avals[li] * _BINOM[d, j])
             if akeys.size == 0:
                 return {}
 
@@ -490,68 +460,77 @@ class BulkEngine:
         if ((((akeys >> _A_G_SHIFT) & _G_MASK) >> _GW) != 0).any():
             raise BulkError("aggregate exponent above packed range")
 
+        # Stage B runs the same two-pass shape over the surviving groups,
+        # its guards fed by per-group reductions over the sorted rows.
         gids = akeys >> _A_GID_SHIFT
         starts = np.flatnonzero(np.concatenate(([True], gids[1:] != gids[:-1])))
-        ends = np.append(starts[1:], gids.size)
-
-        # Stage B runs the same two-pass shape over the surviving groups:
-        # denominators and bounds first, rows second.
-        live = []
-        stage_b = _Bound()
+        counts = np.diff(np.append(starts, gids.size))
+        lo = akeys & _LO_MASK
+        absv = np.abs(avals)
+        sector_list = list(sector_of)
+        dkeys = list(self._dkey_ids)
+        groups = groups.tolist()
+        stats = zip(
+            gids[starts].tolist(),
+            np.gcd.reduceat(absv, starts).tolist(),
+            np.maximum.reduceat(lo & _S_MASK, starts).tolist(),
+            np.maximum.reduceat((lo >> _A_G_SHIFT) & _G_MASK, starts).tolist(),
+            np.maximum.reduceat(absv, starts).tolist(),
+            np.add.reduceat(absv, starts).tolist(),
+        )
+        live = []  # per group: kept for stage B
+        divs = []  # per live group: the common factor taken out of its values
+        right = []
+        fits = []
         p_dpow = None
-        for s, e in zip(starts, ends):
-            momid, occ_after, dkey = group_info[int(gids[s])]
+        for gid, gv, smax, gmax, maxabs, sumabs in stats:
+            momid, occ_after = sector_list[groups[gid] // ndk]
+            dkey = dkeys[groups[gid] % ndk]
             penc = self._enc_p(dkey)
+            live.append(penc is not None)
             if penc is None:
                 continue
             if p_dpow is None:
                 p_dpow = penc.dpow
             elif penc.dpow != p_dpow:
                 raise BulkError("mixed denominator powers across groups")
-            seg_keys = akeys[s:e] & _LO_MASK
-            seg_vals = avals[s:e]
-            g = gcd(int(np.gcd.reduce(np.abs(seg_vals))), stage_a.denom)
-            if g > 1:
-                seg_vals = seg_vals // g
-            absv = np.abs(seg_vals)
-            seg = _Enc(
-                seg_keys, seg_vals, stage_a.denom // g, 0,
-                int((seg_keys & _S_MASK).max()),
-                int(((seg_keys >> _A_G_SHIFT) & _G_MASK).max()),
-                int(absv.max()), int(absv.sum()), d_max,
-            )
-            stage_b.add(seg, penc)
-            live.append((seg, momid, occ_after, dkey, penc))
-        stage_b.check()
-        if not live:
+            g = gcd(gv, denom_a)
+            seg = _Enc(None, None, denom_a // g, 0, smax, gmax, maxabs // g, sumabs // g, d_max)
+            fits.append(_fit(seg, penc))
+            divs.append(g)
+            right.append((self._occ_keys(occ_after, dkey, penc), penc, momid))
+        if not right:
             return {}
+        denom_b = _stage_denom(fits)
 
-        pool = _Pool()
-        for seg, momid, occ_after, dkey, penc in live:
-            occrows = self._occvec(occ_after, dkey, penc)
-            pool.outer(
-                seg.keys, seg.vals,
-                penc.keys + (occrows << _B_OCC_SHIFT) + (momid << _B_MOM_SHIFT),
-                penc.vals * (stage_b.denom // (seg.denom * penc.denom)),
-            )
-        bkeys, bvals = pool.final()
+        live = np.asarray(live)
+        rows = np.repeat(live, counts)
+        ln = counts[live]
+        rn = np.asarray([penc.keys.size for _, penc, _ in right], dtype=np.int64)
+        mom_keys = [momid << _B_MOM_SHIFT for _, _, momid in right]
+        ups = [denom_b // d for d, _, _ in fits]
+        bkeys, bvals = _outer_blocks(
+            lo[rows], avals[rows] // np.repeat(divs, ln), ln,
+            np.concatenate([k for k, _, _ in right]) + np.repeat(mom_keys, rn),
+            np.concatenate([penc.vals for _, penc, _ in right]) * np.repeat(ups, rn), rn,
+        )
         if bkeys.size == 0:
             return {}
 
         # Nonzero residual: decode into exact elements for the witness.
-        dpow_out = d_max + p_dpow
         by_state: dict = {}
+        occs, moms, meta_list = list(self._occ_ids), list(self._mom_ids), list(metas)
         for key, val in zip(bkeys.tolist(), bvals.tolist()):
             s_exp = (key & _S_MASK) - 2 * _SB
             g_exp = ((key >> _A_G_SHIFT) & _G_MASK) - 2 * _GB
-            occ = self._occ_list[(key >> _B_OCC_SHIFT) & (_OCC_MAX - 1)]
-            momenta = self._mom_list[key >> _B_MOM_SHIFT]
+            occ = occs[(key >> _B_OCC_SHIFT) & (_OCC_MAX - 1)]
+            momenta = moms[key >> _B_MOM_SHIFT]
             rk = meta_list[(key >> _B_META_SHIFT) & (_META_MAX - 1)] + s_exp
             if self.g_slot is not None:
                 rk += g_exp << _SLOT_BITS
             elif g_exp:
                 raise BulkError("Gamma exponent without a Gamma slot")
             st = FockState(momenta, occ)
-            by_state.setdefault(st, {})[rk] = Fraction(val, stage_b.denom)
-        return {st: RingElem(self.table, terms, dpow_out)
+            by_state.setdefault(st, {})[rk] = Fraction(val, denom_b)
+        return {st: RingElem(self.table, terms, d_max + p_dpow)
                 for st, terms in by_state.items()}

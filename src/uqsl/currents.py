@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, prod
+from operator import add, sub
 from typing import NamedTuple
 
 from .oscillators import (
@@ -178,7 +179,7 @@ class VertexEngine:
         self._kappa: dict = {}  # (uidA, uidB) -> list of kappa_n, n >= 1
         self._series: dict = {}  # (uidA, uidB) -> list of C_l, l >= 0
         self._buckets: dict = {}  # (vt.uid, degree) -> [(delta occ, scalar)]
-        self._branches: dict = {}  # (fused.uid, state) -> branch data
+        self._branches: dict = {}  # state -> {fused.uid: branch data}
         self._prodcache: dict = {}  # dkey -> merged buckets
         self._flowcache: dict = {}  # (fused.uid, res) -> ((dkey, scalar), ...)
         self._dpairs: dict = {}  # dkey = sorted ((vt.uid, degree), ...) -> ((vt, degree), ...)
@@ -321,11 +322,8 @@ class VertexEngine:
 
     def _state_branches(self, fused: FusedTerm, state: FockState):
         """Annihilation branches of `fused` on `state`, scalars carrying the
-        state-level prefactor; target independent."""
-        key = (fused.uid, state)
-        cached = self._branches.get(key)
-        if cached is not None:
-            return cached
+        state-level prefactor; target independent.  Each branch is
+        (scalar, annihilated energy per variable, its sum, occ_after)."""
         T = self.table
         r = len(fused.vterms)
         common = fused.const * momentum_eigen(T, fused.sigma, fused.sigma_a, state)
@@ -377,26 +375,26 @@ class VertexEngine:
                 if rem:
                     occ.append(((fam, m), rem))
             if not scalar.is_zero():
-                branches.append((scalar, tuple(annE), tuple(occ)))
+                branches.append((scalar, tuple(annE), sum(annE), tuple(occ)))
 
-        data = (branches, taueig, momenta)
-        self._branches[key] = data
-        return data
+        return branches, taueig, momenta
 
     def residues(self, jobs, state: FockState):
         """Every annihilation branch of every job on `state` that leaves a
         reachable residue: yields (fused, res, base, weight, momenta,
         occ_after) with res the z-powers the creation side and the
         contraction series still owe, sum(res) >= 0."""
+        cached = self._branches.setdefault(state, {})
         for fused, targets, weight in jobs:
-            branches, taueig, momenta = self._state_branches(fused, state)
-            r = len(fused.vterms)
-            for base, annE, occ_after in branches:
-                res = tuple(
-                    targets[v] - fused.p0s[v] - taueig[v] + annE[v] for v in range(r)
-                )
-                if sum(res) >= 0:
-                    yield fused, res, base, weight, momenta, occ_after
+            data = cached.get(fused.uid)
+            if data is None:
+                data = cached[fused.uid] = self._state_branches(fused, state)
+            branches, taueig, momenta = data
+            off = tuple(map(sub, map(sub, targets, fused.p0s), taueig))
+            need = -sum(off)
+            for base, annE, ann_sum, occ_after in branches:
+                if ann_sum >= need:
+                    yield fused, tuple(map(add, off, annE)), base, weight, momenta, occ_after
 
     def flows_map(self, fused: FusedTerm, res):
         """Creation-degree multisets reachable from `res` with their summed

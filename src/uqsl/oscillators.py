@@ -42,6 +42,19 @@ class OscillatorAlgebra:
 
     def __init__(self, table: SymbolTable):
         self.table = table
+        self._raised: dict = {}  # (m, ((fam, id(coeff)), ...)) -> raised(...)
+
+    def raised(self, coeffs: dict, m: int) -> tuple:
+        """((fam, coeff, coeff * [m]), ...): the scalars a creation mode
+        puts on every state, built once per coefficient set (holding each
+        coeff keeps its id unique)."""
+        key = (m, tuple((fam, id(c)) for fam, c in coeffs.items()))
+        hit = self._raised.get(key)
+        if hit is None:
+            bracket = self.table.qint(m)
+            hit = tuple((fam, c, c * bracket) for fam, c in coeffs.items())
+            self._raised[key] = hit
+        return hit
 
     def qint_ratio(self, a: int, n: int) -> RingElem:
         """[a n]/[n] as a Laurent polynomial (geometric sum in q^{2n})."""
@@ -201,10 +214,8 @@ def apply_oscillator(alg: OscillatorAlgebra, coeffs: dict, n: int, state: FockSt
         raise ValueError("zero modes act diagonally; not handled here")
     out: dict = {}
     if n < 0:
-        m = -n
-        bracket = alg.table.qint(m)
-        for fam, coeff in coeffs.items():
-            add_term(out, state.with_creation(fam, m), coeff * bracket)
+        for fam, _, scalar in alg.raised(coeffs, -n):
+            add_term(out, state.with_creation(fam, -n), scalar)
         return out
     for (fam2, m), mult in state.occ:
         if m != n:

@@ -116,8 +116,9 @@ def numeric_check(seed: int, rel_id: str, pairs: list, count: int = 3, cap: int 
         return {"assignments": count, "pairs": 0, "status": "pass"}
     table = pairs[0][0].table
     for vals in numeric_assignments(seed, rel_id, table, count):
+        point = table.numeric_point(vals)
         for lhs, rhs in pairs:
-            if lhs.subst_numeric(vals) != rhs.subst_numeric(vals):
+            if lhs.subst_numeric(point) != rhs.subst_numeric(point):
                 return {"assignments": count, "pairs": len(pairs), "status": "fail"}
     return {"assignments": count, "pairs": len(pairs), "status": "pass"}
 

@@ -165,6 +165,21 @@ class SymbolTable:
     def compatible(self, other: "SymbolTable") -> bool:
         return self is other or self.symbols == other.symbols
 
+    def numeric_point(self, assignment: Mapping[str, Fraction]) -> tuple:
+        """An assignment checked and read for subst_numeric: (symbols,
+        numerators, denominators), one entry per slot."""
+        nums, dens = [], []
+        for sym in self.symbols:
+            try:
+                v = _exact(assignment[sym])
+            except KeyError:
+                raise RingError(f"no assignment for symbol {sym}") from None
+            if not v:
+                raise RingError(f"zero assignment for invertible symbol {sym}")
+            nums.append(v.numerator)
+            dens.append(v.denominator)
+        return self.symbols, tuple(nums), tuple(dens)
+
     # -- exponent packing ------------------------------------------------
 
     def pack(self, exps: Mapping[str, int]) -> int:
@@ -458,23 +473,19 @@ class RingElem:
 
     # -- evaluation -----------------------------------------------------------
 
-    def subst_numeric(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """Exact rational value; assignment gives the s-value under key "q".
+    def subst_numeric(self, assignment) -> Fraction:
+        """Exact rational value; assignment gives the s-value under key "q",
+        as a mapping or as read by table.numeric_point, which a caller
+        evaluating many elements at one point does only once.
 
-        Evaluated on integers: each symbol's value is split once into
-        numerator and denominator, every term contributes an integer pair,
-        and a single Fraction is built from the sum at the end.
+        Evaluated on integers: every term contributes an integer pair, and
+        a single Fraction is built from the sum at the end.
         """
-        nums, dens = [], []
-        for sym in self.table.symbols:
-            try:
-                v = _exact(assignment[sym])
-            except KeyError:
-                raise RingError(f"no assignment for symbol {sym}") from None
-            if not v:
-                raise RingError(f"zero assignment for invertible symbol {sym}")
-            nums.append(v.numerator)
-            dens.append(v.denominator)
+        if not isinstance(assignment, tuple):
+            assignment = self.table.numeric_point(assignment)
+        symbols, nums, dens = assignment
+        if symbols != self.table.symbols:
+            raise RingError("assignment read for another symbol table")
         n, d = nums[0], dens[0]
         if self.dpow > 0 and n * n == d * d:
             raise RingError("q = 1 assignment hits the denominator")

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from uqsl import LinForm, affine, affine_symbols
+from uqsl import LinForm, affine, affine_symbols, bulk
 from uqsl.affine import (
     AffineContext,
     _partitions,
     affine_config,
     check_eq7,
     check_eq10,
+    check_eq11,
     check_eq12,
+    check_eq13,
     check_eq14,
     run_affine,
 )
@@ -133,6 +135,16 @@ class TestCartanCache:
         assert sorted(seen, key=repr) == sorted(
             [(-1, VACUUM)] + [(1, s) for s in vec], key=repr)
         assert first and VACUUM in first
+
+    def test_creation_scalars_shared(self):
+        # H^i_n with n < 0 puts the same coeff * [m] on every state
+        ctx = AffineContext()
+        states = enumerate_basis(1)
+        ctx.h_vec(1, -1, {s: ctx.table.one() for s in states})
+        scalars = [[c for _, c in ctx._app[("H1", -1, s)]] for s in states]
+        assert all(len(row) == len(scalars[0]) > 0 for row in scalars)
+        for row in scalars[1:]:
+            assert all(a is b for a, b in zip(row, scalars[0]))
 
 
 class TestPartitions:
@@ -258,6 +270,101 @@ class TestPackedEngine:
         # the public entry falls back to the exact path
         out = ctx.combo_zero(pieces, VACUUM)
         assert out == ctx.engine.extract_sum(jobs, VACUUM)
+
+    def test_chunked_reduce_matches(self, sab_k2, monkeypatch):
+        # a few rows per chunk: every stage is built and merged in pieces
+        merges = []
+        real = bulk._reduce
+
+        def counted(k, v):
+            merges.append(k.size)
+            return real(k, v)
+
+        monkeypatch.setattr(bulk, "_CHUNK", 5)
+        monkeypatch.setattr(bulk, "_reduce", counted)
+        jobs = sab_k2._jobs(self.serre_pieces(sab_k2, "F", -1, -1, 0))
+        states = enumerate_basis(1)
+        for state in states:
+            fast = self.answered(sab_k2, jobs, state)
+            assert fast and fast == sab_k2.engine.extract_sum(jobs, state)
+        # unchunked, a call merges at most three times (stage A, the
+        # deficits, stage B)
+        assert len(merges) > 3 * len(states)
+
+    def test_no_stage_a_rows(self, ctx, monkeypatch):
+        # a product against its own negative cancels inside stage A
+        minus = ctx.table.rational(-1)
+        pieces = [(("E1", "F1"), (0, 0), None), (("E1", "F1"), (0, 0), minus)]
+        jobs = ctx._jobs(pieces)
+
+        def stage_b(dkey):
+            raise AssertionError("stage B reached")
+
+        monkeypatch.setattr(ctx.bulk, "_enc_p", stage_b)
+        for state in enumerate_basis(1):
+            assert self.answered(ctx, jobs, state) == {}
+            assert ctx.engine.extract_sum(jobs, state) == {}
+
+    def test_stage_sum_bound_edges(self, ctx):
+        jobs = ctx._jobs(ctx._pair_pieces("E1", 0, "F1", 0, ctx.table.rational(2**50)))
+        fast = self.answered(ctx, jobs, VACUUM)
+        assert fast and fast == ctx.engine.extract_sum(jobs, VACUUM)
+        pieces = ctx._pair_pieces("E1", 0, "F1", 0, ctx.table.rational(2**58))
+        jobs = ctx._jobs(pieces)
+        with pytest.raises(BulkError, match="^stage sum bound exceeded$"):
+            ctx.bulk.combo_residual(jobs, VACUUM)
+        out = ctx.combo_zero(pieces, VACUUM)
+        assert out and out == ctx.engine.extract_sum(jobs, VACUUM)
+
+
+class TestResidues:
+    def reference(self, engine, jobs, state, memo):
+        """The per-branch residue formula, term by term."""
+        out = []
+        for fused, targets, weight in jobs:
+            key = (fused.uid, state)
+            if key not in memo:
+                memo[key] = engine._state_branches(fused, state)
+            branches, taueig, momenta = memo[key]
+            r = len(fused.vterms)
+            for base, annE, _, occ_after in branches:
+                res = tuple(
+                    targets[v] - fused.p0s[v] - taueig[v] + annE[v] for v in range(r))
+                if sum(res) >= 0:
+                    out.append((fused, res, base, weight, momenta, occ_after))
+        return out
+
+    def test_quadratic_and_serre_jobs(self, monkeypatch):
+        ctx = AffineContext()
+        basis = enumerate_basis(1)
+        # the states of the window, plus momenta that move the z-powers
+        walk = basis + enumerate_basis(0, 1)[1:]
+        seen = []
+
+        def record(pieces, state):
+            if state == basis[0]:
+                seen.append(pieces)
+            return {}
+
+        monkeypatch.setattr(ctx, "combo_zero", record)
+        check_eq11(ctx, basis, 1)
+        check_eq12(ctx, basis, 1)
+        check_eq13(ctx, basis, 1)
+        assert len(seen) == 54 + 12 + 36
+        walked = 0
+        memo = {}
+        for pieces in seen:
+            jobs = ctx._jobs(pieces)
+            for state in walk:
+                got = list(ctx.engine.residues(jobs, state))
+                want = self.reference(ctx.engine, jobs, state, memo)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g[0] is w[0] and g[2] == w[2] and g[3] is w[3]
+                    assert g[1] == w[1] and list(map(type, g[1])) == list(map(type, w[1]))
+                    assert g[4:] == w[4:]
+                walked += len(got)
+        assert walked
 
 
 class TestNegativeControls:

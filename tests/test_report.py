@@ -10,6 +10,7 @@ from uqsl.report import (
     numeric_assignments,
     numeric_check,
 )
+from uqsl.ring import RingElem, SymbolTable
 
 
 def sample_report():
@@ -113,6 +114,28 @@ class TestNumericCheck:
         T = finite_symbols(2)
         pairs = [(T.one(), T.one())] * 80
         assert numeric_check(0, "r", pairs)["pairs"] == 64
+
+    def test_reads_each_assignment_once(self, monkeypatch):
+        T = finite_symbols(2)
+        reads = []
+        evals = []
+        real_read = SymbolTable.numeric_point
+        real_eval = RingElem.subst_numeric
+
+        def read(self, assignment):
+            reads.append(assignment)
+            return real_read(self, assignment)
+
+        def evaluate(self, assignment):
+            evals.append(assignment)
+            return real_eval(self, assignment)
+
+        monkeypatch.setattr(SymbolTable, "numeric_point", read)
+        monkeypatch.setattr(RingElem, "subst_numeric", evaluate)
+        pairs = [(T.qint(2), T.qint(2)), (T.qint(3), T.qint(3))]
+        assert numeric_check(0, "r", pairs)["status"] == "pass"
+        assert reads == numeric_assignments(0, "r", T)
+        assert len(evals) == 3 * 2 * 2
 
 
 class TestCompareCases:

@@ -19,6 +19,10 @@ PINNED = [
      "a00375ff041213901c947c929bcedd0360e04c59745d4471491cb3e48804a31e"),
     (AFFINE_E0W1 + ["--k", "2", "--override", "f13=1"], 1,
      "afcb983a450da5acdc1fe3ca6d7e3542b73044e45aa8a3e89388d9e481d95ac7"),
+    # stage B of the packed kernel decodes residuals spread over many groups
+    (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2",
+      "--k", "2", "--override", "f13=1"], 1,
+     "1f743765362d24a9bbe1259a20f9801c222514cf4d1c3b3e4fc98f8b1678200b"),
     (["check-finite", "--M", "2", "--N", "1", "--max-degree", "2"], 0,
      "3679a55edf0051c1ccb223980877fffcb3d4b1213d3fd3b567e54089e5ae4839"),
     (["check-finite", "--M", "3", "--N", "1", "--max-degree", "2",

@@ -288,6 +288,15 @@ class TestSubstNumeric:
         assert (el * T.qdiff()).canonical().subst_numeric(vals) == Fraction(24, 5)
         assert T.qint(2).subst_numeric(vals) == 2
 
+    def test_read_point(self):
+        A = affine_symbols()
+        vals = num(A)
+        point = A.numeric_point(vals)
+        el = A.qbracket(LinForm.sym("w1")) * A.monomial({"G": 3, "e21": -2}, Fraction(2, 7))
+        assert el.subst_numeric(point) == el.subst_numeric(vals) == reference_value(el, vals)
+        with pytest.raises(RingError, match="assignment read for another symbol table"):
+            finite_symbols(2).one().subst_numeric(point)
+
 
 class TestCoefficientTypes:
     def test_integral_rational_is_int(self, T):
