@@ -16,6 +16,12 @@ product: a Python pass collects every block's cached arrays and per-block
 integers, then one repeat/gather builds all of the stage's rows, so numpy's
 per-call overhead is paid per stage, not per block.
 
+Encodings are cached by value, beside the engine caches they mirror: a
+branch's weighted base per state (branch index and weight value), a flow
+map per (fused uid, residue), a creation bucket list per dkey.  Nothing is
+keyed by object identity, so no object is kept alive only to pin its id,
+and a weight rebuilt with the same value for the next relation hits.
+
 Exactness is non-negotiable.  Every packing step is guarded: exponent
 fields are range checked, values are numerators over one common
 denominator with the largest possible absolute partial sum bounded below
@@ -206,8 +212,8 @@ class BulkEngine:
     stage A is the packed aggregate, stage B the creation-bucket expansion.
 
     Fed by the engine's residues and dkeys, so branches, flows and buckets
-    come from the engine's caches; adds its own encodings keyed by object
-    identity (pinned, so ids stay unique) and global state registries.
+    come from the engine's caches; adds their packed encodings, keyed by
+    value like the engine's own caches, and global state registries.
     Entry point is combo_residual."""
 
     def __init__(self, engine):
@@ -222,9 +228,9 @@ class BulkEngine:
         else:
             self._off = _HALF | (_HALF << _SLOT_BITS)
             self._span = 2 * _SLOT_BITS
-        self._elem_cache: dict = {}  # (id(elem), dtarget) -> _Enc
-        self._pins: dict = {}  # id -> object, keeps ids unique
-        self._wprod: dict = {}  # (id(base), id(weight)) -> RingElem
+        # state -> {(fused.uid, branch index, weight key): _Enc}, with the
+        # weight key None or the weight's (tuple of terms, dpow)
+        self._bases: dict = {}
         self._flow_cache: dict = {}  # (fused.uid, res) -> _Rows | None
         self._p_cache: dict = {}  # dkey -> _Rows | None
         self._occkeys: dict = {}  # (occ_after, dkey) -> bucket keys with occ ids
@@ -237,7 +243,13 @@ class BulkEngine:
 
     # -- scalar encoding -----------------------------------------------------
 
-    def _enc_terms(self, terms: dict, dpow: int) -> _Enc:
+    def _enc(self, elem: RingElem, dtarget: int) -> _Enc:
+        """elem over (q - q^-1)^dtarget as parallel arrays."""
+        if elem.dpow > dtarget:
+            raise BulkError("denominator power above target")
+        terms = elem.terms
+        if elem.dpow < dtarget:
+            terms = _mul_by_qdiff(terms, dtarget - elem.dpow)
         items = list(terms.items())
         if not items:
             raise BulkError("empty scalar")
@@ -278,32 +290,7 @@ class BulkEngine:
             if av > maxabs:
                 maxabs = av
             sumabs += av
-        return _Enc(keys, vals, denom, meta, smax, gmax, maxabs, sumabs, dpow)
-
-    def _enc_elem(self, elem: RingElem, dtarget: int) -> _Enc:
-        key = (id(elem), dtarget)
-        hit = self._elem_cache.get(key)
-        if hit is not None:
-            return hit
-        self._pins[id(elem)] = elem
-        if elem.dpow > dtarget:
-            raise BulkError("denominator power above target")
-        terms = elem.terms
-        if elem.dpow < dtarget:
-            terms = _mul_by_qdiff(terms, dtarget - elem.dpow)
-        enc = self._enc_terms(terms, dtarget)
-        self._elem_cache[key] = enc
-        return enc
-
-    def _weighted(self, base: RingElem, weight: RingElem) -> RingElem:
-        key = (id(base), id(weight))
-        hit = self._wprod.get(key)
-        if hit is None:
-            self._pins[id(base)] = base
-            self._pins[id(weight)] = weight
-            hit = base * weight
-            self._wprod[key] = hit
-        return hit
+        return _Enc(keys, vals, denom, meta, smax, gmax, maxabs, sumabs, dtarget)
 
     # -- structure encoding ---------------------------------------------------
 
@@ -317,7 +304,7 @@ class BulkEngine:
         if flows:
             encs = []
             for _, ssum in flows:
-                e = self._enc_elem(ssum, ssum.dpow)
+                e = self._enc(ssum, ssum.dpow)
                 if e.meta:
                     raise BulkError("flow scalar carries symbol content")
                 encs.append(e)
@@ -338,7 +325,7 @@ class BulkEngine:
             dpow = max(s.dpow for _, s in part)
             encs = []
             for _, scal in part:
-                e = self._enc_elem(scal, dpow)
+                e = self._enc(scal, dpow)
                 if e.meta:
                     raise BulkError("bucket scalar carries symbol content")
                 encs.append(e)
@@ -387,24 +374,31 @@ class BulkEngine:
         sectors = []  # per block
         tag_ids = []  # dkey id of every (block, flow entry)
         tag_off = []  # per block: its first entry in tag_ids
-        for fused, res, base, weight, momenta, occ_after in self.engine.residues(jobs, state):
-            fe = self._enc_flows(fused, res)
-            if fe is None:
-                continue
-            eff = base if weight is None else self._weighted(base, weight)
-            be = self._enc_elem(eff, eff.dpow)
-            momid = self._mom_ids.setdefault(momenta, len(self._mom_ids))
-            if momid >= _MOM_MAX:
-                raise BulkError("momentum registry full")
-            sectors.append(sector_of.setdefault((momid, occ_after), len(sector_of)))
-            tag_off.append(len(tag_ids))
-            tag_ids.extend(fe.tags)
-            mid = metas.setdefault(be.meta, len(metas))
-            if mid >= _META_MAX:
-                raise BulkError("meta registry full")
-            kadd.append((mid << _B_META_SHIFT) - (be.dpow << _A_DEF_SHIFT))
-            fits.append(_fit(be, fe))
-            pairs.append((be, fe))
+        bases = self._bases.setdefault(state, {})
+        for job in jobs:
+            weight = job[2]
+            wkey = None if weight is None else (tuple(weight.terms.items()), weight.dpow)
+            for fused, res, i, base, _, momenta, occ_after in self.engine.residues((job,), state):
+                fe = self._enc_flows(fused, res)
+                if fe is None:
+                    continue
+                key = (fused.uid, i, wkey)
+                be = bases.get(key)
+                if be is None:
+                    eff = base if weight is None else base * weight
+                    be = bases[key] = self._enc(eff, eff.dpow)
+                momid = self._mom_ids.setdefault(momenta, len(self._mom_ids))
+                if momid >= _MOM_MAX:
+                    raise BulkError("momentum registry full")
+                sectors.append(sector_of.setdefault((momid, occ_after), len(sector_of)))
+                tag_off.append(len(tag_ids))
+                tag_ids.extend(fe.tags)
+                mid = metas.setdefault(be.meta, len(metas))
+                if mid >= _META_MAX:
+                    raise BulkError("meta registry full")
+                kadd.append((mid << _B_META_SHIFT) - (be.dpow << _A_DEF_SHIFT))
+                fits.append(_fit(be, fe))
+                pairs.append((be, fe))
         if not pairs:
             return {}
         d_max = max(be.dpow + fe.dpow for be, fe in pairs)

@@ -381,9 +381,10 @@ class VertexEngine:
 
     def residues(self, jobs, state: FockState):
         """Every annihilation branch of every job on `state` that leaves a
-        reachable residue: yields (fused, res, base, weight, momenta,
+        reachable residue: yields (fused, res, index, base, weight, momenta,
         occ_after) with res the z-powers the creation side and the
-        contraction series still owe, sum(res) >= 0."""
+        contraction series still owe, sum(res) >= 0, and index the branch's
+        position in the cached branch list of (fused, state)."""
         cached = self._branches.setdefault(state, {})
         for fused, targets, weight in jobs:
             data = cached.get(fused.uid)
@@ -392,9 +393,9 @@ class VertexEngine:
             branches, taueig, momenta = data
             off = tuple(map(sub, map(sub, targets, fused.p0s), taueig))
             need = -sum(off)
-            for base, annE, ann_sum, occ_after in branches:
+            for i, (base, annE, ann_sum, occ_after) in enumerate(branches):
                 if ann_sum >= need:
-                    yield fused, tuple(map(add, off, annE)), base, weight, momenta, occ_after
+                    yield fused, tuple(map(add, off, annE)), i, base, weight, momenta, occ_after
 
     def flows_map(self, fused: FusedTerm, res):
         """Creation-degree multisets reachable from `res` with their summed
@@ -474,7 +475,7 @@ class VertexEngine:
         cancel do so while still cheap, and a zero aggregate later skips
         its whole block of output states."""
         acc: dict = {}
-        for fused, res, base, weight, momenta, occ_after in self.residues(jobs, state):
+        for fused, res, _, base, weight, momenta, occ_after in self.residues(jobs, state):
             for dkey, ssum in self.flows_map(fused, res):
                 key = (momenta, occ_after, dkey)
                 mid = base * ssum

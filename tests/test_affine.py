@@ -241,11 +241,16 @@ class TestPackedEngine:
             assert fast and fast == sab_k2.engine.extract_sum(jobs, state)
 
     def test_pair_residual_matches(self, ctx, sab_k2):
-        pieces = ctx._pair_pieces("E2", 1, "E2", -1)
-        jobs = ctx._jobs(pieces)
-        for state in enumerate_basis(2)[:10]:
-            assert ctx.bulk.combo_residual(jobs, state) == ctx.engine.extract_sum(
-                jobs, state)
+        # weights of one term, of two terms and with a denominator power
+        # meet the same branches, so each needs its own cached encoding
+        T = ctx.table
+        weights = (None, T.qpow(LinForm(1)) + T.qpow(LinForm(-1)), T.qdiff_inv())
+        for pair in (("E2", 1, "E2", -1), ("E1", 1, "E1", -1)):
+            for xi in weights:
+                jobs = ctx._jobs(ctx._pair_pieces(*pair, xi))
+                for state in enumerate_basis(2)[:10]:
+                    assert ctx.bulk.combo_residual(jobs, state) == ctx.engine.extract_sum(
+                        jobs, state)
         for pieces, leaks in ((sab_k2._pair_pieces("E2", 1, "E2", -1), False),
                               (sab_k2._pair_pieces("F1", 0, "F1", -1), True)):
             jobs = sab_k2._jobs(pieces)
@@ -253,6 +258,32 @@ class TestPackedEngine:
                 fast = self.answered(sab_k2, jobs, state)
                 assert bool(fast) == leaks
                 assert fast == sab_k2.engine.extract_sum(jobs, state)
+
+    def test_cache_entries_stop_growing(self):
+        # eq11 builds new weight objects for every relation; the second
+        # pass over the same relations must find every encoding it needs
+        ctx = AffineContext()
+        basis = enumerate_basis(1)
+
+        def entries():
+            return sum(len(c) + sum(len(v) for v in c.values() if isinstance(v, dict))
+                       for c in vars(ctx.bulk).values() if isinstance(c, dict))
+
+        sizes = []
+        for _ in range(2):
+            check_eq11(ctx, basis, 1)
+            check_eq13(ctx, basis, 1)
+            sizes.append(entries())
+        assert sizes[0] == sizes[1] > 0
+        # a weight built after another is dropped, maybe at the same
+        # address, must not meet the dropped one's encodings
+        T = ctx.table
+        for e in (1, 3):
+            jobs = ctx._jobs(ctx._pair_pieces("E1", 1, "E1", 0, T.qpow(LinForm(e))))
+            for state in basis:
+                fast = self.answered(ctx, jobs, state)
+                assert fast == ctx.engine.extract_sum(jobs, state)
+            del jobs
 
     def test_nonzero_product_decodes(self, ctx):
         # a single product, not a cancelling combination: decode path
@@ -327,11 +358,11 @@ class TestResidues:
                 memo[key] = engine._state_branches(fused, state)
             branches, taueig, momenta = memo[key]
             r = len(fused.vterms)
-            for base, annE, _, occ_after in branches:
+            for i, (base, annE, _, occ_after) in enumerate(branches):
                 res = tuple(
                     targets[v] - fused.p0s[v] - taueig[v] + annE[v] for v in range(r))
                 if sum(res) >= 0:
-                    out.append((fused, res, base, weight, momenta, occ_after))
+                    out.append((fused, res, i, base, weight, momenta, occ_after))
         return out
 
     def test_quadratic_and_serre_jobs(self, monkeypatch):
@@ -360,9 +391,11 @@ class TestResidues:
                 want = self.reference(ctx.engine, jobs, state, memo)
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
-                    assert g[0] is w[0] and g[2] == w[2] and g[3] is w[3]
+                    assert g[0] is w[0] and g[2] == w[2] and g[3] == w[3] and g[4] is w[4]
                     assert g[1] == w[1] and list(map(type, g[1])) == list(map(type, w[1]))
-                    assert g[4:] == w[4:]
+                    assert g[5:] == w[5:]
+                    # the index addresses the engine's own cached branch list
+                    assert ctx.engine._branches[state][g[0].uid][0][g[2]][0] is g[3]
                 walked += len(got)
         assert walked
 
