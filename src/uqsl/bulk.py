@@ -16,11 +16,13 @@ product: a Python pass collects every block's cached arrays and per-block
 integers, then one repeat/gather builds all of the stage's rows, so numpy's
 per-call overhead is paid per stage, not per block.
 
-Encodings are cached by value, beside the engine caches they mirror: a
-branch's weighted base per state (branch index and weight value), a flow
-map per (fused uid, residue), a creation bucket list per dkey.  Nothing is
-keyed by object identity, so no object is kept alive only to pin its id,
-and a weight rebuilt with the same value for the next relation hits.
+Encodings are cached by value: a branch's weighted base per state (branch
+index and weight value), a flow map per (fused uid, residue), a creation
+bucket list per dkey.  The engine builds each flow map and bucket list
+without caching it, so the encoding is the only copy a kernel run keeps.
+Nothing is keyed by object identity, so no object is kept alive only to
+pin its id, and a weight rebuilt with the same value for the next relation
+hits.
 
 Exactness is non-negotiable.  Every packing step is guarded: exponent
 fields are range checked, values are numerators over one common
@@ -211,10 +213,10 @@ class BulkEngine:
     """Packed-row twin of VertexEngine.extract_sum for one symbol table:
     stage A is the packed aggregate, stage B the creation-bucket expansion.
 
-    Fed by the engine's residues and dkeys, so branches, flows and buckets
-    come from the engine's caches; adds their packed encodings, keyed by
-    value like the engine's own caches, and global state registries.
-    Entry point is combo_residual."""
+    Fed by the engine's residues, whose branches the engine caches, and by
+    its flow and bucket builders, which cache nothing; keeps the packed
+    encodings of flows and buckets, keyed by value, and global state
+    registries.  Entry point is combo_residual."""
 
     def __init__(self, engine):
         self.engine = engine

@@ -176,16 +176,19 @@ class VertexEngine:
         self.table = alg.table
         self._uids = itertools.count()
         self._singles: dict = {}
-        self._kappa: dict = {}  # (uidA, uidB) -> list of kappa_n, n >= 1
-        self._series: dict = {}  # (uidA, uidB) -> list of C_l, l >= 0
+        self._vterms: dict = {}  # vt.uid -> VTerm, for resolving dkeys
+        self._series: dict = {}  # (uidA, uidB) -> ([C_l, l >= 0], [kappa_n, n >= 1])
         self._buckets: dict = {}  # (vt.uid, degree) -> [(delta occ, scalar)]
         self._branches: dict = {}  # state -> {fused.uid: branch data}
-        self._prodcache: dict = {}  # dkey -> merged buckets
-        self._flowcache: dict = {}  # (fused.uid, res) -> ((dkey, scalar), ...)
-        self._dpairs: dict = {}  # dkey = sorted ((vt.uid, degree), ...) -> ((vt, degree), ...)
+        # flows_map and bucket_product_key keep no cache: these two are the
+        # exact path's (aggregate, extract_sum); bulk.py keeps its encodings
+        self._flowcache: dict = {}  # (fused.uid, res) -> flows_map(fused, res)
+        self._prodcache: dict = {}  # dkey -> bucket_product_key(dkey)
 
     def make_vterm(self, const: RingElem, p0: int, occs) -> VTerm:
-        return VTerm(self.alg, const, p0, occs, next(self._uids))
+        vt = VTerm(self.alg, const, p0, occs, next(self._uids))
+        self._vterms[vt.uid] = vt
+        return vt
 
     def single(self, vt: VTerm) -> FusedTerm:
         f = self._singles.get(vt.uid)
@@ -234,12 +237,10 @@ class VertexEngine:
         """C_l of exp(sum kappa_n x^n), contractions of A's annihilators
         against B's creators at each order n."""
         key = (vtA.uid, vtB.uid)
-        lst = self._series.get(key)
-        if lst is None:
-            lst = [self.table.one()]
-            self._series[key] = lst
-            self._kappa[key] = []
-        kappas = self._kappa[key]
+        entry = self._series.get(key)
+        if entry is None:
+            entry = self._series[key] = ([self.table.one()], [])
+        lst, kappas = entry
         while len(lst) <= l:
             n = len(lst)
             while len(kappas) < n:
@@ -403,31 +404,17 @@ class VertexEngine:
 
         A dkey is the sorted ((vterm uid, degree), ...) of the nonzero
         degrees; it ignores variable order, so permuted products of the
-        same terms share creation buckets.  Each dkey's (vterm, degree)
-        pairs are recorded on first sight for bucket_product_key."""
-        key = (fused.uid, res)
-        out = self._flowcache.get(key)
-        if out is None:
-            local: dict = {}
-            for dvec, ss in self._flows(fused, res):
-                if any(d < 0 for d in dvec):
-                    continue
-                prev = local.get(dvec)
-                local[dvec] = ss if prev is None else prev + ss
-            pairs = []
-            for dvec, s in local.items():
-                if s.is_zero():
-                    continue
-                dpairs = tuple(sorted(
-                    ((vt, d) for vt, d in zip(fused.vterms, dvec) if d),
-                    key=lambda p: (p[0].uid, p[1]),
-                ))
-                dkey = tuple((vt.uid, d) for vt, d in dpairs)
-                self._dpairs.setdefault(dkey, dpairs)
-                pairs.append((dkey, s))
-            out = tuple(pairs)
-            self._flowcache[key] = out
-        return out
+        same terms share creation buckets.  Not cached here."""
+        local: dict = {}
+        for dvec, ss in self._flows(fused, res):
+            if any(d < 0 for d in dvec):
+                continue
+            prev = local.get(dvec)
+            local[dvec] = ss if prev is None else prev + ss
+        return tuple(
+            (tuple(sorted((vt.uid, d) for vt, d in zip(fused.vterms, dvec) if d)), s)
+            for dvec, s in local.items() if not s.is_zero()
+        )
 
     def _flows(self, fused: FusedTerm, res):
         """Creation degrees per variable and the series scalar for every
@@ -476,7 +463,10 @@ class VertexEngine:
         its whole block of output states."""
         acc: dict = {}
         for fused, res, _, base, weight, momenta, occ_after in self.residues(jobs, state):
-            for dkey, ssum in self.flows_map(fused, res):
+            flows = self._flowcache.get((fused.uid, res))
+            if flows is None:
+                flows = self._flowcache[fused.uid, res] = self.flows_map(fused, res)
+            for dkey, ssum in flows:
                 key = (momenta, occ_after, dkey)
                 mid = base * ssum
                 if weight is not None:
@@ -487,12 +477,9 @@ class VertexEngine:
 
     def bucket_product_key(self, dkey):
         """Creation buckets of all variables merged into one list of
-        (occupation delta, scalar), for a dkey that flows_map has seen."""
-        part = self._prodcache.get(dkey)
-        if part is None:
-            part = self._merge_buckets(self._dpairs[dkey])
-            self._prodcache[dkey] = part
-        return part
+        (occupation delta, scalar), for any dkey over this engine's vterms.
+        Not cached here."""
+        return self._merge_buckets((self._vterms[uid], d) for uid, d in dkey)
 
     def extract_sum(self, jobs, state: FockState) -> dict:
         """Sum of weighted mode extractions applied to one state.
@@ -502,7 +489,10 @@ class VertexEngine:
         for (momenta, occ_after, dkey), mid in self.aggregate(jobs, state).items():
             if mid.is_zero():
                 continue
-            for delta, pscal in self.bucket_product_key(dkey):
+            part = self._prodcache.get(dkey)
+            if part is None:
+                part = self._prodcache[dkey] = self.bucket_product_key(dkey)
+            for delta, pscal in part:
                 coeff = mid * pscal
                 if coeff.is_zero():
                     continue

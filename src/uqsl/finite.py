@@ -81,18 +81,6 @@ class QDiffOp:
             out = out + a.apply(self.space, p)
         return out
 
-    def __add__(self, other: "QDiffOp") -> "QDiffOp":
-        if other.parity != self.parity:
-            raise ValueError("parity mismatch in operator sum")
-        return QDiffOp(self.space, self.atoms + other.atoms, self.parity)
-
-    def scale(self, c: int) -> "QDiffOp":
-        atoms = tuple(
-            Atom(a.shift, a.brackets, a.lowers, a.mult, a.coeff * c)
-            for a in self.atoms
-        )
-        return QDiffOp(self.space, atoms, self.parity)
-
 
 class LinMap:
     """Linear map assembled from operators; only apply and parity remain."""

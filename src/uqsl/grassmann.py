@@ -125,10 +125,6 @@ class SuperPoly:
         self.terms = {m: c for m, c in dict(terms).items() if not c.is_zero()}
 
     @classmethod
-    def unit(cls, space: FlagSpace) -> "SuperPoly":
-        return cls(space, {space.zero_exp(): space.table.one()})
-
-    @classmethod
     def variable(cls, space: FlagSpace, i: int, j: int) -> "SuperPoly":
         exps = list(space.zero_exp())
         exps[space.index[(i, j)]] = 1

@@ -19,8 +19,8 @@ lexicographic slot order and the crossing signs are computed explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ring import LinForm, RingElem, SymbolTable
 
@@ -102,10 +102,10 @@ class OscillatorAlgebra:
         return self.table.zero()
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(NamedTuple):
     """momenta: one integer per Q slot; occ: sorted ((family, m), mult)
-    multiset of normalized creation modes dhat_{-m}, m > 0."""
+    multiset of normalized creation modes dhat_{-m}, m > 0.  A plain tuple,
+    so states hash, compare and sort as (momenta, occ)."""
 
     momenta: tuple
     occ: tuple = ()

@@ -128,10 +128,11 @@ def compare_cases(seed: int, rel_id: str, params: dict, cases, zero, key,
     """Check one relation: compare both sides of every case exactly.
 
     cases: iterable of (label, lhs, rhs), each side a dict output -> ring
-    element.  Outputs are visited in `key` order; the first nonzero
-    difference is the witness, its output rendered by `fmt`.  Without one,
-    the first 64 (lhs, rhs) coefficient pairs go to the numeric oracle.  A
-    relation with no case at all checked nothing and is not-applicable.
+    element.  Outputs are visited in `key` order (their own order if key is
+    None); the first nonzero difference is the witness, its output rendered
+    by `fmt`.  Without one, the first 64 (lhs, rhs) coefficient pairs go to
+    the numeric oracle.  A relation with no case at all checked nothing and
+    is not-applicable.
     """
     pairs = []
     witness = None

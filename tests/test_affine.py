@@ -275,6 +275,14 @@ class TestPackedEngine:
             check_eq13(ctx, basis, 1)
             sizes.append(entries())
         assert sizes[0] == sizes[1] > 0
+        # the engine's flow and bucket caches belong to the exact path,
+        # which the kernel families never enter
+        assert not ctx.engine._flowcache and not ctx.engine._prodcache
+        # a dkey resolves on any context built the same way, whether or
+        # not that context has produced it
+        fresh = AffineContext()
+        for dkey in ctx.bulk._p_cache:
+            assert fresh.engine.bucket_product_key(dkey) == ctx.engine.bucket_product_key(dkey)
         # a weight built after another is dropped, maybe at the same
         # address, must not meet the dropped one's encodings
         T = ctx.table

@@ -19,6 +19,9 @@ PINNED = [
      "a00375ff041213901c947c929bcedd0360e04c59745d4471491cb3e48804a31e"),
     (AFFINE_E0W1 + ["--k", "2", "--override", "f13=1"], 1,
      "afcb983a450da5acdc1fe3ca6d7e3542b73044e45aa8a3e89388d9e481d95ac7"),
+    # the kernel families at a formal level above the vacuum energy
+    (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2"], 0,
+     "5092ee5d8e665d66bd7586d584645b5ddbeda86f56664c3a52c013b028a4f9b6"),
     # stage B of the packed kernel decodes residuals spread over many groups
     (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2",
       "--k", "2", "--override", "f13=1"], 1,
