@@ -416,7 +416,7 @@ def check_eq12(ctx: AffineContext, basis: list, window: int) -> list:
                 pieces = ctx._pair_pieces(f"{pref}2", n, f"{pref}2", m)
                 cases = []
                 for state in basis:
-                    lhs = ctx.combo_zero(pieces, state)
+                    lhs = ctx.combo_vec(pieces, state)
                     cases.append((format_state(state), lhs, {}))
                 rel_id = f"drinfeld.eq12.i=2.j=2.sign={sign}.n={n}.m={m}"
                 params = {"i": 2, "j": 2, "sign": sign, "n": n, "m": m}

@@ -29,8 +29,8 @@ fields are range checked, values are numerators over one common
 denominator with the largest possible absolute partial sum bounded below
 2^62, and any violation raises BulkError before a single row is built.
 Callers catch BulkError and fall back to the exact scalar path, so the
-vectorized route either reproduces the RingElem result bit for bit or
-declines to run.
+vectorized route either reproduces the RingElem result (the same value,
+rendered identically) or declines to run.
 """
 
 from __future__ import annotations

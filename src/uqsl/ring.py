@@ -13,7 +13,10 @@ A term's exponent vector is packed into a single Python int, 24 bits per
 symbol slot, so that monomial multiplication is integer addition.  Elements
 carry an explicit denominator power d (meaning terms/(q-q^-1)^d); equality
 cross-multiplies denominators and never needs canonical forms.  canonical()
-divides out (q-q^-1) factors and is used only for display and reports.
+is a normal form: it divides out every (q-q^-1) factor the terms carry, so
+the result has the minimal denominator power, and equal elements reach the
+same terms whichever computation produced them.  Display goes through it,
+so a witness renders the same on every extraction path.
 
 Coefficients are exact: a plain int, or a fractions.Fraction when the
 denominator is not 1.  Scalars enter through _exact(), which keeps integral
@@ -325,6 +328,35 @@ def _mul_by_qdiff(terms: dict, times: int) -> dict:
     return terms
 
 
+def _div_qdiff(terms: dict) -> dict | None:
+    """terms/(q - q^-1) as a term dict, or None when not divisible.
+
+    q - q^-1 = s^-2 (s^4 - 1).  A chain (terms with the same non-s
+    exponents and the same s-exponent mod 4) is a polynomial in s^4, which
+    s^4 - 1 divides exactly when its coefficients sum to zero; the
+    quotient's coefficients are the chain's running sums from the top
+    exponent down in steps of 4.  Chains never mix under multiplication by
+    s^4 - 1, so terms divide exactly when every chain does.
+    """
+    chains: dict = {}
+    for k, c in terms.items():
+        r = k & _MASK
+        e = r - _BASE if r >= _HALF else r
+        chains.setdefault(k - 4 * (e // 4), {})[k] = c
+    out = {}
+    for chain in chains.values():
+        low = min(chain)
+        k, total = max(chain), 0
+        while k > low:
+            total += chain.get(k, 0)
+            if total:
+                out[k - 2] = total
+            k -= 4
+        if total + chain[low]:
+            return None
+    return out
+
+
 class RingElem:
     """terms/(q - q^-1)^dpow.
 
@@ -423,53 +455,17 @@ class RingElem:
 
     # -- canonicalization ----------------------------------------------------
 
-    def _div_qdiff(self) -> dict | None:
-        """terms/(q - q^-1) as a term dict, or None when not divisible."""
-        buckets: dict = {}
-        for k, c in self.terms.items():
-            r = k & _MASK
-            e0 = r - _BASE if r >= _HALF else r
-            buckets.setdefault(k - e0, []).append((e0, c))
-        out = {}
-        for rest, pairs in buckets.items():
-            if len(pairs) < 2:
-                return None
-            emin = min(e for e, _ in pairs)
-            work = {}
-            for e, c in pairs:
-                work[e - emin] = work.get(e - emin, 0) + c
-            quot = {}
-            for d in sorted(work, reverse=True):
-                if d < 4:
-                    if work.get(d):
-                        return None
-                    continue
-                c = work.pop(d)
-                if not c:
-                    continue
-                quot[d - 4] = quot.get(d - 4, 0) + c
-                work[d - 4] = work.get(d - 4, 0) + c
-            for e, c in work.items():
-                if c:
-                    return None
-            for j, c in quot.items():
-                if c:
-                    out[rest + emin + 2 + j] = c
-        return out
-
     def canonical(self) -> "RingElem":
-        """Equivalent element with minimal denominator power."""
-        if not self.terms:
-            return RingElem(self.table, {}, 0)
+        """The normal form: the equal element with minimal denominator power.
+
+        Equal elements have equal normal forms, term for term."""
         terms, dpow = self.terms, self.dpow
-        cur = RingElem(self.table, terms, dpow)
-        while dpow > 0:
-            nxt = cur._div_qdiff()
-            if nxt is None:
+        while dpow > 0 and terms:
+            quot = _div_qdiff(terms)
+            if quot is None:
                 break
-            dpow -= 1
-            cur = RingElem(self.table, nxt, dpow)
-        return cur
+            terms, dpow = quot, dpow - 1
+        return RingElem(self.table, terms, dpow if terms else 0)
 
     # -- evaluation -----------------------------------------------------------
 

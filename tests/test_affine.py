@@ -190,8 +190,8 @@ class TestMomentumSector:
 
 
 class TestPackedEngine:
-    """The int64-row fast path must reproduce the exact path bit for bit,
-    or decline; never a third behaviour."""
+    """The int64-row fast path must reproduce the exact path's values, which
+    then render identically, or decline; never a third behaviour."""
 
     def serre_pieces(self, ctx, pref, n1, n2, m):
         T = ctx.table
@@ -386,6 +386,7 @@ class TestResidues:
             return {}
 
         monkeypatch.setattr(ctx, "combo_zero", record)
+        monkeypatch.setattr(ctx, "combo_vec", record)  # eq12's exact path
         check_eq11(ctx, basis, 1)
         check_eq12(ctx, basis, 1)
         check_eq13(ctx, basis, 1)

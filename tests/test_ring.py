@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from uqsl import (
     LinForm,
+    RingElem,
     RingError,
     affine_symbols,
     bracket_symbols,
     finite_symbols,
     verify_bracket_identity,
 )
+from uqsl.ring import _mul_by_qdiff
 
 
 @pytest.fixture
@@ -107,10 +109,14 @@ class TestArith:
         assert v == (L - 1 / L) / (q - 1 / q) + q + 1 / q
 
     def test_canonical_divides(self, T):
-        frac = T.qbracket(LinForm.sym("l1")) * T.qdiff()
-        c = frac.canonical()
-        assert c.dpow == 0
-        assert c == frac
+        # (q^4 - 1)/(q - q^-1): the quotient has a term at an exponent the
+        # dividend lacks
+        for frac, want in ((T.qbracket(LinForm.sym("l1")) * T.qdiff(), "L1 - L1^-1"),
+                           (RingElem(T, {8: 1, 0: -1}, 1), "q^3 + q")):
+            c = frac.canonical()
+            assert c.dpow == 0
+            assert c == frac
+            assert str(frac) == want
 
     def test_canonical_idempotent(self, T):
         el = T.qbracket(LinForm.sym("l1")) * T.qbracket(LinForm.sym("l2"))
@@ -167,6 +173,18 @@ def elements(draw):
     return el
 
 
+@st.composite
+def chains(draw):
+    """Denominator-free elements over few L1 exponents, so that several
+    terms share their non-q exponents and their q-exponent mod 2."""
+    T = finite_symbols(1)
+    el = T.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        e = {"q": draw(exps), "L1": draw(st.integers(-1, 1))}
+        el = el + T.monomial(e, draw(st.integers(-5, 5)))
+    return el
+
+
 class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     @given(elements(), elements(), elements())
@@ -187,6 +205,19 @@ class TestRingAxioms:
     @given(elements())
     def test_canonical_preserves(self, a):
         assert a.canonical() == a
+
+    @settings(max_examples=100, deadline=None)
+    @given(chains(), st.integers(0, 3), st.integers(0, 3))
+    def test_canonical_is_normal_form(self, x, k, j):
+        # x (q - q^-1)^k / (q - q^-1)^(k+j) and x / (q - q^-1)^j are one
+        # value, so they must reach one normal form and render alike
+        T = x.table
+        y = RingElem(T, _mul_by_qdiff(x.terms, k), k + j)
+        b = RingElem(T, x.terms, j)
+        assert y == b
+        cy, cb = y.canonical(), b.canonical()
+        assert (cy.terms, cy.dpow) == (cb.terms, cb.dpow)
+        assert str(y) == str(b)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-9, 9), st.integers(-9, 9))
