@@ -43,6 +43,7 @@ from .oscillators import (
     enumerate_basis,
     format_state,
     k_eigenvalue,
+    occ_add,
     vec_scale,
     vec_sub,
 )
@@ -54,7 +55,6 @@ from .ring import LinForm, RingElem, affine_symbols
 from .structure import graded_bracket_sign
 
 A_CARTAN = {(1, 1): 2, (1, 2): -1, (2, 1): -1, (2, 2): 0}
-RANK = 2
 
 
 class AffineContext:
@@ -107,7 +107,12 @@ class AffineContext:
         hit = self._app.get(key)
         if hit is not None:
             return hit
-        if name.startswith("H"):
+        if name.startswith("H") and n < 0 and state != VACUUM:
+            # a creation mode puts the same scalars on every state, so the
+            # vacuum's image (cached under its own key) is shared by all
+            acc = {FockState(state.momenta, occ_add(state.occ, s.occ)): c
+                   for s, c in self._apply_mode(name, n, VACUUM)}
+        elif name.startswith("H"):
             acc = apply_oscillator(self.alg, self._h_coeffs(int(name[1:]), n), n, state)
         else:
             if name.startswith("psi"):

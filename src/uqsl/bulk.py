@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscillators import FockState
+from .oscillators import FockState, occ_add
 from .ring import _HALF, _MASK, _SLOT_BITS, RingElem, _mul_by_qdiff
 
 # One side of a product: s biased by 2^12, Gamma by 2^11.  Sums of two
@@ -344,10 +344,7 @@ class BulkEngine:
         if hit is None:
             ids = []
             for delta in penc.tags:
-                occ = dict(occ_after)
-                for mode, mu in delta:
-                    occ[mode] = occ.get(mode, 0) + mu
-                ids.append(self._occ_ids.setdefault(tuple(sorted(occ.items())), len(self._occ_ids)))
+                ids.append(self._occ_ids.setdefault(occ_add(occ_after, delta), len(self._occ_ids)))
                 if ids[-1] >= _OCC_MAX:
                     raise BulkError("occupation registry full")
             occrows = np.asarray(ids, dtype=np.int64)[penc.idx]

@@ -26,6 +26,9 @@ Per-mode coefficients of the field exponentials (on normalized modes):
 
 Cartan-family full fields never occur (no e^{Q_a} in any current), which is
 what keeps the a-family annihilators raw and every coefficient in the ring.
+Occupation updates, contractions and zero-mode eigenvalues come from
+oscillators.py; VTerm.ann_value is the one place a term's annihilators meet
+a creation letter, for both the state branches and the contraction series.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .oscillators import (
     add_term,
     cocycle_sign,
     momentum_eigen,
+    occ_add,
 )
 from .ring import LinForm, RingElem, SymbolTable
 
@@ -110,6 +114,7 @@ class VTerm:
         self.ann_fams = tuple(ann)
         self._cre_cache: dict = {}
         self._ann_cache: dict = {}
+        self._val_cache: dict = {}
 
     def cre_coeff(self, fam: str, m: int) -> RingElem:
         key = (fam, m)
@@ -146,14 +151,30 @@ class VTerm:
             self._ann_cache[key] = out
         return out
 
+    def ann_value(self, fam: str, m: int) -> RingElem:
+        """sum_af ann_coeff(af, m) [af_m, fam-hat_{-m}]: the scalar this
+        term's annihilation exponential takes from one dhat_{-m} of fam."""
+        key = (fam, m)
+        out = self._val_cache.get(key)
+        if out is None:
+            out = self.table.zero()
+            for af in self.ann_fams:
+                con = self.alg.contract_hat(af, fam, m)
+                if con.is_zero():
+                    continue
+                a = self.ann_coeff(af, m)
+                if not a.is_zero():
+                    out = out + a * con
+            self._val_cache[key] = out
+        return out
+
 
 class FusedTerm:
     """A normal-ordered product of VTerms, one z variable per factor."""
 
-    __slots__ = ("alg", "const", "p0s", "eps", "sigma", "sigma_a", "taus", "vterms", "uid")
+    __slots__ = ("const", "p0s", "eps", "sigma", "sigma_a", "taus", "vterms", "uid")
 
-    def __init__(self, alg, const, p0s, eps, sigma, sigma_a, taus, vterms, uid):
-        self.alg = alg
+    def __init__(self, const, p0s, eps, sigma, sigma_a, taus, vterms, uid):
         self.const = const
         self.p0s = p0s
         self.eps = eps
@@ -194,7 +215,7 @@ class VertexEngine:
         f = self._singles.get(vt.uid)
         if f is None:
             f = FusedTerm(
-                self.alg, vt.const, (vt.p0,), vt.eps, vt.sigma, vt.sigma_a,
+                vt.const, (vt.p0,), vt.eps, vt.sigma, vt.sigma_a,
                 (vt.tau,), (vt,), next(self._uids),
             )
             self._singles[vt.uid] = f
@@ -229,7 +250,7 @@ class VertexEngine:
         sigma = tuple(a + b for a, b in zip(fused.sigma, vt.sigma))
         sigma_a = tuple(a + b for a, b in zip(fused.sigma_a, vt.sigma_a))
         return FusedTerm(
-            self.alg, const, p0s, eps, sigma, sigma_a,
+            const, p0s, eps, sigma, sigma_a,
             fused.taus + (vt.tau,), fused.vterms + (vt,), next(self._uids),
         )
 
@@ -246,15 +267,10 @@ class VertexEngine:
             while len(kappas) < n:
                 j = len(kappas) + 1
                 kap = self.table.zero()
-                for af in vtA.ann_fams:
-                    a = vtA.ann_coeff(af, j)
-                    if a.is_zero():
-                        continue
-                    for cf in vtB.cre_fams:
-                        con = self.alg.contract_hat(af, cf, j)
-                        if con.is_zero():
-                            continue
-                        kap = kap + a * vtB.cre_coeff(cf, j) * con
+                for cf in vtB.cre_fams:
+                    val = vtA.ann_value(cf, j)
+                    if not val.is_zero():
+                        kap = kap + val * vtB.cre_coeff(cf, j)
                 kappas.append(kap)
             tot = self.table.zero()
             for j in range(1, n + 1):
@@ -300,25 +316,16 @@ class VertexEngine:
         return out
 
     def _merge_buckets(self, pairs):
-        acc = [({}, self.table.one())]
+        acc = [((), self.table.one())]
         for vt, d in pairs:
             part = self.buckets(vt, d)
-            if not part:
-                acc = []
+            acc = [(occ_add(occ, delta), s * bscal) for occ, s in acc for delta, bscal in part]
+            if not acc:
                 break
-            nxt = []
-            for occ_acc, s_acc in acc:
-                for delta, bscal in part:
-                    occ = dict(occ_acc)
-                    for mode, mu in delta:
-                        occ[mode] = occ.get(mode, 0) + mu
-                    nxt.append((occ, s_acc * bscal))
-            acc = nxt
         merged: dict = {}
         for occ, s in acc:
-            k = tuple(sorted(occ.items()))
-            prev = merged.get(k)
-            merged[k] = s if prev is None else prev + s
+            prev = merged.get(occ)
+            merged[occ] = s if prev is None else prev + s
         return [(k, s) for k, s in merged.items() if not s.is_zero()]
 
     def _state_branches(self, fused: FusedTerm, state: FockState):
@@ -338,18 +345,7 @@ class VertexEngine:
 
         letter_opts = []
         for (fam, m), mult in state.occ:
-            values = []
-            for v in range(r):
-                vt = fused.vterms[v]
-                val = T.zero()
-                for af in vt.ann_fams:
-                    con = self.alg.contract_hat(af, fam, m)
-                    if con.is_zero():
-                        continue
-                    a = vt.ann_coeff(af, m)
-                    if not a.is_zero():
-                        val = val + a * con
-                values.append(val)
+            values = [vt.ann_value(fam, m) for vt in fused.vterms]
             live = [v for v in range(r) if not values[v].is_zero()]
             opts = []
             for js in itertools.product(*(range(mult + 1) if v in live else (0,) for v in range(r))):
@@ -361,22 +357,22 @@ class VertexEngine:
                 for v in range(r):
                     for _ in range(js[v]):
                         scalar = scalar * values[v]
-                opts.append((scalar, tuple(m * j for j in js), mult - total))
+                opts.append((scalar, tuple(m * j for j in js), -total))
             letter_opts.append(((fam, m), opts))
 
         branches = []
         for combo in itertools.product(*(opts for _, opts in letter_opts)):
             scalar = common
             annE = [0] * r
-            occ = []
-            for ((fam, m), _), (s, ann_v, rem) in zip(letter_opts, combo):
+            taken = []
+            for (mode, _), (s, ann_v, lost) in zip(letter_opts, combo):
                 scalar = scalar * s
                 for v in range(r):
                     annE[v] += ann_v[v]
-                if rem:
-                    occ.append(((fam, m), rem))
+                if lost:
+                    taken.append((mode, lost))
             if not scalar.is_zero():
-                branches.append((scalar, tuple(annE), sum(annE), tuple(occ)))
+                branches.append((scalar, tuple(annE), sum(annE), occ_add(state.occ, taken)))
 
         return branches, taueig, momenta
 
@@ -407,8 +403,6 @@ class VertexEngine:
         same terms share creation buckets.  Not cached here."""
         local: dict = {}
         for dvec, ss in self._flows(fused, res):
-            if any(d < 0 for d in dvec):
-                continue
             prev = local.get(dvec)
             local[dvec] = ss if prev is None else prev + ss
         return tuple(
@@ -496,10 +490,7 @@ class VertexEngine:
                 coeff = mid * pscal
                 if coeff.is_zero():
                     continue
-                occ = dict(occ_after)
-                for mode, mu in delta:
-                    occ[mode] = occ.get(mode, 0) + mu
-                add_term(out, FockState(momenta, tuple(sorted(occ.items()))), coeff)
+                add_term(out, FockState(momenta, occ_add(occ_after, delta)), coeff)
         return out
 
     def extract(self, fused: FusedTerm, targets, state: FockState) -> dict:

@@ -12,6 +12,12 @@ raw for a (whose contractions carry the level bracket [(k+g)n]).  With this
 split every contraction value below is a ring element: nothing ever divides
 by a formal q-integer.
 
+Each rule of the Fock-space arithmetic is defined once, here: occ_add is the
+only code that changes an occupation, OscillatorAlgebra.contract_hat the only
+contraction table (the raw variants multiply it by [n]), and momentum_eigen
+the only zero-mode eigenvalue (K_i included).  A vertex term's annihilation
+value on one creation letter is currents.VTerm.ann_value.
+
 The two odd zero-mode letters (Q_b^13, Q_b^23 for this shape) anticommute
 between distinct pairs; states and operator words are stored with letters in
 lexicographic slot order and the crossing signs are computed explicitly.
@@ -34,27 +40,12 @@ BC_SIGN = {"b12": -1, "b13": 1, "b23": 1, "c12": 1}
 A_CARTAN = {("a1", "a1"): 2, ("a1", "a2"): -1, ("a2", "a1"): -1, ("a2", "a2"): 0}
 G_SHIFT = 1  # M - N for (2|1)
 
-_Q_INDEX = {s: i for i, s in enumerate(Q_SLOTS)}
-
 
 class OscillatorAlgebra:
     """Contraction tables over one symbol table (level formal or numeric)."""
 
     def __init__(self, table: SymbolTable):
         self.table = table
-        self._raised: dict = {}  # (m, ((fam, id(coeff)), ...)) -> raised(...)
-
-    def raised(self, coeffs: dict, m: int) -> tuple:
-        """((fam, coeff, coeff * [m]), ...): the scalars a creation mode
-        puts on every state, built once per coefficient set (holding each
-        coeff keeps its id unique)."""
-        key = (m, tuple((fam, id(c)) for fam, c in coeffs.items()))
-        hit = self._raised.get(key)
-        if hit is None:
-            bracket = self.table.qint(m)
-            hit = tuple((fam, c, c * bracket) for fam, c in coeffs.items())
-            self._raised[key] = hit
-        return hit
 
     def qint_ratio(self, a: int, n: int) -> RingElem:
         """[a n]/[n] as a Laurent polynomial (geometric sum in q^{2n})."""
@@ -83,23 +74,27 @@ class OscillatorAlgebra:
         return self.table.zero()
 
     def contract_raw_hat(self, ann: str, cre: str, n: int) -> RingElem:
-        """[ann_n, cre-hat_{-n}] with the annihilator raw (H-mode action)."""
-        if ann.startswith("a"):
-            return self.contract_hat(ann, cre, n)
-        if ann == cre:
-            return self.table.qint(n) * Fraction(BC_SIGN[ann], n)
-        return self.table.zero()
+        """[ann_n, cre-hat_{-n}] with the annihilator raw (H-mode action):
+        contract_hat, times [n] for the b/c families."""
+        hat = self.contract_hat(ann, cre, n)
+        return hat if ann.startswith("a") else hat * self.table.qint(n)
 
     def contract_raw_raw(self, x: str, y: str, n: int) -> RingElem:
         """[x_n, y_{-n}] with both modes raw (scalar Heisenberg closure)."""
-        if x.startswith("a") and y.startswith("a"):
-            a = A_CARTAN[(x, y)]
-            if a == 0:
-                return self.table.zero()
-            return self.level_bracket(n) * self.table.qint(a * n) * Fraction(1, n)
-        if x == y:
-            return self.table.qint(n) * self.table.qint(n) * Fraction(BC_SIGN[x], n)
-        return self.table.zero()
+        return self.contract_raw_hat(x, y, n) * self.table.qint(n)
+
+
+def occ_add(occ: tuple, delta) -> tuple:
+    """The occupation occ plus delta, both ((family, m), mult) pairs, as a
+    sorted tuple; a mode whose multiplicity reaches 0 drops out."""
+    d = dict(occ)
+    for mode, mu in delta:
+        mult = d.get(mode, 0) + mu
+        if mult:
+            d[mode] = mult
+        else:
+            d.pop(mode, None)
+    return tuple(sorted(d.items()))
 
 
 class FockState(NamedTuple):
@@ -115,9 +110,7 @@ class FockState(NamedTuple):
         return sum(m * mult for (_, m), mult in self.occ)
 
     def with_creation(self, fam: str, m: int, times: int = 1) -> "FockState":
-        d = dict(self.occ)
-        d[(fam, m)] = d.get((fam, m), 0) + times
-        return FockState(self.momenta, tuple(sorted(d.items())))
+        return FockState(self.momenta, occ_add(self.occ, (((fam, m), times),)))
 
 
 VACUUM = FockState((0, 0, 0, 0))
@@ -175,7 +168,7 @@ def cocycle_sign(eps, momenta) -> int:
 
 def momentum_eigen(table: SymbolTable, sigma, sigma_a, state: FockState) -> RingElem:
     """q^(sum_d sigma_d d_0) acting on the state's zero modes; sigma per Q
-    slot is a LinForm in k, sigma_a per Cartan family is an integer."""
+    slot is a LinForm in k or an int, sigma_a per Cartan family an int."""
     form = LinForm(0)
     for t, slot in enumerate(Q_SLOTS):
         m = state.momenta[t]
@@ -187,25 +180,13 @@ def momentum_eigen(table: SymbolTable, sigma, sigma_a, state: FockState) -> Ring
     return table.qpow(form)
 
 
-K_EXPONENTS = {
-    1: {"a": (1, 0), "slots": (2, 1, -1, 0)},
-    2: {"a": (0, 1), "slots": (-1, -1, 0, 0)},
-}
+# K_i = q^(sum_d sigma_d d_0) as momentum_eigen's (sigma, sigma_a)
+K_EXPONENTS = {1: ((2, 1, -1, 0), (1, 0)), 2: ((-1, -1, 0, 0), (0, 1))}
 
 
 def k_eigenvalue(table: SymbolTable, i: int, state: FockState) -> RingElem:
     """Eigenvalue of K_i = q^(integer combination of zero modes)."""
-    data = K_EXPONENTS[i]
-    form = LinForm(0)
-    for t, slot in enumerate(Q_SLOTS):
-        c = data["slots"][t]
-        m = state.momenta[t]
-        if c and m:
-            form = form + LinForm(c * C0[slot] * m)
-    for idx, c in enumerate(data["a"]):
-        if c:
-            form = form + LinForm.sym(f"w{idx+1}", c)
-    return table.qpow(form)
+    return momentum_eigen(table, *K_EXPONENTS[i], state)
 
 
 def apply_oscillator(alg: OscillatorAlgebra, coeffs: dict, n: int, state: FockState) -> dict:
@@ -214,23 +195,18 @@ def apply_oscillator(alg: OscillatorAlgebra, coeffs: dict, n: int, state: FockSt
         raise ValueError("zero modes act diagonally; not handled here")
     out: dict = {}
     if n < 0:
-        for fam, _, scalar in alg.raised(coeffs, -n):
-            add_term(out, state.with_creation(fam, -n), scalar)
+        bracket = alg.table.qint(-n)
+        for fam, coeff in coeffs.items():
+            add_term(out, state.with_creation(fam, -n), coeff * bracket)
         return out
     for (fam2, m), mult in state.occ:
         if m != n:
             continue
         for fam, coeff in coeffs.items():
             val = alg.contract_raw_hat(fam, fam2, n)
-            if val.is_zero():
-                continue
-            lowered = dict(state.occ)
-            if mult == 1:
-                del lowered[(fam2, m)]
-            else:
-                lowered[(fam2, m)] = mult - 1
-            tgt = FockState(state.momenta, tuple(sorted(lowered.items())))
-            add_term(out, tgt, coeff * val * mult)
+            if not val.is_zero():
+                tgt = FockState(state.momenta, occ_add(state.occ, (((fam2, m), -1),)))
+                add_term(out, tgt, coeff * val * mult)
     return out
 
 
@@ -247,23 +223,16 @@ def enumerate_basis(E_cut: int, radius: int = 0, norm: str = "l1") -> list:
         momenta = [m for m in momenta if sum(abs(v) for v in m) <= radius]
 
     modes = [(fam, m) for m in range(1, E_cut + 1) for fam in FAMILIES]
-    seen = {()}
     stack = [((), 0)]
     all_occs = [()]
     while stack:
         occ, e = stack.pop()
         last = occ[-1][0] if occ else None
         for fam, m in modes:
-            if e + m > E_cut:
+            # modes join in nondecreasing order, so each multiset comes once
+            if e + m > E_cut or (last is not None and (fam, m) < last):
                 continue
-            if last is not None and (fam, m) < last:
-                continue
-            nd = dict(occ)
-            nd[(fam, m)] = nd.get((fam, m), 0) + 1
-            key = tuple(sorted(nd.items()))
-            if key in seen:
-                continue
-            seen.add(key)
+            key = occ_add(occ, (((fam, m), 1),))
             all_occs.append(key)
             stack.append((key, e + m))
 

@@ -1,8 +1,10 @@
 """The ten acceptance gates.
 
 Each test is one criterion; the heavy suites run once in session fixtures
-and are shared by the criteria that inspect them.  Budgets are wall-clock
-bounds from the build contract, asserted where the contract sets one.
+and are shared by the criteria that inspect them.  The four criteria that
+use the heavy affine_suite are marked slow, so `pytest -m "not slow"` skips
+that run.  Budgets are wall-clock bounds from the build contract, asserted
+where the contract sets one.
 """
 
 import time
@@ -117,6 +119,7 @@ def test_criterion_05_remarks(remarks_suite):
     print(f"[criterion 5] PASS: {n} remark equalities at (2,1) and (3,1)")
 
 
+@pytest.mark.slow
 def test_criterion_06_affine_relations(affine_suite):
     res, dt = affine_suite
     assert fails_of(res) == []
@@ -135,6 +138,7 @@ def test_criterion_06_affine_relations(affine_suite):
           f"k formal, in {dt:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_psi_consistency(affine_suite):
     res, _ = affine_suite
     psi = [r for r in res if r.id.startswith("psi.eq15.")]
@@ -145,6 +149,7 @@ def test_criterion_07_psi_consistency(affine_suite):
     print("[criterion 7] PASS: psi modes match their H/K expansions, |n| <= 4")
 
 
+@pytest.mark.slow
 def test_criterion_08_heisenberg_closure(affine_suite):
     res, _ = affine_suite
     eq8 = [r for r in res if r.id.startswith("drinfeld.eq8.")]
@@ -186,6 +191,7 @@ def test_criterion_09_negative_controls(tmp_path):
           "corruption fails with a witness and exit code 1")
 
 
+@pytest.mark.slow
 def test_criterion_10_numeric_oracle(chevalley_suite, intermediate_suite,
                                      remarks_suite, affine_suite):
     everything = []

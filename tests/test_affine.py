@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqsl import LinForm, affine, affine_symbols, bulk
 from uqsl.affine import (
@@ -356,6 +358,59 @@ class TestPackedEngine:
         assert out and out == ctx.engine.extract_sum(jobs, VACUUM)
 
 
+_EQ11_PAIRS = [(pref, i, j) for pref in "EF" for i, j in ((1, 1), (1, 2), (2, 2))]
+
+
+class TestPackedGuards:
+    """BulkEngine._enc at its field edges, and the kernel against the exact
+    path on weights that straddle them: an answer equal to extract_sum or
+    BulkError, never a third behaviour."""
+
+    def test_exponent_edges(self, ctx):
+        T = ctx.table
+        for extra in ({}, {"e11": 1, "G": 3}):
+            for e in (4095, -4096):
+                enc = ctx.bulk._enc(T.monomial({"q": e, **extra}), 0)
+                assert enc.vals.tolist() == [1]
+            for e in (4096, -4097):
+                with pytest.raises(BulkError, match="^exponent outside packed range$"):
+                    ctx.bulk._enc(T.monomial({"q": e, **extra}), 0)
+
+    def test_numerator_edges(self, ctx):
+        T = ctx.table
+        for sign in (1, -1):
+            enc = ctx.bulk._enc(T.rational(sign * (2**62 - 1)), 0)
+            assert enc.vals.tolist() == [sign * (2**62 - 1)]
+            with pytest.raises(BulkError, match="^numerator outside packed range$"):
+                ctx.bulk._enc(T.rational(sign * 2**62), 0)
+        # the numerator counts over the scalar's common denominator
+        mixed = T.rational(Fraction(2**61, 3)) + T.monomial({"q": 2}, Fraction(1, 2))
+        with pytest.raises(BulkError, match="^numerator outside packed range$"):
+            ctx.bulk._enc(mixed, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(_EQ11_PAIRS), st.integers(-1, 1), st.integers(-1, 1),
+           st.integers(0, 22).flatmap(lambda k: st.integers(2**(62 - k), 2**(63 - k))),
+           st.integers(-4200, 4200),
+           st.sampled_from(enumerate_basis(1)), st.booleans())
+    def test_eq11_weights(self, ctx, pair, n, m, coeff, e, state, whole):
+        # drawn by bit length (41 to 64), so the long coefficients that
+        # can wrap int64 sums come up; a weight other than q^(+-a_ij)
+        # leaves a nonzero residual on many states, where a wrap would show
+        pref, i, j = pair
+        xi = ctx.table.monomial({"q": e}, coeff)
+        pieces = ctx._pair_pieces(f"{pref}{i}", n + 1, f"{pref}{j}", m, xi)
+        if whole:
+            pieces += ctx._pair_pieces(f"{pref}{j}", m + 1, f"{pref}{i}", n, xi)
+        jobs = ctx._jobs(pieces)
+        slow = ctx.engine.extract_sum(jobs, state)
+        try:
+            fast = ctx.bulk.combo_residual(jobs, state)
+        except BulkError:
+            return
+        assert fast == slow
+
+
 class TestResidues:
     def reference(self, engine, jobs, state, memo):
         """The per-branch residue formula, term by term."""
@@ -407,6 +462,31 @@ class TestResidues:
                     assert ctx.engine._branches[state][g[0].uid][0][g[2]][0] is g[3]
                 walked += len(got)
         assert walked
+
+    def test_flow_degrees_nonnegative(self, monkeypatch):
+        # flows_map keeps every degree _flows yields: its loop bounds must
+        # keep each variable's creation degree >= 0 for one, two and three
+        # variables
+        ctx = AffineContext()
+        basis = enumerate_basis(1)
+        residues = {}
+        real = ctx.engine.residues
+
+        def record(jobs, state):
+            for item in real(jobs, state):
+                residues[item[0].uid, item[1]] = item[0]
+                yield item
+
+        monkeypatch.setattr(ctx.engine, "residues", record)
+        for check in (check_eq10, check_eq11, check_eq12, check_eq13):
+            check(ctx, basis, 1)
+        assert {len(res) for _, res in residues} == {1, 2, 3}
+        flows = 0
+        for (_, res), fused in residues.items():
+            for dvec, _ in ctx.engine._flows(fused, res):
+                assert min(dvec) >= 0, (res, dvec)
+                flows += 1
+        assert flows
 
 
 class TestNegativeControls:
