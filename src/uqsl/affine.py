@@ -21,6 +21,7 @@ content.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -35,6 +36,8 @@ from .currents import (
     make_currents,
 )
 from .oscillators import (
+    NODES,
+    ROOT,
     VACUUM,
     FockState,
     OscillatorAlgebra,
@@ -54,7 +57,11 @@ from .report import numeric_check  # noqa: F401
 from .ring import LinForm, RingElem, affine_symbols
 from .structure import graded_bracket_sign
 
-A_CARTAN = {(1, 1): 2, (1, 2): -1, (2, 1): -1, (2, 2): 0}
+# eq11 runs every node pair i <= j, eq12 the pairs with a_ij = 0, eq13 the
+# cubic Serre pairs
+EQ11_PAIRS = tuple((i, j) for i in NODES for j in NODES if i <= j)
+EQ12_PAIRS = tuple((i, j) for i, j in EQ11_PAIRS if ROOT.cartan(i, j) == 0)
+EQ13_PAIRS = ROOT.serre_pairs()
 
 
 class AffineContext:
@@ -203,7 +210,7 @@ class AffineContext:
 
     def eq8_rhs_scalar(self, i: int, j: int, n: int) -> RingElem:
         """(1/n)[a_ij n](gamma^n - gamma^-n)/(q - q^-1)."""
-        a = A_CARTAN[(i, j)]
+        a = ROOT.cartan(i, j)
         if a == 0:
             return self.table.zero()
         return (
@@ -247,36 +254,32 @@ def check_eq6(ctx: AffineContext, window: int) -> list:
 def check_eq7(ctx: AffineContext, basis: list, window: int) -> list:
     """K_i X^{+-,j}_n K_i^-1 = q^{+-a_ij} X^{+-,j}_n and [K_i, H^j_n] = 0."""
     T = ctx.table
+    modes = range(-window, window + 1)
+
+    def conj_cases(i, act, scale, ns):
+        # K_i X_n |state> against scale X_n K_i |state>, X_n = act(n, .)
+        for state in basis:
+            kin = k_eigenvalue(T, i, state) * scale
+            for n in ns:
+                vec = act(n, {state: T.one()})
+                lhs = {s: c * k_eigenvalue(T, i, s) for s, c in vec.items()}
+                yield f"{format_state(state)} n={n}", lhs, {s: c * kin for s, c in vec.items()}
+
     out = []
-    for i in (1, 2):
-        for j in (1, 2):
-            a = A_CARTAN[(i, j)]
+    for i in NODES:
+        for j in NODES:
+            a = ROOT.cartan(i, j)
             for sign, name in (("plus", f"E{j}"), ("minus", f"F{j}")):
                 scale = T.qpow(LinForm(a if sign == "plus" else -a))
-                cases = []
-                for state in basis:
-                    kin = k_eigenvalue(T, i, state) * scale
-                    for n in range(-window, window + 1):
-                        vec = ctx.mode_vec(name, n, {state: T.one()})
-                        lhs = {s: c * k_eigenvalue(T, i, s) for s, c in vec.items()}
-                        rhs = {s: c * kin for s, c in vec.items()}
-                        cases.append((f"{format_state(state)} n={n}", lhs, rhs))
+                act = functools.partial(ctx.mode_vec, name)
                 rel_id = f"drinfeld.eq7.i={i}.j={j}.gen=E.sign={sign}"
                 params = {"i": i, "j": j, "gen": "E", "sign": sign, "window": window}
-                out.append(_run_cases(ctx, rel_id, params, cases))
-            cases = []
-            for state in basis:
-                kin = k_eigenvalue(T, i, state)
-                for n in range(-window, window + 1):
-                    if n == 0:
-                        continue
-                    vec = ctx.h_vec(j, n, {state: T.one()})
-                    lhs = {s: c * k_eigenvalue(T, i, s) for s, c in vec.items()}
-                    rhs = {s: c * kin for s, c in vec.items()}
-                    cases.append((f"{format_state(state)} n={n}", lhs, rhs))
+                out.append(_run_cases(ctx, rel_id, params, conj_cases(i, act, scale, modes)))
+            act = functools.partial(ctx.h_vec, j)
             rel_id = f"drinfeld.eq7.i={i}.j={j}.gen=H"
             params = {"i": i, "j": j, "gen": "H", "window": window}
-            out.append(_run_cases(ctx, rel_id, params, cases))
+            out.append(_run_cases(ctx, rel_id, params,
+                                  conj_cases(i, act, T.one(), [n for n in modes if n])))
     return out
 
 
@@ -284,42 +287,30 @@ def check_eq8(ctx: AffineContext, basis: list, window: int, scalar_max: int = 6)
     """[H^i_n, H^j_m] = delta_{n+m,0} (1/n)[a_ij n](gamma^n - gamma^-n)/(q-q^-1),
     as maps inside the window and as central scalars out to |n| = scalar_max."""
     T = ctx.table
+    inside = [x for x in range(-window, window + 1) if x]
+    beyond = [x for s in range(window + 1, scalar_max + 1) for x in (s, -s)]
     out = []
-    for i in (1, 2):
-        for j in (1, 2):
-            seen = set()
-            for n in [x for x in range(-window, window + 1) if x]:
-                for m in [x for x in range(-window, window + 1) if x]:
-                    seen.add((n, m))
-                    rhs_scalar = ctx.eq8_rhs_scalar(i, j, n) if m == -n else None
+    for i in NODES:
+        for j in NODES:
+            for n in inside + beyond:
+                for m in inside if n in inside else (-n,):
                     cases = []
                     if m == -n:
-                        cases.append((
-                            "central-term",
-                            {VACUUM: ctx.h_scalar(i, j, n)},
-                            {VACUUM: rhs_scalar},
-                        ))
-                    for state in basis:
-                        one = {state: T.one()}
-                        lhs = vec_sub(
-                            ctx.h_vec(i, n, ctx.h_vec(j, m, one)),
-                            ctx.h_vec(j, m, ctx.h_vec(i, n, one)),
-                        )
-                        rhs = {} if m != -n else {state: rhs_scalar}
-                        cases.append((format_state(state), lhs, rhs))
-                    rel_id = f"drinfeld.eq8.i={i}.j={j}.n={n}.m={m}"
+                        rhs_scalar = ctx.eq8_rhs_scalar(i, j, n)
+                        cases.append(("central-term", {VACUUM: ctx.h_scalar(i, j, n)},
+                                      {VACUUM: rhs_scalar}))
                     params = {"i": i, "j": j, "n": n, "m": m}
+                    if n in beyond:
+                        params["scalar-only"] = True
+                    else:
+                        for state in basis:
+                            one = {state: T.one()}
+                            lhs = vec_sub(ctx.h_vec(i, n, ctx.h_vec(j, m, one)),
+                                          ctx.h_vec(j, m, ctx.h_vec(i, n, one)))
+                            rhs = {} if m != -n else {state: rhs_scalar}
+                            cases.append((format_state(state), lhs, rhs))
+                    rel_id = f"drinfeld.eq8.i={i}.j={j}.n={n}.m={m}"
                     out.append(_run_cases(ctx, rel_id, params, cases))
-            for n in [x for s in range(window + 1, scalar_max + 1) for x in (s, -s)]:
-                m = -n
-                cases = [(
-                    "central-term",
-                    {VACUUM: ctx.h_scalar(i, j, n)},
-                    {VACUUM: ctx.eq8_rhs_scalar(i, j, n)},
-                )]
-                rel_id = f"drinfeld.eq8.i={i}.j={j}.n={n}.m={m}"
-                params = {"i": i, "j": j, "n": n, "m": m, "scalar-only": True}
-                out.append(_run_cases(ctx, rel_id, params, cases))
     return out
 
 
@@ -327,9 +318,9 @@ def check_eq9(ctx: AffineContext, basis: list, window: int) -> list:
     """[H^i_n, X^{+-,j}_m] = +-(1/n)[a_ij n] gamma^{-+|n|/2} X^{+-,j}_{n+m}."""
     T = ctx.table
     out = []
-    for i in (1, 2):
-        for j in (1, 2):
-            a = A_CARTAN[(i, j)]
+    for i in NODES:
+        for j in NODES:
+            a = ROOT.cartan(i, j)
             for sign, name in (("plus", f"E{j}"), ("minus", f"F{j}")):
                 s = 1 if sign == "plus" else -1
                 for n in [x for x in range(-window, window + 1) if x]:
@@ -360,8 +351,8 @@ def check_eq10(ctx: AffineContext, basis: list, window: int) -> list:
     T = ctx.table
     inv = T.qdiff_inv()
     out = []
-    for i in (1, 2):
-        for j in (1, 2):
+    for i in NODES:
+        for j in NODES:
             for n in range(-window, window + 1):
                 for m in range(-window, window + 1):
                     cases = []
@@ -389,11 +380,11 @@ def check_eq10(ctx: AffineContext, basis: list, window: int) -> list:
 
 def check_eq11(ctx: AffineContext, basis: list, window: int) -> list:
     """[X_{n+1}^i, X_m^j]_{q^{+-a_ij}} + [X_{m+1}^j, X_n^i]_{q^{+-a_ij}} = 0
-    for the Cartan pairs with a_ij != 0 handled by the quadratic exchange."""
+    for every node pair i <= j (a_22 = 0 included)."""
     T = ctx.table
     out = []
-    for (i, j) in ((1, 1), (1, 2), (2, 2)):
-        a = A_CARTAN[(i, j)]
+    for (i, j) in EQ11_PAIRS:
+        a = ROOT.cartan(i, j)
         for sign, pref in (("plus", "E"), ("minus", "F")):
             s = 1 if sign == "plus" else -1
             xi = T.qpow(LinForm(s * a))
@@ -401,10 +392,7 @@ def check_eq11(ctx: AffineContext, basis: list, window: int) -> list:
                 for m in range(-window, window + 1):
                     pieces = ctx._pair_pieces(f"{pref}{i}", n + 1, f"{pref}{j}", m, xi)
                     pieces += ctx._pair_pieces(f"{pref}{j}", m + 1, f"{pref}{i}", n, xi)
-                    cases = []
-                    for state in basis:
-                        lhs = ctx.combo_zero(pieces, state)
-                        cases.append((format_state(state), lhs, {}))
+                    cases = ((format_state(s), ctx.combo_zero(pieces, s), {}) for s in basis)
                     rel_id = f"drinfeld.eq11.i={i}.j={j}.sign={sign}.n={n}.m={m}"
                     params = {"i": i, "j": j, "sign": sign, "n": n, "m": m}
                     out.append(_run_cases(ctx, rel_id, params, cases))
@@ -412,63 +400,61 @@ def check_eq11(ctx: AffineContext, basis: list, window: int) -> list:
 
 
 def check_eq12(ctx: AffineContext, basis: list, window: int) -> list:
-    """[X^i_n, X^j_m} = 0 for the pair with a_ij = 0 (both generators odd,
-    so the bracket is the anticommutator)."""
+    """[X^i_n, X^j_m} = 0 for the pairs with a_ij = 0 (for (2|1) the odd
+    node with itself, so the bracket is the anticommutator)."""
     out = []
-    for sign, pref in (("plus", "E"), ("minus", "F")):
-        for n in range(-window, window + 1):
-            for m in range(n, window + 1):
-                pieces = ctx._pair_pieces(f"{pref}2", n, f"{pref}2", m)
-                cases = []
-                for state in basis:
-                    lhs = ctx.combo_vec(pieces, state)
-                    cases.append((format_state(state), lhs, {}))
-                rel_id = f"drinfeld.eq12.i=2.j=2.sign={sign}.n={n}.m={m}"
-                params = {"i": 2, "j": 2, "sign": sign, "n": n, "m": m}
-                out.append(_run_cases(ctx, rel_id, params, cases))
-    return out
-
-
-def check_eq13(ctx: AffineContext, basis: list, window: int) -> list:
-    """[X^1_{n1}, [X^1_{n2}, X^2_m]_{q^-1}]_q + (n1 <-> n2) = 0, the cubic
-    Serre relation for the adjacent even/odd node pair."""
-    T = ctx.table
-    mq = -T.qpow(LinForm(1))
-    mqinv = -T.qpow(LinForm(-1))
-    out = []
-    for sign, pref in (("plus", "E"), ("minus", "F")):
-        names_aab = (f"{pref}1", f"{pref}1", f"{pref}2")
-        names_aba = (f"{pref}1", f"{pref}2", f"{pref}1")
-        names_baa = (f"{pref}2", f"{pref}1", f"{pref}1")
-        for n1 in range(-window, window + 1):
-            for n2 in range(n1, window + 1):
-                for m in range(-window, window + 1):
-                    pieces = []
-                    for (na, nb) in ((n1, n2), (n2, n1)):
-                        pieces += [
-                            (names_aab, (na, nb, m), None),
-                            (names_aba, (na, m, nb), mqinv),
-                            (names_aba, (nb, m, na), mq),
-                            (names_baa, (m, nb, na), None),
-                        ]
-                    cases = []
-                    for state in basis:
-                        lhs = ctx.combo_zero(pieces, state)
-                        cases.append((format_state(state), lhs, {}))
-                    rel_id = (
-                        f"drinfeld.eq13.i=1.j=2.sign={sign}.n1={n1}.n2={n2}.m={m}"
-                    )
-                    params = {"i": 1, "j": 2, "sign": sign, "n1": n1, "n2": n2, "m": m}
+    for (i, j) in EQ12_PAIRS:
+        for sign, pref in (("plus", "E"), ("minus", "F")):
+            for n in range(-window, window + 1):
+                for m in range(n if i == j else -window, window + 1):
+                    pieces = ctx._pair_pieces(f"{pref}{i}", n, f"{pref}{j}", m)
+                    cases = ((format_state(s), ctx.combo_vec(pieces, s), {}) for s in basis)
+                    rel_id = f"drinfeld.eq12.i={i}.j={j}.sign={sign}.n={n}.m={m}"
+                    params = {"i": i, "j": j, "sign": sign, "n": n, "m": m}
                     out.append(_run_cases(ctx, rel_id, params, cases))
     return out
 
 
+def check_eq13(ctx: AffineContext, basis: list, window: int) -> list:
+    """[X^i_{n1}, [X^i_{n2}, X^j_m]_{q^-1}]_q + (n1 <-> n2) = 0, the cubic
+    Serre relation for each pair of EQ13_PAIRS (X^i even, j adjacent)."""
+    T = ctx.table
+    mq = -T.qpow(LinForm(1))
+    mqinv = -T.qpow(LinForm(-1))
+    out = []
+    for (i, j) in EQ13_PAIRS:
+        for sign, pref in (("plus", "E"), ("minus", "F")):
+            x, y = f"{pref}{i}", f"{pref}{j}"
+            names_aab, names_aba, names_baa = (x, x, y), (x, y, x), (y, x, x)
+            for n1 in range(-window, window + 1):
+                for n2 in range(n1, window + 1):
+                    for m in range(-window, window + 1):
+                        pieces = []
+                        for (na, nb) in ((n1, n2), (n2, n1)):
+                            pieces += [
+                                (names_aab, (na, nb, m), None),
+                                (names_aba, (na, m, nb), mqinv),
+                                (names_aba, (nb, m, na), mq),
+                                (names_baa, (m, nb, na), None),
+                            ]
+                        cases = ((format_state(s), ctx.combo_zero(pieces, s), {})
+                                 for s in basis)
+                        rel_id = (f"drinfeld.eq13.i={i}.j={j}.sign={sign}"
+                                  f".n1={n1}.n2={n2}.m={m}")
+                        params = {"i": i, "j": j, "sign": sign,
+                                  "n1": n1, "n2": n2, "m": m}
+                        out.append(_run_cases(ctx, rel_id, params, cases))
+    return out
+
+
 def check_eq14(ctx: AffineContext) -> list:
-    """The quartic Serre relation needs the odd node to have two even
-    neighbours; rank 2 has none, so the relation set is empty here."""
+    """The quartic Serre relation needs the odd node M to have two
+    neighbours M - 1 and M + 1; rank 2 has no node 3, so the relation set is
+    empty here."""
+    M = ROOT.M
     return [RelationResult(
-        "drinfeld.eq14", "not-applicable", 0, {"M": 2, "N": 1},
-        witness={"reason": "needs nodes 1 and 3 inside 1..2"},
+        "drinfeld.eq14", "not-applicable", 0, {"M": M, "N": ROOT.N},
+        witness={"reason": f"needs nodes {M - 1} and {M + 1} inside 1..{ROOT.rank}"},
     )]
 
 
@@ -494,7 +480,7 @@ def check_eq15(ctx: AffineContext, basis: list, nmax: int) -> list:
     generating function K^{+-1} exp(+-(q-q^-1) sum_{+-n>0} H^i_n z^-n)."""
     T = ctx.table
     out = []
-    for i in (1, 2):
+    for i in NODES:
         for sign, sgn in (("plus", 1), ("minus", -1)):
             for n in range(-nmax, nmax + 1):
                 cases = []
@@ -554,8 +540,8 @@ def run_affine(E_cut: int = 2, window: int = 2, k=None, radius: int = 0,
 def affine_config(E_cut: int, window: int, k, radius: int, norm: str,
                   psi_nmax: int, override_spec=None) -> dict:
     return {
-        "M": 2,
-        "N": 1,
+        "M": ROOT.M,
+        "N": ROOT.N,
         "k": _kstr(k),
         "energy_cut": E_cut,
         "mode_window": window,

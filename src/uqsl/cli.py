@@ -50,11 +50,13 @@ def parse_scalar(table, text: str):
         base = base.strip()
         exp = int(pow_s.strip()) if pow_s else 1
         try:
-            coeff = Fraction(base)
+            coeff = Fraction(base) ** exp
         except ValueError:
             coeff = None
+        except ZeroDivisionError:
+            raise ValueError(f"division by zero in {text!r}") from None
         if coeff is not None:
-            out = out * table.rational(coeff ** exp)
+            out = out * table.rational(coeff)
         elif base == "q":
             out = out * table.qpow(LinForm(exp))
         elif base in table.symbols:

@@ -26,9 +26,10 @@ Per-mode coefficients of the field exponentials (on normalized modes):
 
 Cartan-family full fields never occur (no e^{Q_a} in any current), which is
 what keeps the a-family annihilators raw and every coefficient in the ring.
-Occupation updates, contractions and zero-mode eigenvalues come from
-oscillators.py; VTerm.ann_value is the one place a term's annihilators meet
-a creation letter, for both the state branches and the contraction series.
+Occupation updates, contractions, zero-mode q- and z-powers and crossing
+signs come from oscillators.py, for fuse as for states; VTerm.ann_value is
+the one place a term's annihilators meet a creation letter, for both the
+state branches and the contraction series.
 """
 
 from __future__ import annotations
@@ -40,20 +41,21 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .oscillators import (
-    C0,
+    A_FAMS,
     FAMILIES,
-    ODD_SLOT,
     Q_SLOTS,
+    ROOT,
+    NODES,
     FockState,
     OscillatorAlgebra,
     add_term,
     cocycle_sign,
     momentum_eigen,
     occ_add,
+    z_power,
 )
 from .ring import LinForm, RingElem, SymbolTable
 
-A_FAMS = ("a1", "a2")
 _NQ = len(Q_SLOTS)
 _Q_INDEX = {s: i for i, s in enumerate(Q_SLOTS)}
 _ZERO_FORM = LinForm(0)
@@ -80,7 +82,7 @@ class VTerm:
         eps = [0] * _NQ
         sigma = [_ZERO_FORM] * _NQ
         tau = [0] * _NQ
-        sigma_a = [0, 0]
+        sigma_a = [0] * len(A_FAMS)
         for fam, kind, shift, eta in self.occs:
             if kind not in ("full", "plus", "minus"):
                 raise ValueError(f"unknown field kind {kind!r}")
@@ -222,29 +224,15 @@ class VertexEngine:
         return f
 
     def fuse(self, fused: FusedTerm, vt: VTerm) -> FusedTerm:
-        """Normal-order fused * vt, vt owning the new rightmost variable."""
-        T = self.table
-        corr = _ZERO_FORM
-        for t in range(_NQ):
-            if vt.eps[t]:
-                corr = corr + fused.sigma[t] * (vt.eps[t] * C0[Q_SLOTS[t]])
-        const = fused.const * vt.const
-        if corr.const or corr.coeffs:
-            const = const * T.qpow(corr)
-        sign = 1
-        for s in range(_NQ):
-            if ODD_SLOT[s] and vt.eps[s]:
-                crossings = sum(
-                    abs(fused.eps[t]) for t in range(s + 1, _NQ) if ODD_SLOT[t]
-                )
-                if (abs(vt.eps[s]) * crossings) % 2:
-                    sign = -sign
-        if sign < 0:
+        """Normal-order fused * vt, vt owning the new rightmost variable.
+        fused's zero-mode operators act on vt's word e^{eps Q} as on a state
+        with momenta vt.eps: momentum_eigen gives the q-power, z_power each
+        variable's z-shift and cocycle_sign the merge sign."""
+        const = fused.const * vt.const * momentum_eigen(self.table, fused.sigma, (), vt.eps)
+        if cocycle_sign(fused.eps, vt.eps) < 0:
             const = -const
         p0s = tuple(
-            fused.p0s[v]
-            + sum(fused.taus[v][t] * vt.eps[t] * C0[Q_SLOTS[t]] for t in range(_NQ))
-            for v in range(len(fused.vterms))
+            p0 + z_power(tau, vt.eps) for p0, tau in zip(fused.p0s, fused.taus)
         ) + (vt.p0,)
         eps = tuple(a + b for a, b in zip(fused.eps, vt.eps))
         sigma = tuple(a + b for a, b in zip(fused.sigma, vt.sigma))
@@ -334,14 +322,12 @@ class VertexEngine:
         (scalar, annihilated energy per variable, its sum, occ_after)."""
         T = self.table
         r = len(fused.vterms)
-        common = fused.const * momentum_eigen(T, fused.sigma, fused.sigma_a, state)
-        if cocycle_sign(fused.eps, state.momenta) < 0:
+        p = state.momenta
+        common = fused.const * momentum_eigen(T, fused.sigma, fused.sigma_a, p)
+        if cocycle_sign(fused.eps, p) < 0:
             common = -common
-        taueig = tuple(
-            sum(fused.taus[v][t] * C0[Q_SLOTS[t]] * state.momenta[t] for t in range(_NQ))
-            for v in range(r)
-        )
-        momenta = tuple(m + e for m, e in zip(state.momenta, fused.eps))
+        taueig = tuple(z_power(tau, p) for tau in fused.taus)
+        momenta = tuple(m + e for m, e in zip(p, fused.eps))
 
         letter_opts = []
         for (fam, m), mult in state.occ:
@@ -505,8 +491,9 @@ def _lf(c=0, k=0) -> LinForm:
     return LinForm(c, {"k": k} if k else None)
 
 
-CURRENT_PARITY = {"E1": 0, "E2": 1, "F1": 0, "F2": 1,
-                  "psi1+": 0, "psi1-": 0, "psi2+": 0, "psi2-": 0}
+# E^i and F^i carry the parity of node i; the psi currents are even
+CURRENT_PARITY = {name: ROOT.gen_parity(i) if name[0] in "EF" else 0 for i in NODES
+                  for name in (f"E{i}", f"F{i}", f"psi{i}+", f"psi{i}-")}
 
 
 def default_e_values(table: SymbolTable) -> dict:

@@ -14,13 +14,16 @@ by a formal q-integer.
 
 Each rule of the Fock-space arithmetic is defined once, here: occ_add is the
 only code that changes an occupation, OscillatorAlgebra.contract_hat the only
-contraction table (the raw variants multiply it by [n]), and momentum_eigen
-the only zero-mode eigenvalue (K_i included).  A vertex term's annihilation
-value on one creation letter is currents.VTerm.ann_value.
+contraction table (the raw variants multiply it by [n]), momentum_eigen the
+only zero-mode q-power (K_i included), z_power the only zero-mode z-power and
+cocycle_sign the only crossing sign.  A vertex term's annihilation value on
+one creation letter is currents.VTerm.ann_value.
 
-The two odd zero-mode letters (Q_b^13, Q_b^23 for this shape) anticommute
-between distinct pairs; states and operator words are stored with letters in
-lexicographic slot order and the crossing signs are computed explicitly.
+ROOT is the one place that names the shape (2|1); every shape table below is
+derived from its root data.  The odd zero-mode letters (Q_b^13, Q_b^23 for
+this shape) anticommute between distinct pairs; states and operator words are
+stored with letters in lexicographic slot order and the crossing signs are
+computed explicitly.
 """
 
 from __future__ import annotations
@@ -29,16 +32,22 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .ring import LinForm, RingElem, SymbolTable
+from .structure import build_root_data
 
-FAMILIES = ("a1", "a2", "b12", "b13", "b23", "c12")
+ROOT = build_root_data(2, 1)
+NODES = range(1, ROOT.rank + 1)
+# one Cartan family a^i per node; a b/c slot d_ij is named by its index pair
+A_FAMS = tuple(f"a{i}" for i in NODES)
 Q_SLOTS = ("b12", "b13", "b23", "c12")
-ODD_SLOT = (False, True, True, False)
-# [d_0, Q_d]: -nu_i nu_j for b, +1 for c
-C0 = {"b12": -1, "b13": 1, "b23": 1, "c12": 1}
-# sign of [d_n, d_{-n}] relative to (1/n)[n]^2 for the b/c families
-BC_SIGN = {"b12": -1, "b13": 1, "b23": 1, "c12": 1}
-A_CARTAN = {("a1", "a1"): 2, ("a1", "a2"): -1, ("a2", "a1"): -1, ("a2", "a2"): 0}
-G_SHIFT = 1  # M - N for (2|1)
+FAMILIES = A_FAMS + Q_SLOTS
+ODD_SLOT = tuple(bool(ROOT.var_parity(int(s[1]), int(s[2]))) for s in Q_SLOTS)
+# [d_0, Q_d]: -nu_i nu_j for b, +1 for c; also the sign of [d_n, d_{-n}]
+# relative to (1/n)[n]^2
+C0 = {s: -ROOT.nu(int(s[1])) * ROOT.nu(int(s[2])) if s[0] == "b" else 1
+      for s in Q_SLOTS}
+# [a^i_n, a^j_{-n}] carries [a_ij n]
+_A_PAIRING = {(f"a{i}", f"a{j}"): ROOT.cartan(i, j) for i in NODES for j in NODES}
+G_SHIFT = ROOT.dual_coxeter_shift
 
 
 class OscillatorAlgebra:
@@ -65,12 +74,12 @@ class OscillatorAlgebra:
     def contract_hat(self, ann: str, cre: str, n: int) -> RingElem:
         """[ann_n, cre-hat_{-n}] with b/c annihilators normalized, a raw."""
         if ann.startswith("a") and cre.startswith("a"):
-            a = A_CARTAN[(ann, cre)]
+            a = _A_PAIRING[(ann, cre)]
             if a == 0:
                 return self.table.zero()
             return self.level_bracket(n) * self.qint_ratio(a, n) * Fraction(1, n)
         if ann == cre:
-            return self.table.rational(Fraction(BC_SIGN[ann], n))
+            return self.table.rational(Fraction(C0[ann], n))
         return self.table.zero()
 
     def contract_raw_hat(self, ann: str, cre: str, n: int) -> RingElem:
@@ -166,12 +175,12 @@ def cocycle_sign(eps, momenta) -> int:
     return sign
 
 
-def momentum_eigen(table: SymbolTable, sigma, sigma_a, state: FockState) -> RingElem:
-    """q^(sum_d sigma_d d_0) acting on the state's zero modes; sigma per Q
-    slot is a LinForm in k or an int, sigma_a per Cartan family an int."""
+def momentum_eigen(table: SymbolTable, sigma, sigma_a, momenta) -> RingElem:
+    """q^(sum_d sigma_d d_0) on zero-mode momenta; sigma per Q slot is a
+    LinForm in k or an int, sigma_a per Cartan family an int."""
     form = LinForm(0)
     for t, slot in enumerate(Q_SLOTS):
-        m = state.momenta[t]
+        m = momenta[t]
         if m:
             form = form + sigma[t] * (C0[slot] * m)
     for i, s in enumerate(sigma_a):
@@ -180,13 +189,18 @@ def momentum_eigen(table: SymbolTable, sigma, sigma_a, state: FockState) -> Ring
     return table.qpow(form)
 
 
+def z_power(tau, momenta) -> int:
+    """The exponent of z^(sum_d tau_d d_0) on zero-mode momenta."""
+    return sum(t * C0[slot] * m for t, slot, m in zip(tau, Q_SLOTS, momenta))
+
+
 # K_i = q^(sum_d sigma_d d_0) as momentum_eigen's (sigma, sigma_a)
 K_EXPONENTS = {1: ((2, 1, -1, 0), (1, 0)), 2: ((-1, -1, 0, 0), (0, 1))}
 
 
 def k_eigenvalue(table: SymbolTable, i: int, state: FockState) -> RingElem:
     """Eigenvalue of K_i = q^(integer combination of zero modes)."""
-    return momentum_eigen(table, *K_EXPONENTS[i], state)
+    return momentum_eigen(table, *K_EXPONENTS[i], state.momenta)
 
 
 def apply_oscillator(alg: OscillatorAlgebra, coeffs: dict, n: int, state: FockState) -> dict:

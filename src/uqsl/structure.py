@@ -65,6 +65,15 @@ class RootData:
             raise ValueError(f"bad coordinate pair ({i},{j})")
         return 1 if (i <= self.M) != (j <= self.M) else 0
 
+    def serre_pairs(self) -> tuple:
+        """Node pairs (i, j) of the cubic Serre relation: i != j adjacent
+        (|a_ij| = 1) with X_i even (i != M)."""
+        nodes = range(1, self.rank + 1)
+        return tuple(
+            (i, j) for i in nodes for j in nodes
+            if i != j and abs(self.cartan(i, j)) == 1 and i != self.M
+        )
+
     @property
     def dual_coxeter_shift(self) -> int:
         """The integer g entering level-shifted mode brackets."""

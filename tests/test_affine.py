@@ -191,29 +191,31 @@ class TestMomentumSector:
         assert [r.status for r in res] == ["pass"] * 36
 
 
+def serre_pieces(ctx, pref, n1, n2, m, scale=1):
+    """check_eq13's pieces, the q^{+-1} ones multiplied by scale."""
+    T = ctx.table
+    mq = -T.qpow(LinForm(1)) * scale
+    mqinv = -T.qpow(LinForm(-1)) * scale
+    aab = (f"{pref}1", f"{pref}1", f"{pref}2")
+    aba = (f"{pref}1", f"{pref}2", f"{pref}1")
+    baa = (f"{pref}2", f"{pref}1", f"{pref}1")
+    pieces = []
+    for (na, nb) in ((n1, n2), (n2, n1)):
+        pieces += [
+            (aab, (na, nb, m), None),
+            (aba, (na, m, nb), mqinv),
+            (aba, (nb, m, na), mq),
+            (baa, (m, nb, na), None),
+        ]
+    return pieces
+
+
 class TestPackedEngine:
     """The int64-row fast path must reproduce the exact path's values, which
     then render identically, or decline; never a third behaviour."""
 
-    def serre_pieces(self, ctx, pref, n1, n2, m):
-        T = ctx.table
-        mq = -T.qpow(LinForm(1))
-        mqinv = -T.qpow(LinForm(-1))
-        aab = (f"{pref}1", f"{pref}1", f"{pref}2")
-        aba = (f"{pref}1", f"{pref}2", f"{pref}1")
-        baa = (f"{pref}2", f"{pref}1", f"{pref}1")
-        pieces = []
-        for (na, nb) in ((n1, n2), (n2, n1)):
-            pieces += [
-                (aab, (na, nb, m), None),
-                (aba, (na, m, nb), mqinv),
-                (aba, (nb, m, na), mq),
-                (baa, (m, nb, na), None),
-            ]
-        return pieces
-
     def test_serre_residual_matches(self, ctx):
-        pieces = self.serre_pieces(ctx, "F", -1, 0, 1)
+        pieces = serre_pieces(ctx, "F", -1, 0, 1)
         jobs = ctx._jobs(pieces)
         for state in enumerate_basis(2)[::7]:
             fast = ctx.bulk.combo_residual(jobs, state)
@@ -229,7 +231,7 @@ class TestPackedEngine:
     def test_sabotage_residual_matches(self, sab_k2):
         # a corrupted constant must leak identically through both paths
         sab = AffineContext(f_overrides={"f13": affine_symbols().one()})
-        pieces = self.serre_pieces(sab, "F", -1, -1, 0)
+        pieces = serre_pieces(sab, "F", -1, -1, 0)
         jobs = sab._jobs(pieces)
         fast = sab.bulk.combo_residual(jobs, VACUUM)
         slow = sab.engine.extract_sum(jobs, VACUUM)
@@ -237,7 +239,7 @@ class TestPackedEngine:
         assert fast and all(not c.is_zero() for c in fast.values())
         # at a numeric level the leak spreads over many groups and states,
         # so stage B decodes them all
-        jobs = sab_k2._jobs(self.serre_pieces(sab_k2, "F", -1, -1, 0))
+        jobs = sab_k2._jobs(serre_pieces(sab_k2, "F", -1, -1, 0))
         for state in enumerate_basis(1):
             fast = self.answered(sab_k2, jobs, state)
             assert fast and fast == sab_k2.engine.extract_sum(jobs, state)
@@ -323,7 +325,7 @@ class TestPackedEngine:
 
         monkeypatch.setattr(bulk, "_CHUNK", 5)
         monkeypatch.setattr(bulk, "_reduce", counted)
-        jobs = sab_k2._jobs(self.serre_pieces(sab_k2, "F", -1, -1, 0))
+        jobs = sab_k2._jobs(serre_pieces(sab_k2, "F", -1, -1, 0))
         states = enumerate_basis(1)
         for state in states:
             fast = self.answered(sab_k2, jobs, state)
@@ -402,6 +404,20 @@ class TestPackedGuards:
         pieces = ctx._pair_pieces(f"{pref}{i}", n + 1, f"{pref}{j}", m, xi)
         if whole:
             pieces += ctx._pair_pieces(f"{pref}{j}", m + 1, f"{pref}{i}", n, xi)
+        self.assert_kernel_agrees(ctx, pieces, state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from("EF"), st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1),
+           st.integers(0, 22).flatmap(lambda k: st.integers(2**(62 - k), 2**(63 - k))),
+           st.booleans(), st.sampled_from(enumerate_basis(1)))
+    def test_eq13_weights(self, ctx, pref, n1, n2, m, coeff, negative, state):
+        # eq13's three-variable jobs with the q^{+-1} pieces scaled by a
+        # coefficient drawn by bit length: the relation no longer cancels,
+        # so a wrapped int64 sum would show in the residual
+        scale = -coeff if negative else coeff
+        self.assert_kernel_agrees(ctx, serre_pieces(ctx, pref, n1, n2, m, scale), state)
+
+    def assert_kernel_agrees(self, ctx, pieces, state):
         jobs = ctx._jobs(pieces)
         slow = ctx.engine.extract_sum(jobs, state)
         try:

@@ -168,8 +168,12 @@ class TestCheckAffine:
     def test_bad_override_name(self, tmp_path):
         assert main(FAST_AFFINE + ["--override", "f99=1"]) == 2
 
-    def test_bad_override_expr(self, tmp_path):
+    def test_bad_override_expr(self, tmp_path, capsys):
         assert main(FAST_AFFINE + ["--override", "f13=zzz"]) == 2
+        # a zero denominator is a parse error (2), not a failed relation (1)
+        for expr in ("1/0", "0^-1"):
+            assert main(FAST_AFFINE + ["--override", f"f13={expr}"]) == 2
+            assert f"division by zero in '{expr}'" in capsys.readouterr().err
 
     def test_numeric_level(self, tmp_path):
         code, data = run_json(tmp_path, FAST_AFFINE + ["--k", "2"])

@@ -1,6 +1,8 @@
 """Vertex-operator currents: constants, mode actions, worked anchors."""
 
+import itertools
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -14,7 +16,7 @@ from uqsl.currents import (
     h_coeffs,
     make_currents,
 )
-from uqsl.oscillators import VACUUM, FockState, OscillatorAlgebra
+from uqsl.oscillators import VACUUM, FockState, OscillatorAlgebra, cocycle_sign
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +220,77 @@ class TestCartanAnchor:
         coeff = T.qint(2) * ctx.gamma_pow(Fraction(-1, 2))
         rhs = {s: c * coeff for s, c in ctx.mode_vec("E1", 0, one).items()}
         assert lhs == rhs
+
+
+# fuse's zero-mode rules as it wrote them before it called the oscillators
+# module: the crossing loop, the q-power and the p0 shift, over the (2|1)
+# slot tables b12, b13, b23, c12 as literals
+_ODD = (False, True, True, False)
+_C0 = (-1, 1, 1, 1)
+
+
+def _ref_sign(left_eps, right_eps) -> int:
+    sign = 1
+    for s in range(4):
+        if _ODD[s] and right_eps[s]:
+            crossings = sum(abs(left_eps[t]) for t in range(s + 1, 4) if _ODD[t])
+            if (abs(right_eps[s]) * crossings) % 2:
+                sign = -sign
+    return sign
+
+
+def _ref_fold(T, vterms):
+    """(const, p0s, eps) of vterms fused left to right."""
+    first = vterms[0]
+    const, p0s, eps, sigma, taus = first.const, (first.p0,), first.eps, first.sigma, (first.tau,)
+    for vt in vterms[1:]:
+        corr = LinForm(0)
+        for t in range(4):
+            if vt.eps[t]:
+                corr = corr + sigma[t] * (vt.eps[t] * _C0[t])
+        const = const * vt.const
+        if corr.const or corr.coeffs:
+            const = const * T.qpow(corr)
+        if _ref_sign(eps, vt.eps) < 0:
+            const = -const
+        p0s = tuple(
+            p0s[v] + sum(taus[v][t] * vt.eps[t] * _C0[t] for t in range(4))
+            for v in range(len(p0s))
+        ) + (vt.p0,)
+        eps = tuple(map(add, eps, vt.eps))
+        sigma = tuple(map(add, sigma, vt.sigma))
+        taus += (vt.tau,)
+    return const, p0s, eps
+
+
+class TestFuseRules:
+    """fuse takes its zero-mode rules from the oscillators module; they
+    must give what its own loops gave."""
+
+    @pytest.mark.parametrize("level", ["formal", "k=2,f13=1"])
+    def test_relation_products(self, level):
+        if level == "formal":
+            ctx = AffineContext()
+        else:
+            ctx = AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()})
+        T = ctx.table
+        seen = 0
+        for pref in "EF":
+            x1, x2 = f"{pref}1", f"{pref}2"
+            # eq11 and eq12 products, then eq13's three orders
+            names_list = list(itertools.product((x1, x2), repeat=2))
+            names_list += [(x1, x1, x2), (x1, x2, x1), (x2, x1, x1)]
+            for names in names_list:
+                for fused in ctx.fused_terms(names):
+                    const, p0s, eps = _ref_fold(T, fused.vterms)
+                    assert (fused.const.terms, fused.const.dpow) == (const.terms, const.dpow)
+                    assert fused.p0s == p0s and fused.eps == eps
+                    assert all(type(p) is int for p in fused.p0s)
+                    seen += 1
+        # E: 4 * 4 pairs and 3 * 8 triples; F: 49 pairs and 3 * 36 triples
+        assert seen == 16 + 24 + 49 + 108
+
+    def test_cocycle_sign_is_the_crossing_loop(self):
+        eps = list(itertools.product(range(-2, 3), repeat=4))
+        bad = [(a, b) for a in eps for b in eps if cocycle_sign(a, b) != _ref_sign(a, b)]
+        assert not bad, bad[:5]

@@ -7,10 +7,28 @@ from pathlib import Path
 
 import pytest
 
-from uqsl import affine, currents, finite
+from uqsl import affine, bulk, currents, finite, grassmann, ring
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+
+# every attribute spans.instrument swaps for a timing wrapper, by owner
+HOOKED = {
+    ring.RingElem: {"__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                    "__rsub__", "__neg__", "subst_numeric", "__str__"},
+    ring: {"verify_bracket_identity"},
+    affine: {"apply_oscillator", "numeric_check"},
+    currents.VertexEngine: {"extract", "extract_sum", "fuse"},
+    bulk.BulkEngine: {"combo_residual"},
+    affine.AffineContext: {"mode_vec", "h_vec", "combo_zero", "combo_vec"},
+    grassmann.SuperPoly: {"__mul__", "qshift", "dx"},
+    finite: {"numeric_check", "basis_upto"},
+    finite.QDiffOp: {"apply"},
+}
+
+
+def _name(owner) -> str:
+    return getattr(owner, "__qualname__", owner.__name__)
 
 
 @pytest.fixture(scope="module")
@@ -24,22 +42,24 @@ def spans():
 
 
 def test_instrument_and_restore(spans):
-    hooked = [
-        (currents.VertexEngine, "extract"),
-        (currents.VertexEngine, "extract_sum"),
-        (affine.AffineContext, "combo_zero"),
-        (affine.AffineContext, "combo_vec"),
-        (affine, "numeric_check"),
-        (finite, "numeric_check"),
-    ]
-    before = [owner.__dict__[attr] for owner, attr in hooked]
+    before = {owner: dict(owner.__dict__) for owner in HOOKED}
+    for owner, attrs in HOOKED.items():
+        for attr in sorted(attrs):
+            assert attr in before[owner], f"{_name(owner)}.{attr} is gone"
     restore = spans.instrument(spans.Tracer(), with_finite=True)
     try:
-        for owner, attr in hooked:
-            assert hasattr(owner.__dict__[attr], "__wrapped__"), attr
+        for owner, attrs in HOOKED.items():
+            changed = {a for a, v in owner.__dict__.items() if before[owner].get(a) is not v}
+            assert changed == attrs, _name(owner)
+            for attr in sorted(changed):
+                assert hasattr(owner.__dict__[attr], "__wrapped__"), f"{_name(owner)}.{attr}"
     finally:
         restore()
-    assert [owner.__dict__[attr] for owner, attr in hooked] == before
+    for owner in HOOKED:
+        after = dict(owner.__dict__)
+        for attr, value in before[owner].items():
+            assert after.get(attr) is value, f"{_name(owner)}.{attr} not restored"
+        assert after.keys() == before[owner].keys(), _name(owner)
 
 
 def test_bulk_reasons_known(spans):

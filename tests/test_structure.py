@@ -2,7 +2,7 @@
 
 import pytest
 
-from uqsl import build_root_data, graded_bracket_sign
+from uqsl import LinForm, build_root_data, graded_bracket_sign
 
 
 CARTAN_CASES = {
@@ -68,3 +68,79 @@ def test_bad_shapes():
         build_root_data(0, 2)
     with pytest.raises(ValueError):
         build_root_data(1, 0)
+
+
+# The (2|1) shape tables of the affine realization, derived from
+# build_root_data(2, 1); the expected values are the hand-written tables
+# they replaced.
+
+def test_shape_tables():
+    from uqsl import oscillators as osc
+    from uqsl.currents import A_FAMS, CURRENT_PARITY
+
+    assert (osc.ROOT.M, osc.ROOT.N) == (2, 1)
+    assert A_FAMS == ("a1", "a2")
+    assert osc.FAMILIES == ("a1", "a2", "b12", "b13", "b23", "c12")
+    assert osc.ODD_SLOT == (False, True, True, False)
+    assert osc.C0 == {"b12": -1, "b13": 1, "b23": 1, "c12": 1}
+    assert osc.G_SHIFT == 1
+    assert CURRENT_PARITY == {"E1": 0, "E2": 1, "F1": 0, "F2": 1,
+                              "psi1+": 0, "psi1-": 0, "psi2+": 0, "psi2-": 0}
+
+
+def test_contract_hat_signs():
+    from fractions import Fraction
+
+    from uqsl import affine_symbols
+    from uqsl.oscillators import OscillatorAlgebra
+
+    alg = OscillatorAlgebra(affine_symbols())
+    T = alg.table
+    cartan = {("a1", "a1"): 2, ("a1", "a2"): -1, ("a2", "a1"): -1, ("a2", "a2"): 0}
+    bc_sign = {"b12": -1, "b13": 1, "b23": 1, "c12": 1}
+    for n in (1, 2, 3):
+        for (x, y), a in cartan.items():
+            want = alg.level_bracket(n) * alg.qint_ratio(a, n) * Fraction(1, n)
+            assert alg.contract_hat(x, y, n) == want, (x, y, n)
+        for x, sign in bc_sign.items():
+            assert alg.contract_hat(x, x, n) == T.rational(Fraction(sign, n))
+            assert alg.contract_hat(x, "a1", n).is_zero()
+        assert alg.contract_hat("b13", "b23", n).is_zero()
+    # [a1_1, a2hat_-1] = -[k+1]; [a1_1, a1hat_-1] = [k+1](q + q^-1)
+    k1 = T.qbracket(LinForm(1, {"k": 1}))
+    assert alg.contract_hat("a1", "a2", 1) == -k1
+    assert alg.contract_hat("a1", "a1", 1) == k1 * (T.qpow(LinForm(1)) + T.qpow(LinForm(-1)))
+
+
+def test_affine_pair_lists():
+    from uqsl.affine import EQ11_PAIRS, EQ12_PAIRS, EQ13_PAIRS
+
+    assert EQ11_PAIRS == ((1, 1), (1, 2), (2, 2))
+    assert EQ12_PAIRS == ((2, 2),)
+    assert EQ13_PAIRS == ((1, 2),)
+
+
+# the eq4 (cubic Serre) node pairs check_chevalley ran before serre_pairs
+# existed: i != j, |a_ij| = 1, i != M
+SERRE_PAIRS = {
+    (2, 1): ((1, 2),),
+    (2, 2): ((1, 2), (3, 2)),
+    (3, 1): ((1, 2), (2, 1), (2, 3)),
+    (2, 0): (),
+    (3, 0): ((1, 2), (2, 1)),
+    (1, 2): ((2, 1),),
+}
+
+
+@pytest.mark.parametrize("shape,pairs", sorted(SERRE_PAIRS.items()))
+def test_serre_pairs(shape, pairs):
+    assert build_root_data(*shape).serre_pairs() == pairs
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
+def test_serre_pairs_are_eq4_ids(shape):
+    from uqsl.finite import check_chevalley
+
+    ids = [r.id for r in check_chevalley(*shape, "i", 0) if r.id.startswith("chevalley.eq4.")]
+    assert ids == [f"chevalley.eq4.i={i}.j={j}.sign={sign}.variant=i"
+                   for i, j in SERRE_PAIRS[shape] for sign in ("plus", "minus")]
