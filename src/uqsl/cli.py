@@ -46,9 +46,12 @@ def parse_scalar(table, text: str):
         factor = raw.strip()
         if not factor:
             raise ValueError(f"empty factor in {text!r}")
-        base, _, pow_s = factor.partition("^")
+        base, caret, pow_s = factor.partition("^")
         base = base.strip()
-        exp = int(pow_s.strip()) if pow_s else 1
+        try:
+            exp = int(pow_s) if caret else 1
+        except ValueError:
+            raise ValueError(f"exponent of {factor!r} is not an integer in {text!r}") from None
         try:
             coeff = Fraction(base) ** exp
         except ValueError:

@@ -8,11 +8,12 @@ fields):, and each term is kept in the canonical normal-ordered split
 
 Products of terms are fused back into this shape: moving one term's
 annihilation exponential past another's creation exponential produces the
-central series exp(sum_n kappa_n x^n) in x = z_right/z_left, and moving
-zero-mode letters produces q-power constants, z-power shifts and crossing
-signs.  Mode operators X_n are then read off exactly: applied to a Fock
-state, only finitely many creation multisets and series orders can reach the
-required z-powers, so the sum below every extraction is finite.
+contraction function G(x) = prod_c (1 - q^c x)^(-e_c) in x = z_right/z_left,
+whose exponents are read off its first order kappa_1 = sum_c e_c q^c, and
+moving zero-mode letters produces q-power constants, z-power shifts and
+crossing signs.  Mode operators X_n are then read off exactly: applied to a
+Fock state, only finitely many creation multisets and series orders can
+reach the required z-powers, so the sum below every extraction is finite.
 
 Per-mode coefficients of the field exponentials (on normalized modes):
 
@@ -115,7 +116,6 @@ class VTerm:
         self.cre_fams = tuple(cre)
         self.ann_fams = tuple(ann)
         self._cre_cache: dict = {}
-        self._ann_cache: dict = {}
         self._val_cache: dict = {}
 
     def cre_coeff(self, fam: str, m: int) -> RingElem:
@@ -135,22 +135,18 @@ class VTerm:
         return out
 
     def ann_coeff(self, fam: str, n: int) -> RingElem:
-        key = (fam, n)
-        out = self._ann_cache.get(key)
-        if out is None:
-            T = self.table
-            out = T.zero()
-            for occ in self.occs:
-                if occ.fam != fam:
-                    continue
-                if occ.kind == "full":
-                    out = out - T.qpow(occ.shift * (-n)) * occ.eta
-                elif occ.kind == "plus":
-                    c = T.qdiff() * T.qpow(occ.shift * (-n)) * occ.eta
-                    if fam not in A_FAMS:
-                        c = c * T.qint(n)
-                    out = out + c
-            self._ann_cache[key] = out
+        T = self.table
+        out = T.zero()
+        for occ in self.occs:
+            if occ.fam != fam:
+                continue
+            if occ.kind == "full":
+                out = out - T.qpow(occ.shift * (-n)) * occ.eta
+            elif occ.kind == "plus":
+                c = T.qdiff() * T.qpow(occ.shift * (-n)) * occ.eta
+                if fam not in A_FAMS:
+                    c = c * T.qint(n)
+                out = out + c
         return out
 
     def ann_value(self, fam: str, m: int) -> RingElem:
@@ -200,7 +196,7 @@ class VertexEngine:
         self._uids = itertools.count()
         self._singles: dict = {}
         self._vterms: dict = {}  # vt.uid -> VTerm, for resolving dkeys
-        self._series: dict = {}  # (uidA, uidB) -> ([C_l, l >= 0], [kappa_n, n >= 1])
+        self._series: dict = {}  # (uidA, uidB) -> [C_l, l <= largest order asked]
         self._buckets: dict = {}  # (vt.uid, degree) -> [(delta occ, scalar)]
         self._branches: dict = {}  # state -> {fused.uid: branch data}
         # flows_map and bucket_product_key keep no cache: these two are the
@@ -243,28 +239,28 @@ class VertexEngine:
         )
 
     def _series_coeff(self, vtA: VTerm, vtB: VTerm, l: int) -> RingElem:
-        """C_l of exp(sum kappa_n x^n), contractions of A's annihilators
-        against B's creators at each order n."""
-        key = (vtA.uid, vtB.uid)
-        entry = self._series.get(key)
-        if entry is None:
-            entry = self._series[key] = ([self.table.one()], [])
-        lst, kappas = entry
-        while len(lst) <= l:
-            n = len(lst)
-            while len(kappas) < n:
-                j = len(kappas) + 1
-                kap = self.table.zero()
-                for cf in vtB.cre_fams:
-                    val = vtA.ann_value(cf, j)
-                    if not val.is_zero():
-                        kap = kap + val * vtB.cre_coeff(cf, j)
-                kappas.append(kap)
-            tot = self.table.zero()
-            for j in range(1, n + 1):
-                if not kappas[j - 1].is_zero():
-                    tot = tot + kappas[j - 1] * lst[n - j] * j
-            lst.append(tot * Fraction(1, n))
+        """C_l of G_AB(x) = prod_c (1 - q^c x)^(-e_c), read off the first
+        contraction order kappa_1 = sum_c e_c q^c of A's annihilators against
+        B's creators: every order-n contraction is q^(c n) times n-free
+        factors and one 1/n, so n kappa_n = sum_c e_c q^(c n)."""
+        lst = self._series.get((vtA.uid, vtB.uid), (self.table.one(),))  # C_0 = 1
+        if len(lst) <= l:
+            T = self.table
+            kap = sum((vtA.ann_value(cf, 1) * vtB.cre_coeff(cf, 1) for cf in vtB.cre_fams),
+                      T.zero()).canonical()
+            # kappa_1 is a Laurent polynomial: the level bracket's (q - q^-1)
+            # cancels its Cartan annihilator's; else its terms are no q^c
+            if kap.dpow:
+                raise ValueError(f"contraction kappa_1 = {kap} keeps a (q - q^-1) denominator")
+            lst = [T.one()] + [T.zero()] * l
+            for c, e in kap.terms.items():
+                # divide by 1 - q^c x (running sums), or multiply by it
+                step = RingElem(T, {c: 1 if e > 0 else -1}, 0)
+                orders = range(1, l + 1) if e > 0 else range(l, 0, -1)
+                for _ in range(abs(e)):
+                    for i in orders:
+                        lst[i] = lst[i] + step * lst[i - 1]
+            self._series[vtA.uid, vtB.uid] = lst
         return lst[l]
 
     def buckets(self, vt: VTerm, degree: int):
@@ -338,8 +334,8 @@ class VertexEngine:
                 total = sum(js)
                 if total > mult:
                     continue
-                coeff = Fraction(factorial(mult), factorial(mult - total))
-                scalar = T.rational(coeff / prod(map(factorial, js)))
+                scalar = T.rational(
+                    factorial(mult) // (factorial(mult - total) * prod(map(factorial, js))))
                 for v in range(r):
                     for _ in range(js[v]):
                         scalar = scalar * values[v]

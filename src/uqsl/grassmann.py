@@ -65,11 +65,11 @@ class FlagSpace:
             return tuple(exps)
         for factor in text.split("*"):
             factor = factor.strip()
-            if "^" in factor:
-                name, _, pow_s = factor.partition("^")
-                e = int(pow_s)
-            else:
-                name, e = factor, 1
+            name, caret, pow_s = factor.partition("^")
+            try:
+                e = int(pow_s) if caret else 1
+            except ValueError:
+                raise ValueError(f"exponent of {factor!r} is not an integer in {text!r}") from None
             if not name.startswith("x"):
                 raise ValueError(f"bad variable {factor!r}")
             body = name[1:]

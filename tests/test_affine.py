@@ -1,6 +1,8 @@
 """Loop-algebra relation suites: counts, spot identities, negative controls."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,20 @@ class TestSmokeSuite:
     def test_only_eq14_not_applicable(self, smoke):
         na = [r.id for r in smoke if r.status == "not-applicable"]
         assert na == ["drinfeld.eq14"]
+
+    def test_ids_match_readme(self, smoke):
+        """Each id has the fields of one row of the README's affine table,
+        in order; a field written name=value there must carry that value."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `((?:drinfeld|psi)\.[^`]*)` \|", text, re.M)
+
+        def matches(row, rid):
+            rf, idf = row.split("."), rid.split(".")
+            return len(rf) == len(idf) and all(
+                r == i or ("=" not in r and i.split("=")[0] == r) for r, i in zip(rf, idf))
+
+        assert [r.id for r in smoke if not any(matches(row, r.id) for row in rows)] == []
+        assert [row for row in rows if not any(matches(row, r.id) for r in smoke)] == []
 
     def test_numeric_blocks(self, smoke):
         for r in smoke:

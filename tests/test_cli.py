@@ -47,6 +47,20 @@ class TestParseScalar:
         with pytest.raises(ValueError):
             parse_scalar(affine_symbols(), "q**2")
 
+    @pytest.mark.parametrize("text, factor", [
+        ("e11^x", "e11^x"), ("q^1/2", "q^1/2"), ("e11^", "e11^"), ("q*e12^2.5", "e12^2.5"),
+    ])
+    def test_bad_exponent(self, text, factor):
+        with pytest.raises(ValueError, match="is not an integer") as info:
+            parse_scalar(affine_symbols(), text)
+        assert repr(factor) in str(info.value) and repr(text) in str(info.value)
+
+    @pytest.mark.parametrize("expr", ["e11^x", "q^1/2", "e11^"])
+    def test_bad_exponent_exits_2(self, expr, capsys):
+        assert main(FAST_AFFINE + ["--override", f"f13={expr}"]) == 2
+        err = capsys.readouterr().err
+        assert f"exponent of '{expr}' is not an integer in '{expr}'" in err
+
 
 class TestApply:
     def test_lowering(self, capsys):
@@ -76,6 +90,14 @@ class TestApply:
 
     def test_dangling_sign(self):
         assert main(["apply", "--expr", "e1 -", "--on", "1"]) == 2
+
+    @pytest.mark.parametrize("on, factor", [
+        ("x12^a", "x12^a"), ("x13*x12^", "x12^"), ("x12^1/2", "x12^1/2"),
+    ])
+    def test_bad_exponent(self, on, factor, capsys):
+        assert main(["apply", "--expr", "e1", "--on", on]) == 2
+        err = capsys.readouterr().err
+        assert f"exponent of {factor!r} is not an integer in {on!r}" in err
 
 
 class TestCheckFinite:

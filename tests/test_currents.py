@@ -294,3 +294,80 @@ class TestFuseRules:
         eps = list(itertools.product(range(-2, 3), repeat=4))
         bad = [(a, b) for a in eps for b in eps if cocycle_sign(a, b) != _ref_sign(a, b)]
         assert not bad, bad[:5]
+
+
+# The contraction series as the engine built it before the closed form:
+# kappa_n summed from the annihilation values at every order n, then the
+# exp-recursion C_l = (1/l) sum_j j kappa_j C_{l-j}.
+def _ref_kappa(vtA, vtB, n):
+    kap = vtA.table.zero()
+    for cf in vtB.cre_fams:
+        kap = kap + vtA.ann_value(cf, n) * vtB.cre_coeff(cf, n)
+    return kap
+
+
+def _ref_series(vtA, vtB, lmax):
+    kappas = [_ref_kappa(vtA, vtB, n) for n in range(1, lmax + 1)]
+    out = [vtA.table.one()]
+    for l in range(1, lmax + 1):
+        tot = vtA.table.zero()
+        for j in range(1, l + 1):
+            tot = tot + kappas[j - 1] * out[l - j] * j
+        out.append(tot * Fraction(1, l))
+    return out
+
+
+@pytest.fixture(scope="module", params=[None, -2, 0, 2],
+                ids=lambda k: "formal" if k is None else f"k={k}")
+def level_ctx(request):
+    """Formal level, and the integer levels at which two exponents of one
+    series coincide (e_c = +-2)."""
+    return AffineContext(k=request.param)
+
+
+def _term_pairs(ctx):
+    terms = [t for name in sorted(ctx.currents) for t in ctx.currents[name]]
+    assert len(terms) == 15
+    return list(itertools.product(terms, repeat=2))
+
+
+class TestContractionSeries:
+    """C_l read off the closed form prod_c (1 - q^c x)^(-e_c) against the
+    exp-recursion over kappa_n, on all 225 ordered pairs of current terms."""
+
+    LMAX = 10
+
+    def test_closed_form_is_the_recursion(self, level_ctx):
+        engine = level_ctx.engine
+        for vtA, vtB in _term_pairs(level_ctx):
+            want = _ref_series(vtA, vtB, self.LMAX)
+            got = [engine._series_coeff(vtA, vtB, l) for l in range(self.LMAX + 1)]
+            assert got == want, (vtA.uid, vtB.uid)
+
+    def test_coefficients_are_integer_polynomials(self, level_ctx):
+        engine = level_ctx.engine
+        seen = set()
+        for vtA, vtB in _term_pairs(level_ctx):
+            for l in range(self.LMAX + 1):
+                c = engine._series_coeff(vtA, vtB, l)
+                assert c.dpow == 0
+                assert all(type(v) is int for v in c.terms.values()), (vtA.uid, vtB.uid, l)
+            k1 = _ref_kappa(vtA, vtB, 1).canonical()
+            seen.update(k1.terms.values())
+        # every exponent e_c is +-1 or, where two exponents coincide, +-2
+        assert seen <= {-2, -1, 1, 2}
+
+    def test_kappa_n_is_kappa_1_at_q_to_the_n(self, level_ctx):
+        for vtA, vtB in _term_pairs(level_ctx):
+            k1 = _ref_kappa(vtA, vtB, 1).canonical()
+            for n in range(1, 13):
+                kn = (_ref_kappa(vtA, vtB, n) * n).canonical()
+                assert kn.dpow == 0 and k1.dpow == 0
+                assert kn.terms == {key * n: e for key, e in k1.terms.items()}, (vtA.uid, vtB.uid, n)
+
+    def test_denominator_left_in_kappa_1_raises(self):
+        ctx = AffineContext()
+        vtA, vtB = ctx.currents["E1"][0], ctx.currents["F1"][0]
+        vtA.ann_value = lambda fam, m: ctx.table.qdiff_inv()
+        with pytest.raises(ValueError, match=r"keeps a \(q - q\^-1\) denominator"):
+            ctx.engine._series_coeff(vtA, vtB, 1)
