@@ -16,6 +16,11 @@ product: a Python pass collects every block's cached arrays and per-block
 integers, then one repeat/gather builds all of the stage's rows, so numpy's
 per-call overhead is paid per stage, not per block.
 
+Only stage A's weighted bases carry powers of (q - q^-1); one binomial
+step settles the factors each row lacks.  Flow maps and bucket lists are
+Laurent polynomials in q in the free-boson realization, so they are
+encoded without a denominator power, and a scalar with one is refused.
+
 Encodings are cached by value: a branch's weighted base per state (branch
 index and weight value), a flow map per (fused uid, residue), a creation
 bucket list per dkey.  The engine builds each flow map and bucket list
@@ -42,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .oscillators import FockState, occ_add
-from .ring import _HALF, _MASK, _SLOT_BITS, RingElem, _mul_by_qdiff
+from .ring import _HALF, _MASK, _SLOT_BITS, RingElem
 
 # One side of a product: s biased by 2^12, Gamma by 2^11.  Sums of two
 # sides then need 14 and 13 bits.
@@ -57,9 +62,9 @@ _G_MASK = (1 << _GF) - 1
 
 # Stage A row: s [0,14) | G [14,27) | meta [27,35) | deficit [35,39) | gid [39,59).
 # Stage B row: s [0,14) | G [14,27) | meta [27,35) | occ [35,53) | mom [53,63).
-# The deficit counts missing powers of (q - q^-1): rows are built at their
-# natural denominator power and the binomial expansion that equalizes them
-# runs after the first merge, when almost everything has already cancelled.
+# The deficit counts the powers of (q - q^-1) a row's base lacks: rows are
+# built at their base's power and the binomial expansion that equalizes
+# them runs after the first merge, when almost everything has cancelled.
 _A_G_SHIFT = _SF
 _B_META_SHIFT = _SF + _GF
 _META_MAX = 1 << 8
@@ -106,15 +111,13 @@ class _Rows(NamedTuple):
     """Several scalars stacked over one common denominator: a flow map (one
     entry per dkey, tagged with its id) or a merged creation bucket list
     (one entry per occupation delta).  Row i came from entry idx[i], tagged
-    tags[idx[i]], at denominator power dpows[i]; dpow is the largest."""
+    tags[idx[i]].  Neither kind carries a power of (q - q^-1)."""
 
     keys: np.ndarray
     vals: np.ndarray
     idx: np.ndarray
-    dpows: np.ndarray
     tags: tuple
     denom: int
-    dpow: int
     smax: int
     gmax: int
     maxabs: int
@@ -126,13 +129,11 @@ def _stack(encs, tags) -> _Rows:
     denom = lcm(*(e.denom for e in encs))
     ups = [denom // e.denom for e in encs]
     sizes = [e.keys.size for e in encs]
-    dpows = [e.dpow for e in encs]
     return _Rows(
         np.concatenate([e.keys for e in encs]),
         np.concatenate([e.vals * up for e, up in zip(encs, ups)]),
         np.repeat(np.arange(len(encs), dtype=np.int64), sizes),
-        np.repeat(np.asarray(dpows, dtype=np.int64), sizes),
-        tuple(tags), denom, max(dpows),
+        tuple(tags), denom,
         max(e.smax for e in encs), max(e.gmax for e in encs),
         max(e.maxabs * up for e, up in zip(encs, ups)),
         sum(e.sumabs * up for e, up in zip(encs, ups)),
@@ -245,14 +246,9 @@ class BulkEngine:
 
     # -- scalar encoding -----------------------------------------------------
 
-    def _enc(self, elem: RingElem, dtarget: int) -> _Enc:
-        """elem over (q - q^-1)^dtarget as parallel arrays."""
-        if elem.dpow > dtarget:
-            raise BulkError("denominator power above target")
-        terms = elem.terms
-        if elem.dpow < dtarget:
-            terms = _mul_by_qdiff(terms, dtarget - elem.dpow)
-        items = list(terms.items())
+    def _enc(self, elem: RingElem) -> _Enc:
+        """elem's numerator over (q - q^-1)^elem.dpow as parallel arrays."""
+        items = list(elem.terms.items())
         if not items:
             raise BulkError("empty scalar")
         denom = 1
@@ -292,7 +288,7 @@ class BulkEngine:
             if av > maxabs:
                 maxabs = av
             sumabs += av
-        return _Enc(keys, vals, denom, meta, smax, gmax, maxabs, sumabs, dtarget)
+        return _Enc(keys, vals, denom, meta, smax, gmax, maxabs, sumabs, elem.dpow)
 
     # -- structure encoding ---------------------------------------------------
 
@@ -306,7 +302,9 @@ class BulkEngine:
         if flows:
             encs = []
             for _, ssum in flows:
-                e = self._enc(ssum, ssum.dpow)
+                if ssum.dpow:
+                    raise BulkError("denominator power above target")
+                e = self._enc(ssum)
                 if e.meta:
                     raise BulkError("flow scalar carries symbol content")
                 encs.append(e)
@@ -324,10 +322,11 @@ class BulkEngine:
         part = self.engine.bucket_product_key(dkey)
         rows = None
         if part:
-            dpow = max(s.dpow for _, s in part)
             encs = []
             for _, scal in part:
-                e = self._enc(scal, dpow)
+                if scal.dpow:
+                    raise BulkError("denominator power above target")
+                e = self._enc(scal)
                 if e.meta:
                     raise BulkError("bucket scalar carries symbol content")
                 encs.append(e)
@@ -385,7 +384,7 @@ class BulkEngine:
                 be = bases.get(key)
                 if be is None:
                     eff = base if weight is None else base * weight
-                    be = bases[key] = self._enc(eff, eff.dpow)
+                    be = bases[key] = self._enc(eff)
                 momid = self._mom_ids.setdefault(momenta, len(self._mom_ids))
                 if momid >= _MOM_MAX:
                     raise BulkError("momentum registry full")
@@ -400,7 +399,7 @@ class BulkEngine:
                 pairs.append((be, fe))
         if not pairs:
             return {}
-        d_max = max(be.dpow + fe.dpow for be, fe in pairs)
+        d_max = max(be.dpow for be, _ in pairs)
         if d_max - min(be.dpow for be, _ in pairs) >= _DEF_MAX:
             raise BulkError("denominator deficit outside packed range")
         denom_a = _stage_denom(fits, d_max)
@@ -416,14 +415,13 @@ class BulkEngine:
             raise BulkError("group registry full")
 
         # All blocks in one segmented product.  A row's deficit is d_max
-        # less its block's power (left) and its flow entry's power (right).
+        # less its block's power; flow entries carry none.
         ups = [denom_a // d for d, _, _ in fits]
         akeys, avals = _outer_blocks(
             np.concatenate([be.keys for be, _ in pairs]) + np.repeat(kadd, ln)
             + (d_max << _A_DEF_SHIFT),
             np.concatenate([be.vals for be, _ in pairs]), ln,
-            np.concatenate([fe.keys for _, fe in pairs]) + (row_gids << _A_GID_SHIFT)
-            - (np.concatenate([fe.dpows for _, fe in pairs]) << _A_DEF_SHIFT),
+            np.concatenate([fe.keys for _, fe in pairs]) + (row_gids << _A_GID_SHIFT),
             np.concatenate([fe.vals for _, fe in pairs]) * np.repeat(ups, rn), rn,
         )
         if akeys.size == 0:
@@ -475,7 +473,6 @@ class BulkEngine:
         divs = []  # per live group: the common factor taken out of its values
         right = []
         fits = []
-        p_dpow = None
         for gid, gv, smax, gmax, maxabs, sumabs in stats:
             momid, occ_after = sector_list[groups[gid] // ndk]
             dkey = dkeys[groups[gid] % ndk]
@@ -483,10 +480,6 @@ class BulkEngine:
             live.append(penc is not None)
             if penc is None:
                 continue
-            if p_dpow is None:
-                p_dpow = penc.dpow
-            elif penc.dpow != p_dpow:
-                raise BulkError("mixed denominator powers across groups")
             g = gcd(gv, denom_a)
             seg = _Enc(None, None, denom_a // g, 0, smax, gmax, maxabs // g, sumabs // g, d_max)
             fits.append(_fit(seg, penc))
@@ -525,5 +518,5 @@ class BulkEngine:
                 raise BulkError("Gamma exponent without a Gamma slot")
             st = FockState(momenta, occ)
             by_state.setdefault(st, {})[rk] = Fraction(val, denom_b)
-        return {st: RingElem(self.table, terms, d_max + p_dpow)
+        return {st: RingElem(self.table, terms, d_max)
                 for st, terms in by_state.items()}

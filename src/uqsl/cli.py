@@ -128,9 +128,11 @@ def _timed(task_fn, args):
 
 
 def _run_tasks(task_fn, argslist, jobs: int, labels, want_timings: bool):
-    """Run tasks in a fixed order, in this process or in a pool of `jobs`;
-    results and timings merge deterministically."""
+    """Run tasks in a fixed order, in this process or in a pool of at most
+    `jobs` workers, never more than there are tasks; results and timings
+    merge deterministically."""
     timed = functools.partial(_timed, task_fn)
+    jobs = min(jobs, len(argslist))
     with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
         outs = list((pool.map if pool else map)(timed, argslist))
     results = [r for chunk, _ in outs for r in chunk]

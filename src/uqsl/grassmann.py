@@ -11,10 +11,14 @@ Coefficients are RingElem values, so weights and q stay formal throughout.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterable, Mapping
 
 from .ring import LinForm, RingElem, SymbolTable
 from .structure import RootData
+
+# a coordinate x_ij: "x12" (one digit each) or "x1_2"
+_VARIABLE = re.compile(r"x(?:(\d+)_(\d+)|(\d)(\d))")
 
 
 class FlagSpace:
@@ -70,16 +74,10 @@ class FlagSpace:
                 e = int(pow_s) if caret else 1
             except ValueError:
                 raise ValueError(f"exponent of {factor!r} is not an integer in {text!r}") from None
-            if not name.startswith("x"):
+            var = _VARIABLE.fullmatch(name)
+            if var is None:
                 raise ValueError(f"bad variable {factor!r}")
-            body = name[1:]
-            if "_" in body:
-                i_s, _, j_s = body.partition("_")
-                i, j = int(i_s), int(j_s)
-            elif len(body) == 2:
-                i, j = int(body[0]), int(body[1])
-            else:
-                raise ValueError(f"bad variable {factor!r}")
+            i, j = (int(g) for g in var.groups() if g is not None)
             if (i, j) not in self.index:
                 raise ValueError(f"unknown coordinate x_{i}{j}")
             if e < 0:

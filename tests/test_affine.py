@@ -1,5 +1,6 @@
 """Loop-algebra relation suites: counts, spot identities, negative controls."""
 
+import itertools
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -388,23 +389,23 @@ class TestPackedGuards:
         T = ctx.table
         for extra in ({}, {"e11": 1, "G": 3}):
             for e in (4095, -4096):
-                enc = ctx.bulk._enc(T.monomial({"q": e, **extra}), 0)
+                enc = ctx.bulk._enc(T.monomial({"q": e, **extra}))
                 assert enc.vals.tolist() == [1]
             for e in (4096, -4097):
                 with pytest.raises(BulkError, match="^exponent outside packed range$"):
-                    ctx.bulk._enc(T.monomial({"q": e, **extra}), 0)
+                    ctx.bulk._enc(T.monomial({"q": e, **extra}))
 
     def test_numerator_edges(self, ctx):
         T = ctx.table
         for sign in (1, -1):
-            enc = ctx.bulk._enc(T.rational(sign * (2**62 - 1)), 0)
+            enc = ctx.bulk._enc(T.rational(sign * (2**62 - 1)))
             assert enc.vals.tolist() == [sign * (2**62 - 1)]
             with pytest.raises(BulkError, match="^numerator outside packed range$"):
-                ctx.bulk._enc(T.rational(sign * 2**62), 0)
+                ctx.bulk._enc(T.rational(sign * 2**62))
         # the numerator counts over the scalar's common denominator
         mixed = T.rational(Fraction(2**61, 3)) + T.monomial({"q": 2}, Fraction(1, 2))
         with pytest.raises(BulkError, match="^numerator outside packed range$"):
-            ctx.bulk._enc(mixed, 0)
+            ctx.bulk._enc(mixed)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(_EQ11_PAIRS), st.integers(-1, 1), st.integers(-1, 1),
@@ -441,6 +442,67 @@ class TestPackedGuards:
         except BulkError:
             return
         assert fast == slow
+
+
+class TestDenominatorFree:
+    """The packed kernel encodes flow maps and creation buckets without a
+    power of (q - q^-1): every contraction-series and creation coefficient
+    of the realization is a Laurent polynomial in q."""
+
+    def fused_names(self, ctx, monkeypatch):
+        names = set()
+
+        def record(pieces, state):
+            names.update(nm for nm, _, _ in pieces)
+            return {}
+
+        monkeypatch.setattr(ctx, "combo_zero", record)
+        monkeypatch.setattr(ctx, "combo_vec", record)
+        for check in (check_eq10, check_eq11, check_eq12, check_eq13):
+            check(ctx, [VACUUM], 0)
+        return sorted(names)
+
+    @pytest.mark.parametrize("level", ["formal", "k2_f13"])
+    def test_flows_and_buckets(self, level, monkeypatch):
+        ctx = (AffineContext() if level == "formal" else
+               AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()}))
+        names = self.fused_names(ctx, monkeypatch)
+        assert {len(nm) for nm in names} == {2, 3}
+        assert {nm[0][0] for nm in names} == {"E", "F"}
+        dkeys = set()
+        for nm in names:
+            for fused in ctx.fused_terms(nm):
+                for res in itertools.product(range(-1, 3), repeat=len(nm)):
+                    for dkey, scalar in ctx.engine.flows_map(fused, res):
+                        assert scalar.dpow == 0, (nm, res, dkey)
+                        assert all(type(c) is int for c in scalar.terms.values())
+                        dkeys.add(dkey)
+        assert dkeys
+        for dkey in dkeys:
+            assert all(p.dpow == 0 for _, p in ctx.engine.bucket_product_key(dkey)), dkey
+
+    @pytest.mark.parametrize("builder", ["flows_map", "bucket_product_key"])
+    def test_denominator_refused(self, builder, monkeypatch):
+        # one scalar of every flow map (or bucket list) divided by
+        # (q - q^-1): the kernel declines and combo_zero answers exactly
+        ctx = AffineContext()
+        real = getattr(ctx.engine, builder)
+        inv = ctx.table.qdiff_inv()
+
+        def tainted(*args):
+            out = list(real(*args))
+            if out:
+                out[0] = (out[0][0], out[0][1] * inv)
+            return out
+
+        monkeypatch.setattr(ctx.engine, builder, tainted)
+        pieces = [(("E1", "F1"), (0, 0), None)]
+        jobs = ctx._jobs(pieces)
+        with pytest.raises(BulkError, match="^denominator power above target$"):
+            ctx.bulk.combo_residual(jobs, VACUUM)
+        slow = ctx.engine.extract_sum(jobs, VACUUM)
+        assert slow and any(c.dpow for c in slow.values())
+        assert ctx.combo_zero(pieces, VACUUM) == slow
 
 
 class TestResidues:

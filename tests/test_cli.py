@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from uqsl import LinForm, affine_symbols
-from uqsl.affine import run_affine
+from uqsl import LinForm, affine_symbols, cli
+from uqsl.affine import FAMILIES, run_affine
 from uqsl.cli import main, parse_scalar
 
 FAST_AFFINE = ["check-affine", "--energy-cut", "0", "--mode-window", "1",
@@ -85,8 +85,12 @@ class TestApply:
     def test_bad_index(self):
         assert main(["apply", "--expr", "e7", "--on", "1"]) == 2
 
-    def test_bad_monomial(self):
+    def test_bad_monomial(self, capsys):
         assert main(["apply", "--expr", "e1", "--on", "x99"]) == 2
+        for on in ("x1_a", "xab", "x1_", "x_2"):
+            capsys.readouterr()
+            assert main(["apply", "--expr", "e1", "--on", on]) == 2
+            assert capsys.readouterr().err.strip() == f"error: bad variable {on!r}"
 
     def test_dangling_sign(self):
         assert main(["apply", "--expr", "e1 -", "--on", "1"]) == 2
@@ -242,6 +246,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_jobs_capped_at_tasks(self, tmp_path, monkeypatch):
+        # a pool starts all its workers at the first submit, so --jobs
+        # beyond the task count would fork idle processes
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        assert main(FAST_AFFINE + ["--jobs", "500", "--report", str(tmp_path / "a")]) == 0
+        assert main(["check-finite", "--M", "2", "--N", "1", "--max-degree", "1",
+                     "--jobs", "500", "--report", str(tmp_path / "f")]) == 0
+        assert sizes == [len(FAMILIES), len(cli._FINITE_TASKS)]
 
     def test_jobs_floor(self, capsys):
         assert main(FAST_AFFINE + ["--jobs", "0"]) == 2
