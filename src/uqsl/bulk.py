@@ -237,6 +237,7 @@ class BulkEngine:
         self._flow_cache: dict = {}  # (fused.uid, res) -> _Rows | None
         self._p_cache: dict = {}  # dkey -> _Rows | None
         self._occkeys: dict = {}  # (occ_after, dkey) -> bucket keys with occ ids
+        self._deltas: dict = {}  # occupation delta -> the one tuple _p_cache tags hold
         # Registries, key -> dense id in insertion order: output occupations,
         # output momenta and the flow entries' dkeys.  A key whose id does
         # not fit its row field is refused whenever it is looked up.
@@ -330,7 +331,7 @@ class BulkEngine:
                 if e.meta:
                     raise BulkError("bucket scalar carries symbol content")
                 encs.append(e)
-            rows = _stack(encs, (delta for delta, _ in part))
+            rows = _stack(encs, (self._deltas.setdefault(d, d) for d, _ in part))
             if rows.maxabs >= _SUM_LIMIT:
                 raise BulkError("bucket numerator outside packed range")
         self._p_cache[dkey] = rows

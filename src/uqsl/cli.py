@@ -190,8 +190,11 @@ def _cmd_check_affine(args) -> int:
     setup = (args.k, args.seed, tuple(spec.items()), args.energy_cut,
              args.momentum_radius, args.momentum_norm)
     argslist = [(eq, setup, args.mode_window, args.psi_nmax) for eq in FAMILIES]
-    results, timings = _run_tasks(
-        _affine_task, argslist, args.jobs, tuple(FAMILIES), args.timings)
+    try:
+        results, timings = _run_tasks(
+            _affine_task, argslist, args.jobs, tuple(FAMILIES), args.timings)
+    finally:
+        _affine_setup.cache_clear()  # the context and its caches end with the run
     report = SuiteReport("affine", cfg, args.seed, results, timings)
     return _emit(report, args.report)
 

@@ -11,9 +11,11 @@ annihilation exponential past another's creation exponential produces the
 contraction function G(x) = prod_c (1 - q^c x)^(-e_c) in x = z_right/z_left,
 whose exponents are read off its first order kappa_1 = sum_c e_c q^c, and
 moving zero-mode letters produces q-power constants, z-power shifts and
-crossing signs.  Mode operators X_n are then read off exactly: applied to a
-Fock state, only finitely many creation multisets and series orders can
-reach the required z-powers, so the sum below every extraction is finite.
+crossing signs.  A product of r terms has one G_ab per variable pair a < b,
+and its order l moves l units of creation degree from z_b to z_a.  Mode
+operators X_n are then read off exactly: applied to a Fock state, only
+finitely many creation multisets and series orders can reach the required
+z-powers, so the sum below every extraction is finite.
 
 Per-mode coefficients of the field exponentials (on normalized modes):
 
@@ -378,56 +380,46 @@ class VertexEngine:
 
     def flows_map(self, fused: FusedTerm, res):
         """Creation-degree multisets reachable from `res` with their summed
-        series scalars, nonnegative degrees only, as (dkey, scalar) pairs.
+        series scalars, as (dkey, scalar) pairs, for any number of variables.
+
+        Order l of pair a < b (coefficient C_l of G_ab) moves l units of
+        creation degree from b to a.  Pairs go b descending, then a
+        descending; l runs up to b's degree, and from a's deficit when
+        b = a + 1 (the last pair that feeds a), so every degree stays >= 0.
 
         A dkey is the sorted ((vterm uid, degree), ...) of the nonzero
         degrees; it ignores variable order, so permuted products of the
         same terms share creation buckets.  Not cached here."""
+        r = len(res)
         local: dict = {}
-        for dvec, ss in self._flows(fused, res):
-            prev = local.get(dvec)
-            local[dvec] = ss if prev is None else prev + ss
+        if r > 1:
+            pairs = [(a, b) for b in range(r - 1, 0, -1) for a in range(b - 1, -1, -1)]
+            self._walk_orders(fused.vterms, pairs, 0, list(res), None, local)
+        elif res[0] >= 0:
+            local[tuple(res)] = self.table.one()
         return tuple(
             (tuple(sorted((vt.uid, d) for vt, d in zip(fused.vterms, dvec) if d)), s)
             for dvec, s in local.items() if not s.is_zero()
         )
 
-    def _flows(self, fused: FusedTerm, res):
-        """Creation degrees per variable and the series scalar for every
-        admissible distribution of contraction orders between variables."""
-        r = len(res)
-        vts = fused.vterms
-        if r == 1:
-            if res[0] >= 0:
-                yield (res[0],), self.table.one()
+    def _walk_orders(self, vts, pairs, i, deg, scalar, local):
+        """flows_map's walk from pairs[i] on: sums the product of the series
+        coefficients, in walk order, into local[degree vector]."""
+        if i == len(pairs):
+            dvec = tuple(deg)
+            prev = local.get(dvec)
+            local[dvec] = scalar if prev is None else prev + scalar
             return
-        if r == 2:
-            for l in range(max(0, -res[0]), res[1] + 1):
-                c = self._series_coeff(vts[0], vts[1], l)
-                if not c.is_zero():
-                    yield (res[0] + l, res[1] - l), c
-            return
-        if r == 3:
-            for l12 in range(0, res[2] + 1):
-                c12 = self._series_coeff(vts[1], vts[2], l12)
-                if c12.is_zero():
-                    continue
-                for l02 in range(0, res[2] - l12 + 1):
-                    c02 = self._series_coeff(vts[0], vts[2], l02)
-                    if c02.is_zero():
-                        continue
-                    base = c12 * c02
-                    for l01 in range(max(0, -res[0] - l02), res[1] + l12 + 1):
-                        c01 = self._series_coeff(vts[0], vts[1], l01)
-                        if c01.is_zero():
-                            continue
-                        yield (
-                            res[0] + l01 + l02,
-                            res[1] + l12 - l01,
-                            res[2] - l02 - l12,
-                        ), base * c01
-            return
-        raise ValueError(f"unsupported number of fused variables: {r}")
+        a, b = pairs[i]
+        for l in range(max(0, -deg[a]) if b == a + 1 else 0, deg[b] + 1):
+            c = self._series_coeff(vts[a], vts[b], l)
+            if c.is_zero():
+                continue
+            deg[a] += l
+            deg[b] -= l
+            self._walk_orders(vts, pairs, i + 1, deg, c if scalar is None else scalar * c, local)
+            deg[a] -= l
+            deg[b] += l
 
     def aggregate(self, jobs, state: FockState) -> dict:
         """Scalar prefactors of weighted extractions, summed per

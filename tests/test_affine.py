@@ -1,5 +1,6 @@
 """Loop-algebra relation suites: counts, spot identities, negative controls."""
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -291,11 +292,18 @@ class TestPackedEngine:
                        for c in vars(ctx.bulk).values() if isinstance(c, dict))
 
         sizes = []
+        deltas = []
         for _ in range(2):
             check_eq11(ctx, basis, 1)
             check_eq13(ctx, basis, 1)
             sizes.append(entries())
+            deltas.append(len(ctx.bulk._deltas))
         assert sizes[0] == sizes[1] > 0
+        assert deltas[0] == deltas[1] > 0
+        # equal occupation deltas are one shared tuple across bucket lists
+        tags = [t for rows in ctx.bulk._p_cache.values() if rows for t in rows.tags]
+        assert len({id(t) for t in tags}) == len(set(tags)) < len(tags)
+        assert all(ctx.bulk._deltas[t] is t for t in tags)
         # the engine's flow and bucket caches belong to the exact path,
         # which the kernel families never enter
         assert not ctx.engine._flowcache and not ctx.engine._prodcache
@@ -557,30 +565,99 @@ class TestResidues:
                 walked += len(got)
         assert walked
 
-    def test_flow_degrees_nonnegative(self, monkeypatch):
-        # flows_map keeps every degree _flows yields: its loop bounds must
-        # keep each variable's creation degree >= 0 for one, two and three
-        # variables
-        ctx = AffineContext()
-        basis = enumerate_basis(1)
-        residues = {}
-        real = ctx.engine.residues
-
-        def record(jobs, state):
-            for item in real(jobs, state):
-                residues[item[0].uid, item[1]] = item[0]
-                yield item
-
-        monkeypatch.setattr(ctx.engine, "residues", record)
-        for check in (check_eq10, check_eq11, check_eq12, check_eq13):
-            check(ctx, basis, 1)
-        assert {len(res) for _, res in residues} == {1, 2, 3}
+    def test_flow_degrees_nonnegative(self):
+        # flows_map filters no degree: its walk bounds alone must keep each
+        # variable's creation degree >= 0 for one, two and three variables,
+        # and every contraction only moves degree between variables
+        engine, reached = _reached_residues("formal")
+        assert {len(res) for _, res in reached} == {1, 2, 3}
         flows = 0
-        for (_, res), fused in residues.items():
-            for dvec, _ in ctx.engine._flows(fused, res):
-                assert min(dvec) >= 0, (res, dvec)
+        for (_, res), fused in reached.items():
+            for dkey, _ in engine.flows_map(fused, res):
+                assert all(d > 0 for _, d in dkey), (res, dkey)
+                assert sum(d for _, d in dkey) == sum(res), (res, dkey)
                 flows += 1
         assert flows
+
+    @pytest.mark.parametrize("level", ["formal", "k2_f13"])
+    def test_flows_match_reference(self, level):
+        # one walk over variable pairs gives the arity loops' flow maps term
+        # for term: same dkeys in the same order, same terms, same dpow
+        engine, reached = _reached_residues(level)
+        assert {len(res) for _, res in reached} == {1, 2, 3}
+        for (_, res), fused in reached.items():
+            got = engine.flows_map(fused, res)
+            want = _reference_flows_map(engine, fused, res)
+            assert [dkey for dkey, _ in got] == [dkey for dkey, _ in want], res
+            for (_, g), (_, w) in zip(got, want):
+                assert list(g.terms.items()) == list(w.terms.items()) and g.dpow == w.dpow
+
+
+@functools.lru_cache(maxsize=None)
+def _reached_residues(level):
+    """Every (fused, res) that eq10-eq13 reach at E_cut=1, window=1, keyed
+    (fused.uid, res), with the context's engine."""
+    ctx = (AffineContext() if level == "formal" else
+           AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()}))
+    basis = enumerate_basis(1)
+    reached = {}
+    real = ctx.engine.residues
+
+    def record(jobs, state):
+        for item in real(jobs, state):
+            reached[item[0].uid, item[1]] = item[0]
+            yield item
+
+    ctx.engine.residues = record
+    try:
+        for check in (check_eq10, check_eq11, check_eq12, check_eq13):
+            check(ctx, basis, 1)
+    finally:
+        del ctx.engine.residues
+    return ctx.engine, reached
+
+
+def _reference_flows(engine, fused, res):
+    """The arity loops flows_map replaced: creation degrees per variable and
+    the series scalar of each distribution of contraction orders."""
+    r = len(res)
+    vts = fused.vterms
+    coeff = engine._series_coeff
+    if r == 1:
+        if res[0] >= 0:
+            yield (res[0],), engine.table.one()
+        return
+    if r == 2:
+        for l in range(max(0, -res[0]), res[1] + 1):
+            c = coeff(vts[0], vts[1], l)
+            if not c.is_zero():
+                yield (res[0] + l, res[1] - l), c
+        return
+    assert r == 3
+    for l12 in range(0, res[2] + 1):
+        c12 = coeff(vts[1], vts[2], l12)
+        if c12.is_zero():
+            continue
+        for l02 in range(0, res[2] - l12 + 1):
+            c02 = coeff(vts[0], vts[2], l02)
+            if c02.is_zero():
+                continue
+            base = c12 * c02
+            for l01 in range(max(0, -res[0] - l02), res[1] + l12 + 1):
+                c01 = coeff(vts[0], vts[1], l01)
+                if not c01.is_zero():
+                    yield (res[0] + l01 + l02, res[1] + l12 - l01, res[2] - l02 - l12), base * c01
+
+
+def _reference_flows_map(engine, fused, res):
+    local = {}
+    for dvec, ss in _reference_flows(engine, fused, res):
+        prev = local.get(dvec)
+        local[dvec] = ss if prev is None else prev + ss
+    return tuple(
+        (tuple(sorted((vt.uid, d) for vt, d in zip(fused.vterms, dvec) if d)), s)
+        for dvec, s in local.items() if not s.is_zero()
+    )
 
 
 class TestNegativeControls:

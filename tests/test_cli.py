@@ -240,6 +240,22 @@ class TestCheckAffine:
         data = json.loads(capsys.readouterr().out)
         assert data["suite"] == "affine"
 
+    def test_context_released_after_run(self, monkeypatch):
+        # the families of one run share one context; none outlives main
+        built = []
+
+        class Counted(cli.AffineContext):
+            def __init__(self, **kw):
+                built.append(kw)
+                super().__init__(**kw)
+
+        monkeypatch.setattr(cli, "AffineContext", Counted)
+        for override, code in (([], 0), (["--override", "f13=1"], 1)):
+            built.clear()
+            assert main(FAST_AFFINE + override) == code
+            assert len(built) == 1
+            assert cli._affine_setup.cache_info().currsize == 0
+
 
 class TestUsage:
     def test_no_command(self):

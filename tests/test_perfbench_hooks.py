@@ -1,7 +1,9 @@
 """The traced benchmark wraps named attributes of the package; a refactor
-that drops one of them breaks `perfbench/run.py --trace 1`."""
+that drops one of them breaks `perfbench/run.py --trace 1`.  The benchmark's
+self-test runs here too, so a changed signature it calls fails tier-1."""
 
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,10 @@ def test_bulk_reasons_known(spans):
     raised = set(re.findall(r'BulkError\("([^"]*)"\)', text))
     assert raised - {"Gamma must sit in slot 1"} <= set(spans.BULK_FALLBACK_REASONS)
     assert "BulkError(f" not in text
+
+
+def test_selftest_passes():
+    # every workload at its smallest size, untraced and traced
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=ROOT,
+                          text=True, capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
