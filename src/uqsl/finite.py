@@ -142,36 +142,17 @@ class FiniteRealization:
     def _nu(self, i: int) -> int:
         return self.root.nu(i)
 
-    def _theta_sum(self, lo: int, hi: int, pair_of) -> LinForm:
-        """Sum over ell in [lo, hi] of c1*theta(p1) + c2*theta(p2)."""
-        total = LinForm(0)
-        for ell in range(lo, hi + 1):
-            for coeff, pair in pair_of(ell):
-                total = total + LinForm.theta(pair, coeff)
-        return total
-
-    def _head_sum(self, i: int, upto: int) -> LinForm:
-        """Sum_{ell=1}^{upto} (nu_{i+1} theta_{ell,i+1} - nu_i theta_{ell,i})."""
-        return self._theta_sum(
-            1, upto,
-            lambda ell: ((self._nu(i + 1), (ell, i + 1)), (-self._nu(i), (ell, i))),
-        )
-
-    def _tail_sum(self, j: int, start: int) -> LinForm:
-        """Sum_{m=start}^{M+N} (nu_j theta_{j,m} - nu_{j+1} theta_{j+1,m})."""
-        return self._theta_sum(
-            start, self.root.total,
-            lambda m: ((self._nu(j), (j, m)), (-self._nu(j + 1), (j + 1, m))),
-        )
+    def _w(self, i: int, rows: range | None = None, cols: range | None = None) -> LinForm:
+        """W_i[rows, cols]: the sum of weight(i, l, m) theta_lm over the
+        coordinates x_lm with l in rows and m in cols (any, when omitted)."""
+        weight = self.root.weight
+        return LinForm(0, None, {
+            (l, m): weight(i, l, m) for l, m in self.space.vars
+            if (rows is None or l in rows) and (cols is None or m in cols)
+        })
 
     def h_form(self, i: int) -> LinForm:
-        nu = self._nu
-        form = (
-            -self._head_sum(i, i - 1)
-            + LinForm.sym(f"l{i}")
-            - LinForm.theta((i, i + 1), nu(i) + nu(i + 1))
-            - self._tail_sum(i, i + 2)
-        )
+        form = LinForm.sym(f"l{i}") - self._w(i)
         if self.sabotage == "h":
             form = form + 1
         return form
@@ -185,7 +166,7 @@ class FiniteRealization:
 
     def atom_e_ii(self, i: int) -> Atom:
         return self._sab(
-            Atom(shift=-self._head_sum(i, i - 1), lowers=((i, i + 1),)), "e_ii"
+            Atom(shift=-self._w(i, rows=range(1, i)), lowers=((i, i + 1),)), "e_ii"
         )
 
     def atom_e_iip(self, i: int, ip: int) -> Atom:
@@ -193,7 +174,7 @@ class FiniteRealization:
             raise ValueError(f"need 1 <= i' <= i-1, got i'={ip}, i={i}")
         return self._sab(
             Atom(
-                shift=-self._head_sum(i, ip - 1),
+                shift=-self._w(i, rows=range(1, ip)),
                 lowers=((ip, i + 1),),
                 mult=((ip, i),),
             ),
@@ -203,29 +184,19 @@ class FiniteRealization:
     def atom_f1(self, j: int, jp: int) -> Atom:
         if not 1 <= jp <= j - 1:
             raise ValueError(f"need 1 <= j' <= j-1, got j'={jp}, j={j}")
-        nu = self._nu
-        shift = (
-            self._theta_sum(
-                jp + 1, j - 1,
-                lambda m: ((nu(j + 1), (m, j + 1)), (-nu(j), (m, j))),
-            )
-            - LinForm.sym(f"l{j}")
-            + LinForm.theta((j, j + 1), nu(j) + nu(j + 1))
-            + self._tail_sum(j, j + 2)
-        )
+        shift = self._w(j, rows=range(jp + 1, self.root.total + 1)) - LinForm.sym(f"l{j}")
         return self._sab(
             Atom(shift=shift, lowers=((jp, j),), mult=((jp, j + 1),)), "f1"
         )
 
     def atom_f2(self, j: int) -> Atom:
-        nu = self._nu
         if self.sabotage == "f2-theta":
             bracket = LinForm.sym(f"l{j}")
         else:
             bracket = (
                 LinForm.sym(f"l{j}")
-                - LinForm.theta((j, j + 1), nu(j))
-                - self._tail_sum(j, j + 2)
+                - LinForm.theta((j, j + 1), self._nu(j))
+                - self._w(j, cols=range(j + 2, self.root.total + 1))
             )
         return self._sab(Atom(brackets=(bracket,), mult=((j, j + 1),)), "f2")
 
@@ -235,14 +206,14 @@ class FiniteRealization:
         bracket = (
             LinForm.sym(f"l{j}")
             - LinForm.theta((j, j + 1), Fraction(nu(j) + nu(j + 1), 2))
-            - self._tail_sum(j, j + 2)
+            - self._w(j, cols=range(j + 2, self.root.total + 1))
         )
         return Atom(brackets=(bracket,), mult=((j, j + 1),))
 
     def atom_f3(self, j: int, jp: int) -> Atom:
         if not j + 2 <= jp <= self.root.total:
             raise ValueError(f"need j+2 <= j' <= M+N, got j'={jp}, j={j}")
-        shift = LinForm.sym(f"l{j}") - self._tail_sum(j, jp)
+        shift = LinForm.sym(f"l{j}") - self._w(j, cols=range(jp, self.root.total + 1))
         return self._sab(
             Atom(shift=shift, lowers=((j + 1, jp),), mult=((j, jp),)), "f3"
         )
@@ -396,26 +367,19 @@ def check_chevalley(M, N, variant, D, seed=0, sabotage=None) -> list:
 
 
 def _intermediate_rhs29(real: FiniteRealization, i: int, j: int):
+    nu = real._nu
     atoms = []
     if i == j:
         atoms.append(Atom(
-            shift=-real._head_sum(i, i - 1),
-            brackets=(
-                LinForm.sym(f"l{i}")
-                - LinForm.theta((i, i + 1), real._nu(i) + real._nu(i + 1))
-                - real._tail_sum(i, i + 2),
-            ),
+            shift=-real._w(i, rows=range(1, i)),
+            brackets=(LinForm.sym(f"l{i}") - real._w(i, rows=range(i, real.root.total + 1)),),
         ))
     if i == j + 1:
-        nu = real._nu
         shift = (
-            -real._head_sum(i, i - 1)
+            -real._w(i, rows=range(1, i))
             + LinForm.sym(f"l{i-1}")
             - LinForm.theta((i - 1, i), nu(i - 1))
-            - real._theta_sum(
-                i + 1, real.root.total,
-                lambda m: ((nu(i - 1), (i - 1, m)), (-nu(i), (i, m))),
-            )
+            - real._w(i - 1, cols=range(i + 1, real.root.total + 1))
         )
         atoms.append(Atom(
             shift=shift,
@@ -431,14 +395,9 @@ def _intermediate_rhs30(real: FiniteRealization, i, ip, j, jp):
         return []
     nu = real._nu
     shift = (
-        -real._head_sum(i, ip - 1)
-        + real._theta_sum(
-            ip + 1, i - 1,
-            lambda ell: ((nu(i + 1), (ell, i + 1)), (-nu(i), (ell, i))),
-        )
+        real._w(i, rows=range(ip + 1, real.root.total + 1))
+        - real._w(i, rows=range(1, ip))
         - LinForm.sym(f"l{i}")
-        + LinForm.theta((i, i + 1), nu(i) + nu(i + 1))
-        + real._tail_sum(i, i + 2)
     )
     bracket = LinForm.theta((ip, i), nu(i)) - LinForm.theta((ip, i + 1), nu(i + 1))
     return [Atom(shift=shift, brackets=(bracket,), coeff=nu(i))]
@@ -448,16 +407,10 @@ def _intermediate_rhs31(real: FiniteRealization, i, ip, j, jp):
     atoms = []
     nu = real._nu
     base_shift = (
-        -real._theta_sum(
-            1, j - 1,
-            lambda ell: ((nu(i + 1), (ell, i + 1)), (-nu(i), (ell, i))),
-        )
+        -real._w(i, rows=range(1, j))
         + LinForm.sym(f"l{j}")
         - LinForm.theta((j, i + 1), nu(i + 1))
-        - real._theta_sum(
-            i + 1, real.root.total,
-            lambda m: ((nu(j), (j, m)), (-nu(j + 1), (j + 1, m))),
-        )
+        - real._w(j, cols=range(i + 1, real.root.total + 1))
     )
     if ip == j and jp == i + 1:
         atoms.append(Atom(
@@ -480,9 +433,6 @@ def check_intermediate(M, N, D, seed=0, sabotage=None) -> list:
     total = root.total
     out = []
     base = {"M": M, "N": N, "D": D}
-
-    def op(atoms):
-        return real._op(atoms) if atoms else zero_map(space)
 
     def bracket_of(a_atom, f_atom):
         return graded_commutator(real._op([a_atom]), real._op([f_atom]))
@@ -515,7 +465,7 @@ def check_intermediate(M, N, D, seed=0, sabotage=None) -> list:
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             lhs = bracket_of(real.atom_e_ii(i), real.atom_f2(j))
-            rhs = op(_intermediate_rhs29(real, i, j))
+            rhs = real._op(_intermediate_rhs29(real, i, j))
             out.append(_compare_maps(
                 f"intermediate.eq29.i={i}.j={j}", dict(base, i=i, j=j),
                 lhs, rhs, basis, space, seed,
@@ -526,7 +476,7 @@ def check_intermediate(M, N, D, seed=0, sabotage=None) -> list:
             for j in range(1, rank + 1):
                 for jp in range(1, j):
                     lhs = bracket_of(real.atom_e_iip(i, ip), real.atom_f1(j, jp))
-                    rhs = op(_intermediate_rhs30(real, i, ip, j, jp))
+                    rhs = real._op(_intermediate_rhs30(real, i, ip, j, jp))
                     out.append(_compare_maps(
                         f"intermediate.eq30.i={i}.ip={ip}.j={j}.jp={jp}",
                         dict(base, i=i, ip=ip, j=j, jp=jp),
@@ -534,7 +484,7 @@ def check_intermediate(M, N, D, seed=0, sabotage=None) -> list:
                     ))
                 for jp in range(j + 2, total + 1):
                     lhs = bracket_of(real.atom_e_iip(i, ip), real.atom_f3(j, jp))
-                    rhs = op(_intermediate_rhs31(real, i, ip, j, jp))
+                    rhs = real._op(_intermediate_rhs31(real, i, ip, j, jp))
                     out.append(_compare_maps(
                         f"intermediate.eq31.i={i}.ip={ip}.j={j}.jp={jp}",
                         dict(base, i=i, ip=ip, j=j, jp=jp),

@@ -194,8 +194,13 @@ def z_power(tau, momenta) -> int:
     return sum(t * C0[slot] * m for t, slot, m in zip(tau, Q_SLOTS, momenta))
 
 
-# K_i = q^(sum_d sigma_d d_0) as momentum_eigen's (sigma, sigma_a)
-K_EXPONENTS = {1: ((2, 1, -1, 0), (1, 0)), 2: ((-1, -1, 0, 0), (0, 1))}
+# K_i = q^(sum_d sigma_d d_0) as momentum_eigen's (sigma, sigma_a): a b slot
+# carries the weight of its coordinate under h_i, c12 none, a^j carries d_ij
+K_EXPONENTS = {
+    i: (tuple(ROOT.weight(i, int(s[1]), int(s[2])) if s[0] == "b" else 0 for s in Q_SLOTS),
+        tuple(int(i == j) for j in NODES))
+    for i in NODES
+}
 
 
 def k_eigenvalue(table: SymbolTable, i: int, state: FockState) -> RingElem:

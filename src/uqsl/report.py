@@ -83,6 +83,10 @@ class SuiteReport:
             fh.write("\n")
 
 
+# the most (lhs, rhs) coefficient pairs one relation sends to the oracle
+ORACLE_PAIRS = 64
+
+
 def numeric_assignments(seed: int, rel_id: str, table, count: int = 3) -> list:
     """Deterministic rational test points, one dict per assignment.
 
@@ -106,12 +110,12 @@ def numeric_assignments(seed: int, rel_id: str, table, count: int = 3) -> list:
     return out
 
 
-def numeric_check(seed: int, rel_id: str, pairs: list, count: int = 3, cap: int = 64) -> dict:
+def numeric_check(seed: int, rel_id: str, pairs: list, count: int = 3) -> dict:
     """Evaluate (lhs, rhs) ring-element pairs at random-looking rational
     points; compare_cases has already compared them exactly, so this is an
     independent guard against a systematically broken equality test.
     """
-    pairs = pairs[:cap]
+    pairs = pairs[:ORACLE_PAIRS]
     if not pairs:
         return {"assignments": count, "pairs": 0, "status": "pass"}
     table = pairs[0][0].table
@@ -130,9 +134,9 @@ def compare_cases(seed: int, rel_id: str, params: dict, cases, zero, key,
     cases: iterable of (label, lhs, rhs), each side a dict output -> ring
     element.  Outputs are visited in `key` order (their own order if key is
     None); the first nonzero difference is the witness, its output rendered
-    by `fmt`.  Without one, the first 64 (lhs, rhs) coefficient pairs go to
-    the numeric oracle.  A relation with no case at all checked nothing and
-    is not-applicable.
+    by `fmt`.  Without one, the first ORACLE_PAIRS (lhs, rhs) coefficient
+    pairs go to the numeric oracle.  A relation with no case at all checked
+    nothing and is not-applicable.
     """
     pairs = []
     witness = None
@@ -142,7 +146,7 @@ def compare_cases(seed: int, rel_id: str, params: dict, cases, zero, key,
         for out in sorted(set(lhs) | set(rhs), key=key):
             lc = lhs.get(out, zero)
             rc = rhs.get(out, zero)
-            if len(pairs) < 64:
+            if len(pairs) < ORACLE_PAIRS:
                 pairs.append((lc, rc))
             if witness is None and not (lc - rc).is_zero():
                 witness = {"element": label, "at": fmt(out), "lhs": str(lc), "rhs": str(rc)}

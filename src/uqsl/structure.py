@@ -1,8 +1,11 @@
 """Root data for the superalgebras sl(M|N) in the distinguished grading.
 
 Indices run 1..M+N; the first M basis directions are even (nu = +1), the
-last N odd (nu = -1).  The Cartan matrix, generator parities, and graded
-bracket signs below drive both realizations and the relation checkers.
+last N odd (nu = -1).  RootData.weight is the one pairing (h_i, eps_l - eps_m)
+of a Cartan generator with a coordinate: the Cartan matrix, the theta sums of
+the finite realization and the affine K_i all read it.  With the generator
+parities and graded bracket signs below it drives both realizations and the
+relation checkers.
 """
 
 from __future__ import annotations
@@ -33,18 +36,19 @@ class RootData:
             raise ValueError(f"index {i} out of range 1..{self.total}")
         return 1 if i <= self.M else -1
 
+    def weight(self, i: int, l: int, m: int) -> int:
+        """(h_i, eps_l - eps_m), the weight of the coordinate x_lm under h_i:
+        nu_i (delta_il - delta_im) - nu_{i+1} (delta_{i+1,l} - delta_{i+1,m})."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"node {i} out of range 1..{self.rank}")
+        return (self.nu(i) * ((i == l) - (i == m))
+                - self.nu(i + 1) * ((i + 1 == l) - (i + 1 == m)))
+
     def cartan(self, i: int, j: int) -> int:
-        """Entry a_ij of the Cartan matrix, i, j in 1..rank."""
+        """Entry a_ij = (h_i, alpha_j) of the Cartan matrix, i, j in 1..rank."""
         if not (1 <= i <= self.rank and 1 <= j <= self.rank):
             raise ValueError(f"Cartan indices ({i},{j}) out of range")
-        a = 0
-        if i == j:
-            a += self.nu(i) + self.nu(i + 1)
-        if i == j + 1:
-            a -= self.nu(i)
-        if i + 1 == j:
-            a -= self.nu(i + 1)
-        return a
+        return self.weight(i, j, j + 1)
 
     def cartan_matrix(self) -> tuple:
         return tuple(

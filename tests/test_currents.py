@@ -16,7 +16,16 @@ from uqsl.currents import (
     h_coeffs,
     make_currents,
 )
-from uqsl.oscillators import VACUUM, FockState, OscillatorAlgebra, cocycle_sign
+from uqsl.oscillators import (
+    A_FAMS,
+    K_EXPONENTS,
+    NODES,
+    Q_SLOTS,
+    VACUUM,
+    FockState,
+    OscillatorAlgebra,
+    cocycle_sign,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +132,22 @@ class TestHCoeffs:
     def test_unknown_index(self):
         with pytest.raises(ValueError):
             h_coeffs(affine_symbols(), 3, 1)
+
+    @pytest.mark.parametrize("k", [None, 2, -2], ids=["formal", "k2", "k-2"])
+    def test_q1_limit_is_k_exponents(self, k):
+        # K_i = q^{H^i_0}: at q -> 1 each oscillator of H^i_n carries the
+        # exponent its zero mode has in K_i, slot by slot (absent ones 0)
+        T = affine_symbols(k)
+        slots = Q_SLOTS + A_FAMS
+        for i in NODES:
+            sigma, sigma_a = K_EXPONENTS[i]
+            want = dict(zip(slots, sigma + sigma_a))
+            for n in (1, 2, 3, 4, -1, -2, -3, -4):
+                c = h_coeffs(T, i, n)
+                assert set(c) <= set(slots)
+                assert all(v.dpow == 0 for v in c.values()), (i, n)
+                got = {s: sum(c[s].terms.values()) if s in c else 0 for s in slots}
+                assert got == want, (k, i, n)
 
 
 class TestVacuumAnchors:

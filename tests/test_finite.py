@@ -2,10 +2,16 @@
 
 import pytest
 
+from fractions import Fraction
+
 from uqsl import LinForm, finite_symbols
 from uqsl.finite import (
     SABOTAGE_IDS,
+    Atom,
     FiniteRealization,
+    _intermediate_rhs29,
+    _intermediate_rhs30,
+    _intermediate_rhs31,
     check_chevalley,
     check_intermediate,
     check_remarks,
@@ -225,3 +231,195 @@ class TestReports:
         reports = check_chevalley(2, 1, "i", 2)
         # degree <= 2 over 3 variables (two odd): 1 + 3 + 4 = 8 monomials
         assert all(r.checked == 8 for r in reports if r.status == "pass")
+
+
+# -- the weight sums against their former statement ---------------------------
+#
+# Before RootData.weight, finite.py wrote each theta sum out by hand: a
+# callback sum over one index, head and tail sums built on it, and inline
+# copies in atom_f1 and the right-hand sides of eqs. (29)-(31).  They are kept
+# here as the reference every W_i restriction must reproduce exactly.
+
+SHAPES = [(M, N) for M in (1, 2, 3) for N in (0, 1, 2, 3) if M + N >= 2]
+
+
+class OldForms:
+    def __init__(self, real):
+        self.nu = real.root.nu
+        self.total = real.root.total
+        self.sabotage = real.sabotage
+
+    def theta_sum(self, lo, hi, pair_of):
+        """Sum over ell in [lo, hi] of c1*theta(p1) + c2*theta(p2)."""
+        total = LinForm(0)
+        for ell in range(lo, hi + 1):
+            for coeff, pair in pair_of(ell):
+                total = total + LinForm.theta(pair, coeff)
+        return total
+
+    def head_sum(self, i, upto):
+        """Sum_{ell=1}^{upto} (nu_{i+1} theta_{ell,i+1} - nu_i theta_{ell,i})."""
+        nu = self.nu
+        return self.theta_sum(
+            1, upto, lambda ell: ((nu(i + 1), (ell, i + 1)), (-nu(i), (ell, i))))
+
+    def tail_sum(self, j, start):
+        """Sum_{m=start}^{M+N} (nu_j theta_{j,m} - nu_{j+1} theta_{j+1,m})."""
+        nu = self.nu
+        return self.theta_sum(
+            start, self.total, lambda m: ((nu(j), (j, m)), (-nu(j + 1), (j + 1, m))))
+
+    def sab(self, atom, kind):
+        if self.sabotage == kind:
+            return Atom(atom.shift + 1, atom.brackets, atom.lowers, atom.mult, atom.coeff)
+        return atom
+
+    def h_form(self, i):
+        nu = self.nu
+        form = (
+            -self.head_sum(i, i - 1)
+            + LinForm.sym(f"l{i}")
+            - LinForm.theta((i, i + 1), nu(i) + nu(i + 1))
+            - self.tail_sum(i, i + 2)
+        )
+        return form + 1 if self.sabotage == "h" else form
+
+    def atom_e_ii(self, i):
+        return self.sab(Atom(shift=-self.head_sum(i, i - 1), lowers=((i, i + 1),)), "e_ii")
+
+    def atom_e_iip(self, i, ip):
+        return self.sab(Atom(shift=-self.head_sum(i, ip - 1), lowers=((ip, i + 1),),
+                             mult=((ip, i),)), "e_iip")
+
+    def atom_f1(self, j, jp):
+        nu = self.nu
+        shift = (
+            self.theta_sum(jp + 1, j - 1,
+                           lambda m: ((nu(j + 1), (m, j + 1)), (-nu(j), (m, j))))
+            - LinForm.sym(f"l{j}")
+            + LinForm.theta((j, j + 1), nu(j) + nu(j + 1))
+            + self.tail_sum(j, j + 2)
+        )
+        return self.sab(Atom(shift=shift, lowers=((jp, j),), mult=((jp, j + 1),)), "f1")
+
+    def atom_f2(self, j):
+        bracket = (LinForm.sym(f"l{j}") - LinForm.theta((j, j + 1), self.nu(j))
+                   - self.tail_sum(j, j + 2))
+        return self.sab(Atom(brackets=(bracket,), mult=((j, j + 1),)), "f2")
+
+    def atom_f2_half(self, j):
+        nu = self.nu
+        bracket = (LinForm.sym(f"l{j}")
+                   - LinForm.theta((j, j + 1), Fraction(nu(j) + nu(j + 1), 2))
+                   - self.tail_sum(j, j + 2))
+        return Atom(brackets=(bracket,), mult=((j, j + 1),))
+
+    def atom_f3(self, j, jp):
+        shift = LinForm.sym(f"l{j}") - self.tail_sum(j, jp)
+        return self.sab(Atom(shift=shift, lowers=((j + 1, jp),), mult=((j, jp),)), "f3")
+
+    def rhs29(self, i, j):
+        nu = self.nu
+        atoms = []
+        if i == j:
+            atoms.append(Atom(
+                shift=-self.head_sum(i, i - 1),
+                brackets=(LinForm.sym(f"l{i}")
+                          - LinForm.theta((i, i + 1), nu(i) + nu(i + 1))
+                          - self.tail_sum(i, i + 2),),
+            ))
+        if i == j + 1:
+            shift = (
+                -self.head_sum(i, i - 1)
+                + LinForm.sym(f"l{i-1}")
+                - LinForm.theta((i - 1, i), nu(i - 1))
+                - self.theta_sum(i + 1, self.total,
+                                 lambda m: ((nu(i - 1), (i - 1, m)), (-nu(i), (i, m))))
+            )
+            atoms.append(Atom(shift=shift, lowers=((i, i + 1),), mult=((i - 1, i),),
+                              coeff=nu(i)))
+        return atoms
+
+    def rhs30(self, i, ip, j, jp):
+        if i != j or ip != jp:
+            return []
+        nu = self.nu
+        shift = (
+            -self.head_sum(i, ip - 1)
+            + self.theta_sum(ip + 1, i - 1,
+                             lambda ell: ((nu(i + 1), (ell, i + 1)), (-nu(i), (ell, i))))
+            - LinForm.sym(f"l{i}")
+            + LinForm.theta((i, i + 1), nu(i) + nu(i + 1))
+            + self.tail_sum(i, i + 2)
+        )
+        bracket = LinForm.theta((ip, i), nu(i)) - LinForm.theta((ip, i + 1), nu(i + 1))
+        return [Atom(shift=shift, brackets=(bracket,), coeff=nu(i))]
+
+    def rhs31(self, i, ip, j, jp):
+        nu = self.nu
+        atoms = []
+        base_shift = (
+            -self.theta_sum(1, j - 1,
+                            lambda ell: ((nu(i + 1), (ell, i + 1)), (-nu(i), (ell, i))))
+            + LinForm.sym(f"l{j}")
+            - LinForm.theta((j, i + 1), nu(i + 1))
+            - self.theta_sum(i + 1, self.total,
+                             lambda m: ((nu(j), (j, m)), (-nu(j + 1), (j + 1, m))))
+        )
+        if ip == j and jp == i + 1:
+            atoms.append(Atom(shift=base_shift, lowers=((j + 1, i + 1),), mult=((j, i),)))
+        if ip == j + 1 and jp == i:
+            extra = LinForm.theta((j, i), nu(i) - nu(j))
+            atoms.append(Atom(shift=base_shift + extra, lowers=((j + 1, i + 1),),
+                              mult=((j, i),), coeff=-1))
+        return atoms
+
+
+def _nodes(real):
+    """Every (i, i', j, j') check_intermediate builds a bracket for, with
+    i' < i and j' < j (f1) or j' >= j + 2 (f3)."""
+    rank, total = real.root.rank, real.root.total
+    return [(i, ip, j, jp)
+            for i in range(1, rank + 1) for ip in range(1, i)
+            for j in range(1, rank + 1)
+            for jp in [*range(1, j), *range(j + 2, total + 1)]]
+
+
+@pytest.mark.parametrize("sab", [None, "f1", "h"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{M}|{N}" for M, N in SHAPES])
+class TestWeightSums:
+    def test_h_form(self, shape, sab):
+        real = FiniteRealization(*shape, sab)
+        old = OldForms(real)
+        for i in range(1, real.root.rank + 1):
+            assert real.h_form(i) == old.h_form(i), i
+
+    def test_atoms(self, shape, sab):
+        real = FiniteRealization(*shape, sab)
+        old = OldForms(real)
+        rank, total = real.root.rank, real.root.total
+        for i in range(1, rank + 1):
+            assert real.atom_e_ii(i) == old.atom_e_ii(i), i
+            assert real.atom_f2(i) == old.atom_f2(i), i
+            assert real.atom_f2_half(i) == old.atom_f2_half(i), i
+            for ip in range(1, i):
+                assert real.atom_e_iip(i, ip) == old.atom_e_iip(i, ip), (i, ip)
+                assert real.atom_f1(i, ip) == old.atom_f1(i, ip), (i, ip)
+            for jp in range(i + 2, total + 1):
+                assert real.atom_f3(i, jp) == old.atom_f3(i, jp), (i, jp)
+
+    def test_intermediate_rhs(self, shape, sab):
+        real = FiniteRealization(*shape, sab)
+        old = OldForms(real)
+        rank = real.root.rank
+        for i in range(1, rank + 1):
+            for j in range(1, rank + 1):
+                assert _intermediate_rhs29(real, i, j) == old.rhs29(i, j), (i, j)
+        nodes = _nodes(real)
+        for args in nodes:
+            assert _intermediate_rhs30(real, *args) == old.rhs30(*args), args
+            assert _intermediate_rhs31(real, *args) == old.rhs31(*args), args
+        if rank >= 2:
+            # eqs. (30) and (31) compared some atoms, not only empty lists
+            assert any(old.rhs30(*args) for args in nodes)
+            assert any(old.rhs31(*args) for args in nodes)

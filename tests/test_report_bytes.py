@@ -32,6 +32,16 @@ PINNED = [
     (["check-finite", "--M", "3", "--N", "1", "--max-degree", "2",
       "--sabotage", "f2"], 1,
      "8bb7b2181a1442309396844f67a6d491e07139d1b64f796f7a5658386dac404d"),
+    # the odd-odd node and eqs. (30)-(31) at rank 3, and the h and f1 forms
+    (["check-finite", "--M", "2", "--N", "2", "--variant", "ii", "--max-degree", "2"], 0,
+     "8c72952150c977b6897dabbbcc3d9fc084ef31c5c04bbd9548f86e9d6ee226cb"),
+    (["check-finite", "--M", "2", "--N", "2", "--max-degree", "2", "--sabotage", "h"], 1,
+     "fe44dd4ebcaaa4db2d56f588be03d23d7b427c72cd4d7ad43002e3c4aa825798"),
+    (["check-finite", "--M", "1", "--N", "3", "--max-degree", "2", "--sabotage", "f1"], 1,
+     "344757b8afb62e2a02f92aa588a76a64ee81a30cdf02e230048fc50b11fd1df9"),
+    (["check-finite", "--M", "3", "--N", "2", "--max-degree", "1",
+      "--sabotage", "e_iip"], 1,
+     "4f92e5d1e97cf1035496e140548653c38c33d6f9ee3d138e5b74f356efbf2e5a"),
 ]
 
 

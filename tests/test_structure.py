@@ -63,6 +63,20 @@ def test_bracket_sign():
     assert graded_bracket_sign(1, 1) == -1
 
 
+def test_weight_table():
+    # (h_i, eps_l - eps_m) on (2|1), nu = (1, 1, -1): x12 = alpha_1,
+    # x13 = alpha_1 + alpha_2, x23 = alpha_2, with a_11 = 2, a_12 = -1, a_22 = 0
+    rd = build_root_data(2, 1)
+    want = {1: {(1, 2): 2, (1, 3): 1, (2, 3): -1},
+            2: {(1, 2): -1, (1, 3): -1, (2, 3): 0}}
+    for i, row in want.items():
+        for (l, m), w in row.items():
+            assert rd.weight(i, l, m) == w, (i, l, m)
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            rd.weight(i, 1, 2)
+
+
 def test_bad_shapes():
     with pytest.raises(ValueError):
         build_root_data(0, 2)
@@ -84,6 +98,7 @@ def test_shape_tables():
     assert osc.ODD_SLOT == (False, True, True, False)
     assert osc.C0 == {"b12": -1, "b13": 1, "b23": 1, "c12": 1}
     assert osc.G_SHIFT == 1
+    assert osc.K_EXPONENTS == {1: ((2, 1, -1, 0), (1, 0)), 2: ((-1, -1, 0, 0), (0, 1))}
     assert CURRENT_PARITY == {"E1": 0, "E2": 1, "F1": 0, "F2": 1,
                               "psi1+": 0, "psi1-": 0, "psi2+": 0, "psi2-": 0}
 
