@@ -40,14 +40,13 @@ rendered identically) or declines to run.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
 
 from .oscillators import FockState, occ_add
-from .ring import _HALF, _MASK, _SLOT_BITS, RingElem
+from .ring import _HALF, _MASK, _SLOT_BITS, RingElem, _lowest
 
 # One side of a product: s biased by 2^12, Gamma by 2^11.  Sums of two
 # sides then need 14 and 13 bits.
@@ -248,13 +247,10 @@ class BulkEngine:
     # -- scalar encoding -----------------------------------------------------
 
     def _enc(self, elem: RingElem) -> _Enc:
-        """elem's numerator over (q - q^-1)^elem.dpow as parallel arrays."""
+        """elem's numerators, over elem.den (q - q^-1)^elem.dpow, as parallel arrays."""
         items = list(elem.terms.items())
         if not items:
             raise BulkError("empty scalar")
-        denom = 1
-        for _, c in items:
-            denom = lcm(denom, c.denominator)
         k0 = items[0][0]
         vec = self.table._exp_vector(k0)
         meta = k0 - vec[0]
@@ -276,12 +272,11 @@ class BulkEngine:
                 eg = _GB
             if not (0 <= es < (1 << _SW) and 0 <= eg < (1 << _GW)):
                 raise BulkError("exponent outside packed range")
-            v = c.numerator * (denom // c.denominator)
-            av = abs(v)
+            av = abs(c)
             if av >= _SUM_LIMIT:
                 raise BulkError("numerator outside packed range")
             keys[i] = es | (eg << _A_G_SHIFT)
-            vals[i] = v
+            vals[i] = c
             if es > smax:
                 smax = es
             if eg > gmax:
@@ -289,7 +284,7 @@ class BulkEngine:
             if av > maxabs:
                 maxabs = av
             sumabs += av
-        return _Enc(keys, vals, denom, meta, smax, gmax, maxabs, sumabs, elem.dpow)
+        return _Enc(keys, vals, elem.den, meta, smax, gmax, maxabs, sumabs, elem.dpow)
 
     # -- structure encoding ---------------------------------------------------
 
@@ -376,7 +371,8 @@ class BulkEngine:
         bases = self._bases.setdefault(state, {})
         for job in jobs:
             weight = job[2]
-            wkey = None if weight is None else (tuple(weight.terms.items()), weight.dpow)
+            wkey = None if weight is None else (
+                tuple(weight.terms.items()), weight.dpow, weight.den)
             for fused, res, i, base, _, momenta, occ_after in self.engine.residues((job,), state):
                 fe = self._enc_flows(fused, res)
                 if fe is None:
@@ -518,6 +514,6 @@ class BulkEngine:
             elif g_exp:
                 raise BulkError("Gamma exponent without a Gamma slot")
             st = FockState(momenta, occ)
-            by_state.setdefault(st, {})[rk] = Fraction(val, denom_b)
-        return {st: RingElem(self.table, terms, d_max)
+            by_state.setdefault(st, {})[rk] = val
+        return {st: _lowest(self.table, terms, d_max, denom_b)
                 for st, terms in by_state.items()}

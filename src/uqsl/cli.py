@@ -4,7 +4,8 @@ Three subcommands: check-finite runs the q-difference relation suites,
 check-affine runs the loop-algebra suites, apply evaluates one generator
 word on one flag monomial.  Reports are UTF-8 JSON with stable ordering;
 exit status is 0 when everything passed, 1 on any relation failure, 2 on
-configuration or parse errors.
+configuration or parse errors and on a check-finite --sabotage that changes
+no generator on the checked basis (the negative control could not fail).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .finite import (
     check_chevalley,
     check_intermediate,
     check_remarks,
+    sabotage_changes_nothing,
 )
 from .grassmann import SuperPoly
 from .oscillators import enumerate_basis
@@ -175,6 +177,15 @@ def _cmd_check_finite(args) -> int:
     results, timings = _run_tasks(
         _finite_task, argslist, args.jobs, _FINITE_TASKS, args.timings)
     report = SuiteReport("finite", cfg, args.seed, results, timings)
+    # a failed relation already shows the sabotage changed something
+    if (args.sabotage is not None and not report.failed
+            and sabotage_changes_nothing(args.M, args.N, args.variant,
+                                         args.max_degree, args.sabotage)):
+        raise ValueError(
+            f"sabotage {args.sabotage!r} changes nothing on shape "
+            f"({args.M}|{args.N}): every generator acts on the flag monomials "
+            f"of degree <= {args.max_degree} as without it, so the negative "
+            "control has nothing to detect")
     return _emit(report, args.report)
 
 

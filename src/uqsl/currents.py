@@ -254,6 +254,8 @@ class VertexEngine:
             # cancels its Cartan annihilator's; else its terms are no q^c
             if kap.dpow:
                 raise ValueError(f"contraction kappa_1 = {kap} keeps a (q - q^-1) denominator")
+            if kap.den != 1:
+                raise ValueError(f"contraction kappa_1 = {kap} has a non-integer exponent e_c")
             lst = [T.one()] + [T.zero()] * l
             for c, e in kap.terms.items():
                 # divide by 1 - q^c x (running sums), or multiply by it

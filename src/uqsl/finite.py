@@ -271,6 +271,23 @@ class FiniteRealization:
         return LinMap(lambda p: p.scale_diag(sign), 0)
 
 
+def sabotage_changes_nothing(M, N, variant, D, sabotage) -> bool:
+    """True when every generator e_i, f_i, K_i of the sabotaged realization
+    sends every flag monomial of degree <= D where the clean one does: the
+    negative control then corrupts nothing the relations on that basis see."""
+
+    def images(real):
+        one = real.table.one()
+        basis = basis_upto(real.space, D)
+        for i in range(1, real.root.rank + 1):
+            for op in (real.build_e(i, variant), real.build_f(i, variant), real.build_t(i)):
+                for m in basis:
+                    yield op.apply(SuperPoly(real.space, {m: one})).terms
+
+    return all(a == b for a, b in zip(
+        images(FiniteRealization(M, N)), images(FiniteRealization(M, N, sabotage))))
+
+
 # -- relation checking -------------------------------------------------------
 
 

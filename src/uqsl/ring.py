@@ -18,11 +18,17 @@ the result has the minimal denominator power, and equal elements reach the
 same terms whichever computation produced them.  Display goes through it,
 so a witness renders the same on every extraction path.
 
-Coefficients are exact: a plain int, or a fractions.Fraction when the
-denominator is not 1.  Scalars enter through _exact(), which keeps integral
-values as int, so sums and products of integer coefficients (the large
-majority) run on int arithmetic.  A Fraction that arises from arithmetic
-may have denominator 1; equality and display do not depend on the type.
+Coefficients are exact and integral: an element is
+
+    terms / (den * (q - q^-1)^dpow)
+
+with int numerators in terms and one positive int denominator den, kept in
+lowest terms (gcd(den, every numerator) = 1).  Products and sums of
+elements with den = 1 (the large majority) run on int arithmetic alone; the
+others cross-multiply and divide out one gcd.  fractions.Fraction appears
+only at the edges: a rational scalar entering through rational(),
+monomial() or a product, the value subst_numeric returns, and the
+coefficients __str__ prints.
 """
 
 from __future__ import annotations
@@ -42,12 +48,18 @@ class RingError(ValueError):
 
 
 def _exact(x) -> int | Fraction:
-    """x as an exact scalar: an int when its denominator is 1, else a Fraction."""
-    if isinstance(x, int):
+    """x itself, checked to be an exact rational (an int or a Fraction)."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
     raise RingError(f"not an exact rational: {x!r}")
+
+
+def _ratio(x) -> tuple:
+    """An exact rational scalar as (numerator, denominator), denominator > 0."""
+    if type(x) is int:
+        return x, 1
+    x = _exact(x)
+    return x.numerator, x.denominator
 
 
 class LinForm:
@@ -224,12 +236,12 @@ class SymbolTable:
         return RingElem(self, {0: 1}, 0)
 
     def rational(self, x) -> "RingElem":
-        c = _exact(x)
-        return RingElem(self, {0: c} if c else {}, 0)
+        n, d = _ratio(x)
+        return RingElem(self, {0: n}, 0, d) if n else RingElem(self, {}, 0)
 
     def monomial(self, exps: Mapping[str, int], coeff=1) -> "RingElem":
-        c = _exact(coeff)
-        return RingElem(self, {self.pack(exps): c} if c else {}, 0)
+        n, d = _ratio(coeff)
+        return RingElem(self, {self.pack(exps): n}, 0, d) if n else RingElem(self, {}, 0)
 
     def qdiff(self) -> "RingElem":
         """The element q - q^-1."""
@@ -357,20 +369,34 @@ def _div_qdiff(terms: dict) -> dict | None:
     return out
 
 
-class RingElem:
-    """terms/(q - q^-1)^dpow.
+def _lowest(table: SymbolTable, terms: dict, dpow: int, den: int) -> "RingElem":
+    """terms/(den (q - q^-1)^dpow) with den > 0 and terms divided by the
+    gcd of den and every numerator."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
+    return RingElem(table, terms, dpow, den)
 
-    terms maps a packed exponent key to a nonzero coefficient: an int, or a
-    Fraction when the denominator is not 1 on entry.  subst_numeric always
+
+class RingElem:
+    """terms/(den (q - q^-1)^dpow).
+
+    terms maps a packed exponent key to a nonzero int numerator; den is a
+    positive int sharing no factor with all of them (1 for the zero
+    element).  Every operation returns an element in that form, so equal
+    values with equal dpow have equal (terms, den).  subst_numeric always
     returns a Fraction.
     """
 
-    __slots__ = ("table", "terms", "dpow")
+    __slots__ = ("table", "terms", "dpow", "den")
 
-    def __init__(self, table: SymbolTable, terms: dict, dpow: int):
+    def __init__(self, table: SymbolTable, terms: dict, dpow: int, den: int = 1):
         self.table = table
         self.terms = terms
         self.dpow = dpow
+        self.den = den
 
     # -- predicates --------------------------------------------------------
 
@@ -384,16 +410,22 @@ class RingElem:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RingElem:
             other = self.table.rational(other)
         self._check(other)
         a, b = self, other
         if a.dpow < b.dpow:
             a, b = b, a
-        bt = b.terms
+        at, bt, den = a.terms, b.terms, a.den
         if a.dpow > b.dpow:
             bt = _mul_by_qdiff(bt, a.dpow - b.dpow)
-        out = dict(a.terms)
+        if b.den != den:
+            g = gcd(den, b.den)
+            ua, ub = b.den // g, den // g
+            at = {k: c * ua for k, c in at.items()}
+            bt = {k: c * ub for k, c in bt.items()}
+            den *= ua
+        out = dict(at)
         get = out.get
         for k, c in bt.items():
             v = get(k, 0) + c
@@ -401,15 +433,17 @@ class RingElem:
                 out[k] = v
             elif k in out:
                 del out[k]
-        return RingElem(a.table, out, a.dpow)
+        if den == 1:
+            return RingElem(a.table, out, a.dpow)
+        return _lowest(a.table, out, a.dpow, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.table, {k: -c for k, c in self.terms.items()}, self.dpow)
+        return RingElem(self.table, {k: -c for k, c in self.terms.items()}, self.dpow, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RingElem:
             other = self.table.rational(other)
         return self + (-other)
 
@@ -417,15 +451,20 @@ class RingElem:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RingElem(self.table, {}, 0)
-            if other == 1:
-                return self
-            c = _exact(other)
-            return RingElem(self.table, {k: v * c for k, v in self.terms.items()}, self.dpow)
-        self._check(other)
-        return RingElem(self.table, _mul_terms(self.terms, other.terms), self.dpow + other.dpow)
+        if type(other) is RingElem:
+            self._check(other)
+            terms = _mul_terms(self.terms, other.terms)
+            den = self.den * other.den
+            if den == 1:
+                return RingElem(self.table, terms, self.dpow + other.dpow)
+            return _lowest(self.table, terms, self.dpow + other.dpow, den)
+        n, d = _ratio(other)
+        if not n:
+            return RingElem(self.table, {}, 0)
+        if n == d:
+            return self
+        return _lowest(self.table, {k: v * n for k, v in self.terms.items()},
+                       self.dpow, self.den * d)
 
     __rmul__ = __mul__
 
@@ -442,13 +481,15 @@ class RingElem:
         if self.dpow != 0 or len(self.terms) != 1:
             raise RingError("only monomials are invertible")
         ((k, c),) = self.terms.items()
-        return RingElem(self.table, {-k: _exact(Fraction(c.denominator, c.numerator))}, 0)
+        if c < 0:
+            return RingElem(self.table, {-k: -self.den}, 0, -c)
+        return RingElem(self.table, {-k: self.den}, 0, c)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RingElem:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.table.rational(other)
-        elif not isinstance(other, RingElem):
-            return NotImplemented
         return (self - other).is_zero()
 
     __hash__ = None
@@ -465,7 +506,7 @@ class RingElem:
             if quot is None:
                 break
             terms, dpow = quot, dpow - 1
-        return RingElem(self.table, terms, dpow if terms else 0)
+        return _lowest(self.table, terms, dpow if terms else 0, self.den)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -475,7 +516,7 @@ class RingElem:
         evaluating many elements at one point does only once.
 
         Evaluated on integers: every term contributes an integer pair, and
-        a single Fraction is built from the sum at the end.
+        a single Fraction is built from the sum, over den, at the end.
         """
         if not isinstance(assignment, tuple):
             assignment = self.table.numeric_point(assignment)
@@ -486,8 +527,8 @@ class RingElem:
         if self.dpow > 0 and n * n == d * d:
             raise RingError("q = 1 assignment hits the denominator")
         num, den = 0, 1
-        for key, c in self.terms.items():
-            tn, td = c.numerator, c.denominator
+        for key, tn in self.terms.items():
+            td = 1
             i = 0
             while key:  # stops after the last nonzero slot
                 r = key & _MASK
@@ -510,7 +551,7 @@ class RingElem:
             # 1/(q - q^-1) = n^2 d^2 / (n^4 - d^4) at s = n/d
             num *= (n * d) ** (2 * self.dpow)
             den *= (n ** 4 - d ** 4) ** self.dpow
-        return Fraction(num, den)
+        return Fraction(num, den * self.den)
 
     # -- display ----------------------------------------------------------------
 
@@ -539,7 +580,7 @@ class RingElem:
         keys = sorted(canon.terms, key=canon.table._exp_vector, reverse=True)
         parts = []
         for k in keys:
-            c = canon.terms[k]
+            c = Fraction(canon.terms[k], canon.den)
             body = canon._term_str(k)
             mag = abs(c)
             if body:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsl import LinForm, affine, affine_symbols, bulk
+from uqsl import LinForm, RingElem, affine, affine_symbols, bulk
 from uqsl.affine import (
     AffineContext,
     _partitions,
@@ -263,10 +263,12 @@ class TestPackedEngine:
             assert fast and fast == sab_k2.engine.extract_sum(jobs, state)
 
     def test_pair_residual_matches(self, ctx, sab_k2):
-        # weights of one term, of two terms and with a denominator power
-        # meet the same branches, so each needs its own cached encoding
+        # weights of one term, of two terms, of the same two numerators over
+        # 2 and with a denominator power meet the same branches, so each
+        # needs its own cached encoding
         T = ctx.table
-        weights = (None, T.qpow(LinForm(1)) + T.qpow(LinForm(-1)), T.qdiff_inv())
+        two = T.qpow(LinForm(1)) + T.qpow(LinForm(-1))
+        weights = (None, two, two * Fraction(1, 2), T.qdiff_inv())
         for pair in (("E2", 1, "E2", -1), ("E1", 1, "E1", -1)):
             for xi in weights:
                 jobs = ctx._jobs(ctx._pair_pieces(*pair, xi))
@@ -452,6 +454,45 @@ class TestPackedGuards:
         assert fast == slow
 
 
+def _ring_elems(root):
+    """Every RingElem reachable from root through containers and the
+    attributes of uqsl objects, each once."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, RingElem):
+            yield obj
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("uqsl."):
+            if hasattr(obj, "__dict__"):
+                stack.extend(vars(obj).values())
+            for cls in type(obj).__mro__:
+                stack.extend(getattr(obj, a) for a in getattr(cls, "__slots__", ())
+                             if hasattr(obj, a))
+
+
+class TestIntegerCoefficients:
+    def test_no_fraction_left_in_caches(self):
+        # every family at E_cut=1, window=1 (the affine_full_e1w1 workload),
+        # then every element the context still holds
+        ctx = AffineContext()
+        basis = enumerate_basis(1)
+        for family in affine.FAMILIES.values():
+            family(ctx, basis, 1, 2)
+        elems = list(_ring_elems(ctx))
+        assert len(elems) > 5_000
+        assert all(type(c) is int for el in elems for c in el.terms.values())
+        assert all(type(el.den) is int and el.den >= 1 for el in elems)
+        assert any(el.den > 1 for el in elems)
+
+
 class TestDenominatorFree:
     """The packed kernel encodes flow maps and creation buckets without a
     power of (q - q^-1): every contraction-series and creation coefficient
@@ -483,6 +524,7 @@ class TestDenominatorFree:
                 for res in itertools.product(range(-1, 3), repeat=len(nm)):
                     for dkey, scalar in ctx.engine.flows_map(fused, res):
                         assert scalar.dpow == 0, (nm, res, dkey)
+                        assert scalar.den == 1, (nm, res, dkey)
                         assert all(type(c) is int for c in scalar.terms.values())
                         dkeys.add(dkey)
         assert dkeys
@@ -590,7 +632,8 @@ class TestResidues:
             want = _reference_flows_map(engine, fused, res)
             assert [dkey for dkey, _ in got] == [dkey for dkey, _ in want], res
             for (_, g), (_, w) in zip(got, want):
-                assert list(g.terms.items()) == list(w.terms.items()) and g.dpow == w.dpow
+                assert list(g.terms.items()) == list(w.terms.items())
+                assert (g.dpow, g.den) == (w.dpow, w.den)
 
 
 @functools.lru_cache(maxsize=None)

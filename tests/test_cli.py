@@ -132,6 +132,17 @@ class TestCheckFinite:
         bad = [r for r in data["relations"] if r["status"] == "fail"]
         assert bad and all("witness" in r for r in bad)
 
+    @pytest.mark.parametrize("sab", ["f1", "e_iip", "f3", "f2-theta"])
+    def test_sabotage_that_changes_nothing(self, tmp_path, capsys, sab):
+        # (1|1) has no f1, e_iip or f3 atoms, and f2's x12 multiplier leaves
+        # no term where theta_12 is nonzero: every relation would pass
+        path = tmp_path / "x.json"
+        code = main(["check-finite", "--M", "1", "--N", "1", "--max-degree", "2",
+                     "--sabotage", sab, "--report", str(path)])
+        assert code == 2 and not path.exists()
+        err = capsys.readouterr().err
+        assert f"sabotage {sab!r} changes nothing on shape (1|1)" in err
+
     def test_unknown_sabotage(self, tmp_path):
         code = main(["check-finite", "--M", "2", "--N", "1",
                      "--sabotage", "nope", "--report", str(tmp_path / "x.json")])

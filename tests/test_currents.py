@@ -146,7 +146,8 @@ class TestHCoeffs:
                 c = h_coeffs(T, i, n)
                 assert set(c) <= set(slots)
                 assert all(v.dpow == 0 for v in c.values()), (i, n)
-                got = {s: sum(c[s].terms.values()) if s in c else 0 for s in slots}
+                got = {s: Fraction(sum(c[s].terms.values()), c[s].den) if s in c else 0
+                       for s in slots}
                 assert got == want, (k, i, n)
 
 
@@ -308,7 +309,8 @@ class TestFuseRules:
             for names in names_list:
                 for fused in ctx.fused_terms(names):
                     const, p0s, eps = _ref_fold(T, fused.vterms)
-                    assert (fused.const.terms, fused.const.dpow) == (const.terms, const.dpow)
+                    assert ((fused.const.terms, fused.const.dpow, fused.const.den)
+                            == (const.terms, const.dpow, const.den))
                     assert fused.p0s == p0s and fused.eps == eps
                     assert all(type(p) is int for p in fused.p0s)
                     seen += 1
@@ -375,9 +377,10 @@ class TestContractionSeries:
         for vtA, vtB in _term_pairs(level_ctx):
             for l in range(self.LMAX + 1):
                 c = engine._series_coeff(vtA, vtB, l)
-                assert c.dpow == 0
+                assert c.dpow == 0 and c.den == 1
                 assert all(type(v) is int for v in c.terms.values()), (vtA.uid, vtB.uid, l)
             k1 = _ref_kappa(vtA, vtB, 1).canonical()
+            assert k1.den == 1
             seen.update(k1.terms.values())
         # every exponent e_c is +-1 or, where two exponents coincide, +-2
         assert seen <= {-2, -1, 1, 2}
@@ -387,7 +390,7 @@ class TestContractionSeries:
             k1 = _ref_kappa(vtA, vtB, 1).canonical()
             for n in range(1, 13):
                 kn = (_ref_kappa(vtA, vtB, n) * n).canonical()
-                assert kn.dpow == 0 and k1.dpow == 0
+                assert (kn.dpow, k1.dpow, kn.den, k1.den) == (0, 0, 1, 1)
                 assert kn.terms == {key * n: e for key, e in k1.terms.items()}, (vtA.uid, vtB.uid, n)
 
     def test_denominator_left_in_kappa_1_raises(self):
@@ -395,4 +398,12 @@ class TestContractionSeries:
         vtA, vtB = ctx.currents["E1"][0], ctx.currents["F1"][0]
         vtA.ann_value = lambda fam, m: ctx.table.qdiff_inv()
         with pytest.raises(ValueError, match=r"keeps a \(q - q\^-1\) denominator"):
+            ctx.engine._series_coeff(vtA, vtB, 1)
+
+    def test_fractional_exponent_in_kappa_1_raises(self):
+        # e_c is read off kappa_1's numerators, so they must be over 1
+        ctx = AffineContext()
+        vtA, vtB = ctx.currents["E1"][0], ctx.currents["F1"][0]
+        vtA.ann_value = lambda fam, m: ctx.table.rational(Fraction(1, 7))
+        with pytest.raises(ValueError, match="non-integer exponent"):
             ctx.engine._series_coeff(vtA, vtB, 1)

@@ -17,6 +17,7 @@ from uqsl.finite import (
     check_remarks,
     compose,
     graded_commutator,
+    sabotage_changes_nothing,
     scale_map,
 )
 from uqsl.grassmann import SuperPoly
@@ -175,6 +176,17 @@ class TestSabotage:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             FiniteRealization(2, 1, sabotage="nope")
+
+    def test_changes_nothing(self):
+        # (1|1) has one node: no f1, e_iip or f3 atoms, and x12 is odd, so
+        # f2 multiplies only monomials with theta_12 = 0
+        for sab in ("f1", "e_iip", "f3", "f2-theta"):
+            assert sabotage_changes_nothing(1, 1, "i", 2, sab), sab
+        assert not sabotage_changes_nothing(1, 1, "ii", 2, "h")
+        assert not sabotage_changes_nothing(2, 1, "i", 2, "f2-theta")
+        # on degree 0 alone f1's lowering meets no x_12 to act on
+        assert sabotage_changes_nothing(3, 0, "i", 0, "f1")
+        assert not sabotage_changes_nothing(3, 0, "i", 1, "f1")
 
 
 class TestIntermediate:

@@ -42,6 +42,11 @@ PINNED = [
     (["check-finite", "--M", "3", "--N", "2", "--max-degree", "1",
       "--sabotage", "e_iip"], 1,
      "4f92e5d1e97cf1035496e140548653c38c33d6f9ee3d138e5b74f356efbf2e5a"),
+    # f1 acts as the clean f on the degree-0 basis, yet the Serre relations
+    # carry f_1 f_1 (1) up to degree 2, where it bites
+    (["check-finite", "--M", "3", "--N", "0", "--max-degree", "0", "--variant", "i",
+      "--sabotage", "f1"], 1,
+     "91307156f64a11d617441ee1829596a12ab7e8437b885f68f950b2095dec10c7"),
 ]
 
 

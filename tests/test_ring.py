@@ -1,6 +1,7 @@
 """Ring arithmetic: q-integers, brackets, packing, canonical forms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from uqsl import (
     finite_symbols,
     verify_bracket_identity,
 )
-from uqsl.ring import _mul_by_qdiff
+from uqsl.ring import _div_qdiff, _mul_by_qdiff
 
 
 @pytest.fixture
@@ -249,11 +250,11 @@ class TestPacking:
 
 
 def reference_value(el, vals):
-    """The per-term Fraction evaluation: each term's coefficient times its
-    symbols' powers, summed, then divided by (q - q^-1)^dpow."""
+    """The per-term Fraction evaluation: each term's coefficient c/den times
+    its symbols' powers, summed, then divided by (q - q^-1)^dpow."""
     total = Fraction(0)
     for key, c in el.terms.items():
-        v = Fraction(c)
+        v = Fraction(c, el.den)
         for sym, e in el.table.unpack(key).items():
             v *= Fraction(vals[sym]) ** e
         total += v
@@ -335,10 +336,15 @@ class TestCoefficientTypes:
         assert type(c) is int and c == 2
 
     def test_inverse_is_exact(self, T):
-        (c,) = T.monomial({"L1": 2}, 3).inverse().terms.values()
-        assert type(c) is Fraction and c == Fraction(1, 3)
-        (c,) = T.monomial({"L1": 2}, -1).inverse().terms.values()
-        assert type(c) is int and c == -1
+        inv = T.monomial({"L1": 2}, 3).inverse()
+        (c,) = inv.terms.values()
+        assert type(c) is int and Fraction(c, inv.den) == Fraction(1, 3)
+        inv = T.monomial({"L1": 2}, Fraction(-2, 3)).inverse()
+        (c,) = inv.terms.values()
+        assert (c, inv.den) == (-3, 2)
+        inv = T.monomial({"L1": 2}, -1).inverse()
+        (c,) = inv.terms.values()
+        assert type(c) is int and (c, inv.den) == (-1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(elements(), elements(), st.integers(-3, 3),
@@ -349,3 +355,199 @@ class TestCoefficientTypes:
         for el in (a + b, a - b, a * b, a * r, a + r, b ** 2, mono ** n,
                    mono.inverse(), a * mono.inverse()):
             assert all(type(c) in (int, Fraction) for c in el.terms.values())
+
+
+# -- the Fraction-coefficient element, kept as the reference ------------------
+
+
+def _old_mul_terms(t1: dict, t2: dict) -> dict:
+    if not t1 or not t2:
+        return {}
+    if len(t2) == 1:
+        ((k2, c2),) = t2.items()
+        if c2 == 1:
+            return {k + k2: c for k, c in t1.items()}
+        return {k + k2: c * c2 for k, c in t1.items()}
+    if len(t1) == 1:
+        ((k1, c1),) = t1.items()
+        if c1 == 1:
+            return {k1 + k: c for k, c in t2.items()}
+        return {k1 + k: c1 * c for k, c in t2.items()}
+    out: dict = {}
+    get = out.get
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            k = k1 + k2
+            v = get(k, 0) + c1 * c2
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+    return out
+
+
+class OldElem:
+    """terms/(q - q^-1)^dpow with int or Fraction coefficients, as RingElem
+    computed before it kept integer numerators over one denominator.  den
+    is always 1, so reference_value evaluates it as it does a RingElem."""
+
+    den = 1
+
+    def __init__(self, table, terms, dpow):
+        self.table, self.terms, self.dpow = table, terms, dpow
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = OldElem(self.table, {0: other} if other else {}, 0)
+        a, b = self, other
+        if a.dpow < b.dpow:
+            a, b = b, a
+        bt = b.terms
+        if a.dpow > b.dpow:
+            bt = _mul_by_qdiff(bt, a.dpow - b.dpow)
+        out = dict(a.terms)
+        get = out.get
+        for k, c in bt.items():
+            v = get(k, 0) + c
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+        return OldElem(a.table, out, a.dpow)
+
+    def __neg__(self):
+        return OldElem(self.table, {k: -c for k, c in self.terms.items()}, self.dpow)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return OldElem(self.table, {}, 0)
+            return OldElem(self.table, {k: v * other for k, v in self.terms.items()}, self.dpow)
+        return OldElem(self.table, _old_mul_terms(self.terms, other.terms),
+                       self.dpow + other.dpow)
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = OldElem(self.table, {0: 1}, 0)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def inverse(self):
+        ((k, c),) = self.terms.items()
+        return OldElem(self.table, {-k: 1 / Fraction(c)}, 0)
+
+    def canonical(self):
+        terms, dpow = self.terms, self.dpow
+        while dpow > 0 and terms:
+            quot = _div_qdiff(terms)
+            if quot is None:
+                break
+            terms, dpow = quot, dpow - 1
+        return OldElem(self.table, terms, dpow if terms else 0)
+
+    def __str__(self):
+        canon = self.canonical()
+        if not canon.terms:
+            return "0"
+        keys = sorted(canon.terms, key=canon.table._exp_vector, reverse=True)
+        parts = []
+        for k in keys:
+            c = canon.terms[k]
+            body = RingElem._term_str(canon, k)
+            mag = abs(c)
+            cs = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+            parts.append(("-" if c < 0 else "+", cs))
+        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        if canon.dpow:
+            denom = "(q - q^-1)" + (f"^{canon.dpow}" if canon.dpow > 1 else "")
+            return f"({text}) / {denom}"
+        return text
+
+
+def assert_lowest_terms(el):
+    assert all(type(c) is int for c in el.terms.values())
+    assert type(el.den) is int and el.den >= 1
+    assert gcd(el.den, *el.terms.values()) == 1
+
+
+def assert_same(el, old):
+    """el holds old's value term for term, in lowest terms."""
+    assert_lowest_terms(el)
+    assert el.dpow == old.dpow
+    assert {k: Fraction(c, el.den) for k, c in el.terms.items()} == old.terms
+
+
+rationals = st.fractions(-12, 12, max_denominator=12)
+exps_small = st.integers(-4, 4)
+
+
+@st.composite
+def pairs(draw):
+    """One element built twice, from the same monomials and denominator
+    power: as a RingElem and as the reference."""
+    T = finite_symbols(2)
+    el, old = T.zero(), OldElem(T, {}, 0)
+    for _ in range(draw(st.integers(0, 4))):
+        exps = {"q": draw(exps_small), "L1": draw(st.integers(-2, 2)), "L2": 0}
+        c = draw(rationals)
+        el = el + T.monomial(exps, c)
+        old = old + OldElem(T, {T.pack(exps): c} if c else {}, 0)
+    d = draw(st.integers(0, 2))
+    return el * T.qdiff_inv(d), old * OldElem(T, {0: 1}, d)
+
+
+@st.composite
+def monomial_pairs(draw):
+    T = finite_symbols(2)
+    exps = {"q": draw(exps_small), "L1": draw(exps_small)}
+    c = draw(rationals.filter(bool))
+    return T.monomial(exps, c), OldElem(T, {T.pack(exps): c}, 0)
+
+
+class TestIntegerNumerators:
+    """Every operation on integer numerators over one denominator gives the
+    Fraction-coefficient reference's value term for term, in lowest terms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), pairs(), rationals, st.integers(0, 3))
+    def test_arithmetic(self, a, b, r, n):
+        (x, ox), (y, oy) = a, b
+        for el, old in ((x, ox), (x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy),
+                        (-x, -ox), (x * r, ox * r), (x + r, ox + r), (x - r, ox - r),
+                        (x ** n, ox ** n), (x * y * y, ox * oy * oy)):
+            assert_same(el, old)
+            assert_same(el.canonical(), old.canonical())
+            assert str(el) == str(old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(monomial_pairs(), pairs(), st.integers(-3, 3))
+    def test_inverse_and_powers(self, m, a, n):
+        (mono, om), (x, ox) = m, a
+        for el, old in ((mono.inverse(), om.inverse()), (mono ** n, om ** n),
+                        (x * mono.inverse(), ox * om.inverse()),
+                        (mono * mono.inverse(), om * om.inverse())):
+            assert_same(el, old)
+            assert str(el) == str(old)
+        assert mono * mono.inverse() == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs(), pairs(), st.tuples(*[values.filter(lambda v: v not in (1, -1))] * 3))
+    def test_subst_numeric(self, a, b, point):
+        (x, ox), (y, oy) = a, b
+        vals = dict(zip(("q", "L1", "L2"), point))
+        for el, old in ((x, ox), (x * y, ox * oy), (x - y, ox - oy)):
+            got = el.subst_numeric(vals)
+            assert type(got) is Fraction
+            assert got == reference_value(old, vals) == reference_value(el, vals)
+
+    def test_zero_has_denominator_one(self, T):
+        half = T.rational(Fraction(1, 2))
+        for z in (half - half, half * 0, (half - half).canonical(), T.rational(0)):
+            assert z.is_zero() and z.den == 1
