@@ -433,8 +433,6 @@ class RingElem:
                 out[k] = v
             elif k in out:
                 del out[k]
-        if den == 1:
-            return RingElem(a.table, out, a.dpow)
         return _lowest(a.table, out, a.dpow, den)
 
     __radd__ = __add__
@@ -453,11 +451,8 @@ class RingElem:
     def __mul__(self, other):
         if type(other) is RingElem:
             self._check(other)
-            terms = _mul_terms(self.terms, other.terms)
-            den = self.den * other.den
-            if den == 1:
-                return RingElem(self.table, terms, self.dpow + other.dpow)
-            return _lowest(self.table, terms, self.dpow + other.dpow, den)
+            return _lowest(self.table, _mul_terms(self.terms, other.terms),
+                           self.dpow + other.dpow, self.den * other.den)
         n, d = _ratio(other)
         if not n:
             return RingElem(self.table, {}, 0)

@@ -77,3 +77,16 @@ def test_rejects_unpaired():
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0], [1.0], "faster")
+
+
+def test_refuses_dirty_checkout(monkeypatch, capsys):
+    # an untracked file would be left out of the measured tree: refuse
+    def fake_git(*args):
+        assert args[:2] == ("status", "--porcelain")
+        assert "--untracked-files=all" in args
+        return "?? src/uqsl/new_module.py"
+    monkeypatch.setattr(bench_pairs, "_git", fake_git)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD~1", "--tag", "t"])
+    assert exc.value.code == 2
+    assert "src/uqsl/new_module.py" in capsys.readouterr().err

@@ -1,13 +1,15 @@
 """Paired parent/change runs of the benchmark, summarized into BENCH_<tag>.json.
 
-    python3 tools/bench_pairs.py --parent <rev> --tag <tag> [--pairs 10]
-        [--workload W ...] [--seed 0] [--seconds 30]
+    python3 tools/bench_pairs.py --parent <rev> --tag <tag> [--pairs 10] [--seed 0]
 
-The parent revision is extracted with `git archive <rev> | tar -x` into a
-temporary directory (no worktree; .git is only read).  For each workload,
-pair i runs `perfbench/run.py --workload W --seed <seed + i> --trace 0` once
-in that directory and once in this checkout, alternating which side runs
-first, and reads each run's last-line JSON and its report digest.
+The change is HEAD as committed: the script refuses to run while the
+checkout has uncommitted or untracked files, and records both commit shas.
+Each side is extracted with `git archive <rev> | tar -x` into its own
+temporary directory (no worktree; .git is only read).  For every workload
+in BENCHMARK.json, pair i runs `perfbench/run.py --workload W --seed
+<seed + i> --seconds <run_seconds> --trace 0` once on each side,
+alternating which side runs first, and reads each run's last-line JSON and
+its report digest.
 
 The output file holds the environment, every run's values, each side's
 median and quartiles per end-to-end metric, the number of pairs the change
@@ -119,32 +121,30 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--tag", required=True, help="output name: BENCH_<tag>.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append",
-                        help="repeatable; default every workload in BENCHMARK.json")
     parser.add_argument("--seed", type=int, default=0, help="pair i uses seed + i")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; default BENCHMARK.json run_seconds")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    dirty = _git("status", "--porcelain", "--untracked-files=all")
+    if dirty:
+        parser.error("the checkout has uncommitted or untracked files; commit or "
+                     "remove them, so that HEAD is what gets measured:\n" + dirty)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     out_path = ROOT / f"BENCH_{args.tag}.json"
-
-    parent_sha = _git("rev-parse", args.parent)
-    head_sha = _git("rev-parse", "HEAD")
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
+    shas = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        extract(parent_sha, tmp)
-        sides = {"parent": tmp, "change": ROOT}
+        sides = {}
+        for side, sha in shas.items():
+            sides[side] = tmp / side
+            sides[side].mkdir()
+            extract(sha, sides[side])
         result = {
             "tag": args.tag,
-            "parent": parent_sha,
-            "change": head_sha + (" + uncommitted changes" if dirty else ""),
+            **shas,
             "command": "perfbench/run.py --workload W --seed S --seconds "
                        f"{seconds:g} --trace 0",
             "pairs": args.pairs,
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
             },
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
             for i in range(args.pairs):
                 seed = args.seed + i
