@@ -165,14 +165,16 @@ class AffineContext:
         the intermediate scalars are still narrow."""
         return self.engine.extract_sum(self._jobs(pieces), state)
 
-    def combo_zero(self, pieces, state: FockState) -> dict:
-        """combo_vec through the packed-row engine, for relations whose
-        right side is zero; falls back to the exact path on any guard."""
-        jobs = self._jobs(pieces)
+    def combo_zero(self, jobs, state: FockState) -> list:
+        """combo_vec for many relation instances whose right side is zero,
+        through one call of the packed-row engine: jobs holds each
+        instance's job list, as _jobs builds it from the instance's pieces.
+        If any guard trips, every instance falls back to the exact path
+        with its own jobs."""
         try:
             return self.bulk.combo_residual(jobs, state)
         except BulkError:
-            return self.engine.extract_sum(jobs, state)
+            return [self.engine.extract_sum(j, state) for j in jobs]
 
     def _jobs(self, pieces) -> list:
         jobs = []
@@ -224,6 +226,30 @@ def _run_cases(ctx: AffineContext, rel_id: str, params: dict, cases) -> Relation
     """Compare lhs/rhs state vectors case by case, outputs in state order."""
     return compare_cases(ctx.seed, rel_id, params, cases, ctx.table.zero(),
                          None, format_state)
+
+
+def _run_zero_cases(ctx: AffineContext, basis: list, instances) -> list:
+    """Relation instances (rel_id, params, pieces) whose right side is zero,
+    state-outer: one combo_zero call per state for all of them, then each
+    instance's cases in basis order.
+
+    compare_cases reports a relation's first nonzero difference and asks
+    the oracle only when there is none, so residuals that follow an
+    instance's first nonzero one cannot change its result: they are dropped
+    as they arrive, and their cases carry {} instead."""
+    jobs = [ctx._jobs(pieces) for _, _, pieces in instances]
+    cases = [[] for _ in instances]
+    settled = [False] * len(instances)
+    for s in basis:
+        label = format_state(s)
+        for k, res in enumerate(ctx.combo_zero(jobs, s)):
+            if settled[k]:
+                res = {}
+            else:
+                settled[k] = any(not c.is_zero() for c in res.values())
+            cases[k].append((label, res, {}))
+    return [_run_cases(ctx, rel_id, params, inst_cases)
+            for (rel_id, params, _), inst_cases in zip(instances, cases)]
 
 
 def _kstr(k) -> str:
@@ -388,14 +414,15 @@ def check_eq11(ctx: AffineContext, basis: list, window: int) -> list:
         for sign, pref in (("plus", "E"), ("minus", "F")):
             s = 1 if sign == "plus" else -1
             xi = T.qpow(LinForm(s * a))
+            instances = []
             for n in range(-window, window + 1):
                 for m in range(-window, window + 1):
                     pieces = ctx._pair_pieces(f"{pref}{i}", n + 1, f"{pref}{j}", m, xi)
                     pieces += ctx._pair_pieces(f"{pref}{j}", m + 1, f"{pref}{i}", n, xi)
-                    cases = ((format_state(s), ctx.combo_zero(pieces, s), {}) for s in basis)
                     rel_id = f"drinfeld.eq11.i={i}.j={j}.sign={sign}.n={n}.m={m}"
                     params = {"i": i, "j": j, "sign": sign, "n": n, "m": m}
-                    out.append(_run_cases(ctx, rel_id, params, cases))
+                    instances.append((rel_id, params, pieces))
+            out += _run_zero_cases(ctx, basis, instances)
     return out
 
 
@@ -426,6 +453,7 @@ def check_eq13(ctx: AffineContext, basis: list, window: int) -> list:
         for sign, pref in (("plus", "E"), ("minus", "F")):
             x, y = f"{pref}{i}", f"{pref}{j}"
             names_aab, names_aba, names_baa = (x, x, y), (x, y, x), (y, x, x)
+            instances = []
             for n1 in range(-window, window + 1):
                 for n2 in range(n1, window + 1):
                     for m in range(-window, window + 1):
@@ -437,13 +465,12 @@ def check_eq13(ctx: AffineContext, basis: list, window: int) -> list:
                                 (names_aba, (nb, m, na), mq),
                                 (names_baa, (m, nb, na), None),
                             ]
-                        cases = ((format_state(s), ctx.combo_zero(pieces, s), {})
-                                 for s in basis)
                         rel_id = (f"drinfeld.eq13.i={i}.j={j}.sign={sign}"
                                   f".n1={n1}.n2={n2}.m={m}")
                         params = {"i": i, "j": j, "sign": sign,
                                   "n1": n1, "n2": n2, "m": m}
-                        out.append(_run_cases(ctx, rel_id, params, cases))
+                        instances.append((rel_id, params, pieces))
+            out += _run_zero_cases(ctx, basis, instances)
     return out
 
 

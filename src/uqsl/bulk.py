@@ -10,11 +10,29 @@ products become numpy outer products and cancellation becomes one sort
 plus a segmented sum, which is where the savings come from: the work is
 identical, term for term, to the RingElem pipeline.
 
-Each of the two stages (the aggregate over residue blocks, then the
-creation-bucket expansion of the surviving groups) is one segmented outer
-product: a Python pass collects every block's cached arrays and per-block
-integers, then one repeat/gather builds all of the stage's rows, so numpy's
-per-call overhead is paid per stage, not per block.
+One call per state.  combo_residual takes every instance of a relation
+family on one state at once, one job list per instance, and returns one
+residual per instance.  The residue walk is array work: a fused term's
+annihilation branches on a state form a table (annihilated energy per
+variable, its sum, the output sector), every job meets every branch of its
+table in one int64 broadcast, one compare drops the residues that no
+creation can reach, and each distinct (fused term, residue) looks up its
+flow map once.  A block is a (job, branch) pair with a nonempty flow map.
+The encodings a block needs, its branch's weighted base and its flow map,
+sit in append-only pools, so a call gathers their rows, guards and group
+keys by fancy indexing; Python runs only to encode what no earlier call
+did.
+
+Stage A's guards run once over every block of the call.  Then each
+instance runs the two stages (the aggregate over its residue blocks, then
+the creation-bucket expansion of its surviving groups), each one segmented
+outer product, as when every instance had a call of its own: instances
+never share a row, so no row needs an instance field (the stage B row has
+no bit left for one), and peak memory stays that of one instance's rows.
+Rows:
+
+    stage A  s [0,14) | G [14,27) | meta [27,35) | deficit [35,39) | gid [39,59)
+    stage B  s [0,14) | G [14,27) | meta [27,35) | occ [35,53) | mom [53,63)
 
 Only stage A's weighted bases carry powers of (q - q^-1); one binomial
 step settles the factors each row lacks.  Flow maps and bucket lists are
@@ -25,14 +43,16 @@ Encodings are cached by value: a branch's weighted base per state (branch
 index and weight value), a flow map per (fused uid, residue), a creation
 bucket list per dkey.  The engine builds each flow map and bucket list
 without caching it, so the encoding is the only copy a kernel run keeps.
-Nothing is keyed by object identity, so no object is kept alive only to
-pin its id, and a weight rebuilt with the same value for the next relation
-hits.
+Nothing is keyed by object identity across calls, so no object is kept
+alive only to pin its id, and a weight rebuilt with the same value for the
+next relation hits.
 
 Exactness is non-negotiable.  Every packing step is guarded: exponent
 fields are range checked, values are numerators over one common
 denominator with the largest possible absolute partial sum bounded below
-2^62, and any violation raises BulkError before a single row is built.
+2^62, and any violation raises BulkError before a row it guards is built.
+Stage A runs its size guards in float64 over all blocks at once and
+repeats them in exact integers whenever a float lands near a limit.
 Callers catch BulkError and fall back to the exact scalar path, so the
 vectorized route either reproduces the RingElem result (the same value,
 rendered identically) or declines to run.
@@ -41,6 +61,7 @@ rendered identically) or declines to run.
 from __future__ import annotations
 
 from math import comb, gcd, lcm
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -59,11 +80,10 @@ _GF = 13
 _S_MASK = (1 << _SF) - 1
 _G_MASK = (1 << _GF) - 1
 
-# Stage A row: s [0,14) | G [14,27) | meta [27,35) | deficit [35,39) | gid [39,59).
-# Stage B row: s [0,14) | G [14,27) | meta [27,35) | occ [35,53) | mom [53,63).
-# The deficit counts the powers of (q - q^-1) a row's base lacks: rows are
-# built at their base's power and the binomial expansion that equalizes
-# them runs after the first merge, when almost everything has cancelled.
+# The row layouts of the module docstring.  The deficit counts the powers
+# of (q - q^-1) a row's base lacks: rows are built at their base's power
+# and the binomial expansion that equalizes them runs after the first
+# merge, when almost everything has cancelled.
 _A_G_SHIFT = _SF
 _B_META_SHIFT = _SF + _GF
 _META_MAX = 1 << 8
@@ -81,6 +101,9 @@ _MOM_MAX = 1 << 10
 _SUM_LIMIT = 1 << 62
 _VAL_LIMIT = 1 << 63
 _CHUNK = 1 << 22
+# A float64 size guard within this factor of its limit is redone exactly:
+# over fewer than 2^32 blocks its rounding error stays far below 2^-20.
+_NEAR = 1 - 2.0 ** -20
 
 _MISSING = object()
 # _BINOM[d, j] = (-1)^j C(d, j): the expansion of (q - q^-1)^d.
@@ -121,6 +144,52 @@ class _Rows(NamedTuple):
     gmax: int
     maxabs: int
     sumabs: int
+
+
+class _Pool:
+    """Append-only columns with spare room: what earlier calls encoded, read
+    back by fancy indexing instead of per-item Python."""
+
+    def __init__(self, **dtypes):
+        self.size = 0
+        self.cols = {name: np.empty(0, dtype) for name, dtype in dtypes.items()}
+
+    def extend(self, **values) -> int:
+        """Append equal-length columns; returns the index of the first row."""
+        first = self.size
+        self.size += len(next(iter(values.values())))
+        for name, col in self.cols.items():
+            if self.size > col.size:
+                grown = np.empty(max(col.size + col.size // 2, self.size), col.dtype)
+                grown[:first] = col[:first]
+                self.cols[name] = col = grown
+            col[first:self.size] = values[name]
+        return first
+
+
+# Per encoded scalar (a weighted base or a flow map): where its rows sit in
+# the matching row pool, and what the guards read.  den is an id in the
+# engine's denominator registry; maxabs and sumabs are floats, and the
+# exact values follow from the scalar's pooled rows.
+_STATS = dict(start=np.int64, n=np.int64, den=np.int64, smax=np.int64,
+              gmax=np.int64, maxabs=np.float64, sumabs=np.float64)
+
+
+class _Table:
+    """One fused term's annihilation branches on one state, as arrays in
+    ascending order of annihilated energy (slot i holds the engine's branch
+    index[i]): the annihilated energy per variable and its sum, each
+    branch's sector id, and the shift p0s + taueig a job's targets lose.
+    stacks maps a weight key to the base-pool index of each slot's weighted
+    base, -1 until a call first needs it."""
+
+    __slots__ = ("fused", "branches", "r", "index", "ann", "ann_sum", "shift", "sector",
+                 "stacks")
+
+
+def _ranges(start, n):
+    """Concatenated aranges: start[i] .. start[i] + n[i] for every i."""
+    return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
 def _stack(encs, tags) -> _Rows:
@@ -209,14 +278,30 @@ def _outer_blocks(lk, lv, ln, rk, rv, rn):
                    np.concatenate([p[1] for p in parts]))
 
 
-class BulkEngine:
-    """Packed-row twin of VertexEngine.extract_sum for one symbol table:
-    stage A is the packed aggregate, stage B the creation-bucket expansion.
+class _Blocks(NamedTuple):
+    """Per block of a call, instance after instance: its instance, sector
+    id, base-pool and flow-pool index, the key offset its left rows take
+    (meta id, less its denominator power in the deficit field) and the
+    lift of its right rows onto the stage denominator."""
 
-    Fed by the engine's residues, whose branches the engine caches, and by
-    its flow and bucket builders, which cache nothing; keeps the packed
-    encodings of flows and buckets, keyed by value, and global state
-    registries.  Entry point is combo_residual."""
+    inst: np.ndarray
+    sector: np.ndarray
+    bi: np.ndarray
+    fi: np.ndarray
+    kadd: np.ndarray
+    up: np.ndarray
+
+
+class BulkEngine:
+    """Packed-row twin of VertexEngine.extract_sum for one symbol table,
+    batched over relation instances: stage A is the packed aggregate, stage
+    B the creation-bucket expansion.  Entry point is combo_residual, called
+    once per state with every instance of a relation family.
+
+    Fed by the engine's cached state branches and by its flow and bucket
+    builders, which cache nothing; keeps per state a branch table for each
+    fused term, the packed encodings of weighted bases and flow maps in
+    pools, bucket lists keyed by value, and global registries."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -230,19 +315,27 @@ class BulkEngine:
         else:
             self._off = _HALF | (_HALF << _SLOT_BITS)
             self._span = 2 * _SLOT_BITS
-        # state -> {(fused.uid, branch index, weight key): _Enc}, with the
-        # weight key None or the weight's (tuple of terms, dpow)
-        self._bases: dict = {}
-        self._flow_cache: dict = {}  # (fused.uid, res) -> _Rows | None
+        self._tables: dict = {}  # state -> {fused.uid: _Table}
+        # Weighted bases and flow maps: stats per scalar and rows.  A base
+        # is also tagged with its meta id and denominator power.
+        self._base_stats = _Pool(**_STATS, meta=np.int64, dpow=np.int64)
+        self._base_rows = _Pool(keys=np.int64, vals=np.int64)
+        self._flow_stats = _Pool(**_STATS)
+        self._flow_rows = _Pool(keys=np.int64, vals=np.int64, dk=np.int64)
+        self._flow_ids: dict = {}  # (fused.uid, res) -> flow pool index, -1 if empty
         self._p_cache: dict = {}  # dkey -> _Rows | None
         self._occkeys: dict = {}  # (occ_after, dkey) -> bucket keys with occ ids
         self._deltas: dict = {}  # occupation delta -> the one tuple _p_cache tags hold
         # Registries, key -> dense id in insertion order: output occupations,
-        # output momenta and the flow entries' dkeys.  A key whose id does
-        # not fit its row field is refused whenever it is looked up.
+        # output momenta, the flow entries' dkeys, sectors (momentum id,
+        # occ_after), metas and denominators.  A key whose id does not fit
+        # its row field is refused whenever it is looked up.
         self._occ_ids: dict = {}
         self._mom_ids: dict = {}
         self._dkey_ids: dict = {}
+        self._sector_ids: dict = {}
+        self._meta_ids: dict = {}
+        self._den_ids: dict = {}
 
     # -- scalar encoding -----------------------------------------------------
 
@@ -286,30 +379,63 @@ class BulkEngine:
             sumabs += av
         return _Enc(keys, vals, elem.den, meta, smax, gmax, maxabs, sumabs, elem.dpow)
 
+    def _pooled(self, stats: _Pool, rows: _Pool, encs, row_cols=None, **cols) -> int:
+        """Append encoded scalars (_Enc or _Rows) to a pool pair; returns
+        the index of the first.  row_cols and cols hold the pools' further
+        columns, per row (as one array per scalar) and per scalar."""
+        sizes = np.asarray([e.keys.size for e in encs], dtype=np.int64)
+        start = rows.extend(keys=np.concatenate([e.keys for e in encs]),
+                            vals=np.concatenate([e.vals for e in encs]),
+                            **{k: np.concatenate(v) for k, v in (row_cols or {}).items()})
+        dens = self._den_ids
+        return stats.extend(
+            start=start + np.cumsum(sizes) - sizes, n=sizes,
+            den=[dens.setdefault(e.denom, len(dens)) for e in encs],
+            smax=[e.smax for e in encs], gmax=[e.gmax for e in encs],
+            maxabs=[float(e.maxabs) for e in encs], sumabs=[float(e.sumabs) for e in encs],
+            **cols)
+
     # -- structure encoding ---------------------------------------------------
 
     def _enc_flows(self, fused, res):
-        key = (fused.uid, res)
-        hit = self._flow_cache.get(key, _MISSING)
-        if hit is not _MISSING:
-            return hit
         flows = self.engine.flows_map(fused, res)
-        rows = None
-        if flows:
-            encs = []
-            for _, ssum in flows:
-                if ssum.dpow:
-                    raise BulkError("denominator power above target")
-                e = self._enc(ssum)
-                if e.meta:
-                    raise BulkError("flow scalar carries symbol content")
-                encs.append(e)
-            ids = self._dkey_ids
-            rows = _stack(encs, [ids.setdefault(dkey, len(ids)) for dkey, _ in flows])
-            if rows.maxabs >= _SUM_LIMIT:
-                raise BulkError("flow numerator outside packed range")
-        self._flow_cache[key] = rows
+        if not flows:
+            return None
+        encs = []
+        for _, ssum in flows:
+            if ssum.dpow:
+                raise BulkError("denominator power above target")
+            e = self._enc(ssum)
+            if e.meta:
+                raise BulkError("flow scalar carries symbol content")
+            encs.append(e)
+        ids = self._dkey_ids
+        rows = _stack(encs, [ids.setdefault(dkey, len(ids)) for dkey, _ in flows])
+        if rows.maxabs >= _SUM_LIMIT:
+            raise BulkError("flow numerator outside packed range")
         return rows
+
+    def _flows(self, want) -> np.ndarray:
+        """The flow-pool index of each distinct (fused, res) in want, -1
+        for an empty flow map; maps not seen before are encoded and pooled
+        together, and registered only once all of them are."""
+        ids = self._flow_ids
+        new = []
+        for fused, res in want:
+            if (fused.uid, res) not in ids:
+                rows = self._enc_flows(fused, res)
+                if rows is None:
+                    ids[fused.uid, res] = -1
+                else:
+                    new.append(((fused.uid, res), rows))
+        if new:
+            encs = [rows for _, rows in new]
+            first = self._pooled(self._flow_stats, self._flow_rows, encs,
+                                 row_cols={"dk": [np.asarray(e.tags)[e.idx] for e in encs]})
+            for i, (key, _) in enumerate(new):
+                ids[key] = first + i
+        return np.fromiter((ids[fused.uid, res] for fused, res in want),
+                           dtype=np.int64, count=len(want))
 
     def _enc_p(self, dkey):
         hit = self._p_cache.get(dkey, _MISSING)
@@ -347,82 +473,271 @@ class BulkEngine:
             self._occkeys[key] = hit
         return hit
 
-    # -- the two passes -------------------------------------------------------
+    def _table(self, fused, state) -> _Table:
+        """The branch table of fused on state, from the engine's cached
+        branches, in ascending order of annihilated energy."""
+        branches, taueig, momenta = self.engine.branches(fused, state)
+        momid = self._mom_ids.setdefault(momenta, len(self._mom_ids))
+        if momid >= _MOM_MAX:
+            raise BulkError("momentum registry full")
+        sectors = self._sector_ids
+        tab = _Table()
+        tab.fused = fused
+        tab.branches = branches
+        tab.r = len(fused.vterms)
+        tab.index = np.argsort([b[2] for b in branches], kind="stable").astype(np.int64)
+        order = tab.index.tolist()
+        tab.ann = np.asarray([branches[i][1] for i in order], dtype=np.int64).reshape(-1, tab.r)
+        tab.ann_sum = np.asarray([branches[i][2] for i in order], dtype=np.int64)
+        tab.shift = np.asarray([tuple(map(add, fused.p0s, taueig))], dtype=np.int64)
+        tab.sector = np.asarray([sectors.setdefault((momid, branches[i][3]), len(sectors))
+                                 for i in order], dtype=np.int64)
+        tab.stacks = {}
+        return tab
 
-    def combo_residual(self, jobs, state: FockState) -> dict:
-        """Sum of weighted mode extractions applied to one state, computed
-        through packed rows.  Same contract as VertexEngine.extract_sum;
-        raises BulkError instead of answering when any guard trips."""
-        # One pass over the blocks (a job's branch with its flows) interns
-        # sectors and meta ids and guards every product; group ids, the
-        # stage denominator and the sum bound follow, and all of it has to
-        # exist before any rows do.  Meta travels as a row field: rows of
-        # one group may mix monomials (a degree-0 vertex term drops out of
-        # the dkey but keeps its constant), and distinct monomials never
-        # cancel, so the field costs nothing.
-        sector_of: dict = {}  # (momentum id, occ_after) -> sector id
-        metas: dict = {}
-        pairs = []
-        fits = []
-        kadd = []  # per block key offset: meta id, less its power in the deficit field
-        sectors = []  # per block
-        tag_ids = []  # dkey id of every (block, flow entry)
-        tag_off = []  # per block: its first entry in tag_ids
-        bases = self._bases.setdefault(state, {})
-        for job in jobs:
-            weight = job[2]
-            wkey = None if weight is None else (
-                tuple(weight.terms.items()), weight.dpow, weight.den)
-            for fused, res, i, base, _, momenta, occ_after in self.engine.residues((job,), state):
-                fe = self._enc_flows(fused, res)
-                if fe is None:
-                    continue
-                key = (fused.uid, i, wkey)
-                be = bases.get(key)
-                if be is None:
-                    eff = base if weight is None else base * weight
-                    be = bases[key] = self._enc(eff)
-                momid = self._mom_ids.setdefault(momenta, len(self._mom_ids))
-                if momid >= _MOM_MAX:
-                    raise BulkError("momentum registry full")
-                sectors.append(sector_of.setdefault((momid, occ_after), len(sector_of)))
-                tag_off.append(len(tag_ids))
-                tag_ids.extend(fe.tags)
-                mid = metas.setdefault(be.meta, len(metas))
-                if mid >= _META_MAX:
-                    raise BulkError("meta registry full")
-                kadd.append((mid << _B_META_SHIFT) - (be.dpow << _A_DEF_SHIFT))
-                fits.append(_fit(be, fe))
-                pairs.append((be, fe))
-        if not pairs:
-            return {}
-        d_max = max(be.dpow for be, _ in pairs)
-        if d_max - min(be.dpow for be, _ in pairs) >= _DEF_MAX:
+    # -- the residue walk -------------------------------------------------------
+
+    def _blocks(self, jobs, state):
+        """Every block of every instance: per block its instance, sector
+        id, base-pool index and flow-pool index, or None without blocks."""
+        tables = self._tables.setdefault(state, {})
+        tabs, tab_of = [], {}  # the call's tables, by fused uid
+        stacks, by_value = [], {}  # (table position, weight, pool indices), by (uid, weight key)
+        # The jobs keep every weight alive through the call, so until it
+        # returns a weight's id stands for its value.
+        stack_of = {}  # (uid, id(weight)) -> stack position
+        s_job, targets = [], []
+        for inst_jobs in jobs:
+            for fused, tg, weight in inst_jobs:
+                s = stack_of.get((fused.uid, id(weight)))
+                if s is None:
+                    wkey = None if weight is None else (
+                        tuple(weight.terms.items()), weight.dpow, weight.den)
+                    s = by_value.get((fused.uid, wkey))
+                    if s is None:
+                        t = tab_of.get(fused.uid)
+                        if t is None:
+                            tab = tables.get(fused.uid)
+                            if tab is None:
+                                tab = tables[fused.uid] = self._table(fused, state)
+                            t = tab_of[fused.uid] = len(tabs)
+                            tabs.append(tab)
+                        pos = tabs[t].stacks.get(wkey)
+                        if pos is None:
+                            pos = tabs[t].stacks[wkey] = np.full(
+                                len(tabs[t].branches), -1, dtype=np.int64)
+                        s = by_value[fused.uid, wkey] = len(stacks)
+                        stacks.append((t, weight, pos))
+                    stack_of[fused.uid, id(weight)] = s
+                s_job.append(s)
+                targets.append(tg)
+        if not s_job:
+            return None
+
+        # Every job against the branches of its table that leave a
+        # reachable residue, sum(res) >= 0: annihilated energies ascend
+        # within a table, so those branches are a suffix, found by one
+        # search over all tables with table t's energies lifted by t * lift.
+        # Variables beyond a table's own count are zero columns, so terms
+        # of different arity can share a call.
+        width = max(tab.r for tab in tabs)
+        if any(tab.r != width for tab in tabs):
+            targets = [tg + (0,) * (width - len(tg)) for tg in targets]
+
+        def cols(a):
+            return a if a.shape[1] == width else np.pad(a, ((0, 0), (0, width - a.shape[1])))
+
+        nb = np.asarray([len(tab.branches) for tab in tabs], dtype=np.int64)
+        first = np.cumsum(nb) - nb
+        t_job = np.asarray([t for t, _, _ in stacks], dtype=np.int64)[s_job]
+        off = np.asarray(targets, dtype=np.int64) - np.concatenate(
+            [cols(tab.shift) for tab in tabs])[t_job]
+        lift = max((int(tab.ann_sum[-1]) for tab in tabs if tab.branches), default=0) + 2
+        sums = np.concatenate([tab.ann_sum + t * lift for t, tab in enumerate(tabs)])
+        begin = np.searchsorted(sums, t_job * lift + np.clip(-off.sum(axis=1), 0, lift - 1))
+        cnt = first[t_job] + nb[t_job] - begin
+        jj = np.repeat(np.arange(cnt.size), cnt)
+        jb = _ranges(begin, cnt)
+        if not jj.size:
+            return None
+        res = off[jj] + np.concatenate([cols(tab.ann) for tab in tabs])[jb]
+
+        # Flow maps once per distinct (table, residue), through a dense key.
+        t_blk = t_job[jj]
+        lo = res.min(axis=0)
+        span = res.max(axis=0) - lo + 1
+        radix = len(tabs)
+        for c in span.tolist():
+            radix *= c
+        if radix >= _VAL_LIMIT:
+            raise BulkError("exponent field overflow")
+        key = t_blk
+        for c in range(width):
+            key = key * span[c] + (res[:, c] - lo[c])
+        _, at, inv = np.unique(key, return_index=True, return_inverse=True)
+        want = [(tabs[t].fused, tuple(rs[:tabs[t].r]))
+                for t, *rs in np.column_stack((t_blk[at], res[at])).tolist()]
+        fi = self._flows(want)[inv]
+        del want, key, at, inv, res
+        live = fi >= 0
+        jj, jb, fi = jj[live], jb[live], fi[live]
+        if not jj.size:
+            return None
+
+        # Weighted bases: branches no earlier call needed are encoded now.
+        s_blk = np.asarray(s_job, dtype=np.int64)[jj]
+        sizes = np.asarray([pos.size for _, _, pos in stacks], dtype=np.int64)
+        sfirst = np.cumsum(sizes) - sizes
+        pos = np.concatenate([pos for _, _, pos in stacks])
+        flat = sfirst[s_blk] + (jb - first[t_job[jj]])
+        bi = pos[flat]
+        if (bi < 0).any():
+            todo = np.sort(flat[bi < 0])
+            todo = todo[np.concatenate(([True], todo[1:] != todo[:-1]))]
+            owner = np.searchsorted(sfirst, todo, side="right") - 1
+            items = list(zip(owner.tolist(), (todo - sfirst[owner]).tolist()))
+            encs = []
+            for s, i in items:
+                t, weight, _ = stacks[s]
+                base = tabs[t].branches[tabs[t].index[i]][0]
+                encs.append(self._enc(base if weight is None else base * weight))
+            metas = self._meta_ids
+            new0 = self._pooled(self._base_stats, self._base_rows, encs,
+                                meta=[metas.setdefault(e.meta, len(metas)) for e in encs],
+                                dpow=[e.dpow for e in encs])
+            for n, (s, i) in enumerate(items):
+                stacks[s][2][i] = new0 + n
+            pos[todo] = np.arange(new0, new0 + len(items))
+            bi = pos[flat]
+
+        inst = np.repeat(np.arange(len(jobs)), [len(j) for j in jobs])[jj]
+        sector = np.concatenate([tab.sector for tab in tabs])[jb]
+        return inst, sector, bi, fi
+
+    # -- the two stages --------------------------------------------------------
+
+    def combo_residual(self, jobs, state: FockState) -> list:
+        """Sums of weighted mode extractions applied to one state, one per
+        relation instance, computed through packed rows.  jobs[i] is
+        instance i's job list in VertexEngine.extract_sum's form, and entry
+        i of the answer equals extract_sum(jobs[i], state).  Raises
+        BulkError instead of answering when any guard trips."""
+        out = [{} for _ in jobs]
+        found = self._blocks(jobs, state)
+        if found is None:
+            return out
+        blocks, metas, d_max, denom_a = self._guard_a(*found)
+        kept = []
+        cuts = (np.flatnonzero(np.diff(blocks.inst)) + 1).tolist()
+        for b0, b1 in zip([0, *cuts], [*cuts, blocks.inst.size]):
+            stage_a = self._stage_a(_Blocks(*(a[b0:b1] for a in blocks)), d_max)
+            if stage_a is not None:
+                stage_b = self._stage_b(*stage_a, d_max, denom_a)
+                if stage_b is not None:
+                    kept.append((int(blocks.inst[b0]), *stage_b))
+
+        # Nonzero residuals: decode into exact elements for the witness.
+        occs, moms = list(self._occ_ids), list(self._mom_ids)
+        meta_list = list(self._meta_ids)
+        for ins, bkeys, bvals, denom_b in kept:
+            by_state: dict = {}
+            for key, val in zip(bkeys.tolist(), bvals.tolist()):
+                s_exp = (key & _S_MASK) - 2 * _SB
+                g_exp = ((key >> _A_G_SHIFT) & _G_MASK) - 2 * _GB
+                occ = occs[(key >> _B_OCC_SHIFT) & (_OCC_MAX - 1)]
+                momenta = moms[key >> _B_MOM_SHIFT]
+                rk = meta_list[metas[(key >> _B_META_SHIFT) & (_META_MAX - 1)]] + s_exp
+                if self.g_slot is not None:
+                    rk += g_exp << _SLOT_BITS
+                elif g_exp:
+                    raise BulkError("Gamma exponent without a Gamma slot")
+                by_state.setdefault(FockState(momenta, occ), {})[rk] = val
+            out[ins] = {st: _lowest(self.table, terms, d_max, denom_b)
+                        for st, terms in by_state.items()}
+        return out
+
+    def _guard_a(self, inst, sector, bi, fi):
+        """Stage A's guards over every block of the call, before any row
+        exists: meta ids, exponent fields, denominator powers, the common
+        denominator and, per instance, the sum bound.  Returns the blocks
+        with their key offsets and lifts, the meta ids' global ids, the
+        largest denominator power and the stage denominator."""
+        B = self._base_stats.cols
+        F = self._flow_stats.cols
+        # Meta travels as a row field: rows of one group may mix monomials
+        # (a degree-0 vertex term drops out of the dkey but keeps its
+        # constant), and distinct monomials never cancel, so the field
+        # costs nothing.
+        metas, mid = np.unique(B["meta"][bi], return_inverse=True)
+        if metas.size > _META_MAX:
+            raise BulkError("meta registry full")
+        if ((B["smax"][bi] + F["smax"][fi] > _S_MASK)
+                | (B["gmax"][bi] + F["gmax"][fi] > _G_MASK)).any():
+            raise BulkError("exponent field overflow")
+        dpow = B["dpow"][bi]
+        d_max = int(dpow.max())
+        if d_max - int(dpow.min()) >= _DEF_MAX:
             raise BulkError("denominator deficit outside packed range")
-        denom_a = _stage_denom(fits, d_max)
+
+        # _stage_denom's two guards, in float64 and exactly for the blocks
+        # (or instances) within _NEAR of a limit.  Rows of different
+        # instances never meet, so the sum bound holds per instance.
+        dens = list(self._den_ids)
+        nd = len(dens)
+        pairs, pinv = np.unique(B["den"][bi] * nd + F["den"][fi], return_inverse=True)
+        prods = [dens[p // nd] * dens[p % nd] for p in pairs.tolist()]
+        denom = lcm(*prods)
+        ups = [denom // d for d in prods]
+        # every pair has a block, and every block's largest value is >= 1
+        if max(ups) >= _VAL_LIMIT:
+            raise BulkError("row value overflow")
+        upf = np.asarray(ups, dtype=np.float64)[pinv]
+        near = B["maxabs"][bi] * F["maxabs"][fi] * upf >= _VAL_LIMIT * _NEAR
+        for b, f, p in zip(bi[near].tolist(), fi[near].tolist(), pinv[near].tolist()):
+            if self._abs(self._base_stats, self._base_rows, b, max) * self._abs(
+                    self._flow_stats, self._flow_rows, f, max) * ups[p] >= _VAL_LIMIT:
+                raise BulkError("row value overflow")
+        totals = np.bincount(inst, weights=B["sumabs"][bi] * F["sumabs"][fi] * upf)
+        for i in np.flatnonzero(totals * 2.0 ** d_max >= _SUM_LIMIT * _NEAR).tolist():
+            mine = inst == i
+            exact = sum(self._abs(self._base_stats, self._base_rows, b, sum) * self._abs(
+                self._flow_stats, self._flow_rows, f, sum) * ups[p]
+                for b, f, p in zip(bi[mine].tolist(), fi[mine].tolist(), pinv[mine].tolist()))
+            if (exact << d_max) >= _SUM_LIMIT:
+                raise BulkError("stage sum bound exceeded")
+        kadd = (mid << _B_META_SHIFT) + ((d_max - dpow) << _A_DEF_SHIFT)
+        up = np.asarray(ups, dtype=np.int64)[pinv]
+        return _Blocks(inst, sector, bi, fi, kadd, up), metas.tolist(), d_max, denom
+
+    def _stage_a(self, run: _Blocks, d_max: int):
+        """The packed aggregate over one instance's blocks: its merged rows,
+        rebiased, with the sector ids and dkey count that read their group
+        ids, or None when every row cancels."""
+        B = self._base_stats.cols
+        F = self._flow_stats.cols
 
         # A group is a (sector, dkey) pair; group ids follow their order.
-        ln = np.asarray([be.keys.size for be, _ in pairs], dtype=np.int64)
-        rn = np.asarray([fe.keys.size for _, fe in pairs], dtype=np.int64)
+        secs, sloc = np.unique(run.sector, return_inverse=True)
         ndk = len(self._dkey_ids)
-        rtag = np.concatenate([fe.idx for _, fe in pairs]) + np.repeat(tag_off, rn)
-        gkeys = np.repeat(sectors, rn) * ndk + np.asarray(tag_ids)[rtag]
+        ln = B["n"][run.bi]
+        rn = F["n"][run.fi]
+        ri = _ranges(F["start"][run.fi], rn)
+        FR = self._flow_rows.cols
+        gkeys = np.repeat(sloc * ndk, rn) + FR["dk"][ri]
         groups, row_gids = np.unique(gkeys, return_inverse=True)
         if groups.size > _GID_MAX:
             raise BulkError("group registry full")
 
         # All blocks in one segmented product.  A row's deficit is d_max
         # less its block's power; flow entries carry none.
-        ups = [denom_a // d for d, _, _ in fits]
+        li = _ranges(B["start"][run.bi], ln)
+        BR = self._base_rows.cols
         akeys, avals = _outer_blocks(
-            np.concatenate([be.keys for be, _ in pairs]) + np.repeat(kadd, ln)
-            + (d_max << _A_DEF_SHIFT),
-            np.concatenate([be.vals for be, _ in pairs]), ln,
-            np.concatenate([fe.keys for _, fe in pairs]) + (row_gids << _A_GID_SHIFT),
-            np.concatenate([fe.vals for _, fe in pairs]) * np.repeat(ups, rn), rn,
+            BR["keys"][li] + np.repeat(run.kadd, ln), BR["vals"][li], ln,
+            FR["keys"][ri] + (row_gids << _A_GID_SHIFT), FR["vals"][ri] * np.repeat(run.up, rn), rn,
         )
         if akeys.size == 0:
-            return {}
+            return None
 
         # Settle the deficits now that the bulk of the rows has cancelled:
         # a row missing d powers of (q - q^-1) becomes its binomial spread,
@@ -438,7 +753,7 @@ class BulkEngine:
             akeys, avals = _reduce(akeys[li] - (d << _A_DEF_SHIFT) + 2 * (d - 2 * j),
                                    avals[li] * _BINOM[d, j])
             if akeys.size == 0:
-                return {}
+                return None
 
         if ((akeys & _S_MASK) < _SB).any() or (((akeys >> _A_G_SHIFT) & _G_MASK) < _GB).any():
             raise BulkError("aggregate exponent below packed range")
@@ -447,17 +762,22 @@ class BulkEngine:
             raise BulkError("aggregate exponent above packed range")
         if ((((akeys >> _A_G_SHIFT) & _G_MASK) >> _GW) != 0).any():
             raise BulkError("aggregate exponent above packed range")
+        return akeys, avals, (secs.tolist(), ndk, groups.tolist())
 
-        # Stage B runs the same two-pass shape over the surviving groups,
-        # its guards fed by per-group reductions over the sorted rows.
+    def _stage_b(self, akeys, avals, read, d_max, denom_a):
+        """The creation-bucket expansion of one instance's surviving
+        groups: its merged rows and their denominator, or None when every
+        row cancels."""
+        secs, ndk, groups = read
+        # The same two-pass shape as stage A, its guards fed by per-group
+        # reductions over the sorted rows.
         gids = akeys >> _A_GID_SHIFT
         starts = np.flatnonzero(np.concatenate(([True], gids[1:] != gids[:-1])))
         counts = np.diff(np.append(starts, gids.size))
         lo = akeys & _LO_MASK
         absv = np.abs(avals)
-        sector_list = list(sector_of)
+        sector_list = list(self._sector_ids)
         dkeys = list(self._dkey_ids)
-        groups = groups.tolist()
         stats = zip(
             gids[starts].tolist(),
             np.gcd.reduceat(absv, starts).tolist(),
@@ -471,7 +791,7 @@ class BulkEngine:
         right = []
         fits = []
         for gid, gv, smax, gmax, maxabs, sumabs in stats:
-            momid, occ_after = sector_list[groups[gid] // ndk]
+            momid, occ_after = sector_list[secs[groups[gid] // ndk]]
             dkey = dkeys[groups[gid] % ndk]
             penc = self._enc_p(dkey)
             live.append(penc is not None)
@@ -483,7 +803,7 @@ class BulkEngine:
             divs.append(g)
             right.append((self._occ_keys(occ_after, dkey, penc), penc, momid))
         if not right:
-            return {}
+            return None
         denom_b = _stage_denom(fits)
 
         live = np.asarray(live)
@@ -498,22 +818,13 @@ class BulkEngine:
             np.concatenate([penc.vals for _, penc, _ in right]) * np.repeat(ups, rn), rn,
         )
         if bkeys.size == 0:
-            return {}
+            return None
+        return bkeys, bvals, denom_b
 
-        # Nonzero residual: decode into exact elements for the witness.
-        by_state: dict = {}
-        occs, moms, meta_list = list(self._occ_ids), list(self._mom_ids), list(metas)
-        for key, val in zip(bkeys.tolist(), bvals.tolist()):
-            s_exp = (key & _S_MASK) - 2 * _SB
-            g_exp = ((key >> _A_G_SHIFT) & _G_MASK) - 2 * _GB
-            occ = occs[(key >> _B_OCC_SHIFT) & (_OCC_MAX - 1)]
-            momenta = moms[key >> _B_MOM_SHIFT]
-            rk = meta_list[(key >> _B_META_SHIFT) & (_META_MAX - 1)] + s_exp
-            if self.g_slot is not None:
-                rk += g_exp << _SLOT_BITS
-            elif g_exp:
-                raise BulkError("Gamma exponent without a Gamma slot")
-            st = FockState(momenta, occ)
-            by_state.setdefault(st, {})[rk] = val
-        return {st: _lowest(self.table, terms, d_max, denom_b)
-                for st, terms in by_state.items()}
+    @staticmethod
+    def _abs(stats: _Pool, rows: _Pool, i: int, fold) -> int:
+        """fold (max or sum) of the absolute numerators of pooled scalar i,
+        exactly: the pool's float maxabs and sumabs round above 2^53."""
+        start = int(stats.cols["start"][i])
+        vals = rows.cols["vals"][start:start + int(stats.cols["n"][i])]
+        return fold(abs(v) for v in vals.tolist())

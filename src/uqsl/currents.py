@@ -362,18 +362,22 @@ class VertexEngine:
 
         return branches, taueig, momenta
 
+    def branches(self, fused: FusedTerm, state: FockState):
+        """_state_branches(fused, state), built once per (state, fused)."""
+        cached = self._branches.setdefault(state, {})
+        data = cached.get(fused.uid)
+        if data is None:
+            data = cached[fused.uid] = self._state_branches(fused, state)
+        return data
+
     def residues(self, jobs, state: FockState):
         """Every annihilation branch of every job on `state` that leaves a
         reachable residue: yields (fused, res, index, base, weight, momenta,
         occ_after) with res the z-powers the creation side and the
         contraction series still owe, sum(res) >= 0, and index the branch's
         position in the cached branch list of (fused, state)."""
-        cached = self._branches.setdefault(state, {})
         for fused, targets, weight in jobs:
-            data = cached.get(fused.uid)
-            if data is None:
-                data = cached[fused.uid] = self._state_branches(fused, state)
-            branches, taueig, momenta = data
+            branches, taueig, momenta = self.branches(fused, state)
             off = tuple(map(sub, map(sub, targets, fused.p0s), taueig))
             need = -sum(off)
             for i, (base, annE, ann_sum, occ_after) in enumerate(branches):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from uqsl import LinForm, RingElem, affine, affine_symbols, bulk
 from uqsl.affine import (
+    EQ11_PAIRS,
+    EQ13_PAIRS,
     AffineContext,
     _partitions,
     affine_config,
@@ -24,7 +26,7 @@ from uqsl.affine import (
     run_affine,
 )
 from uqsl.bulk import BulkError
-from uqsl.oscillators import VACUUM, enumerate_basis
+from uqsl.oscillators import VACUUM, enumerate_basis, format_state
 
 
 @pytest.fixture(scope="module")
@@ -236,13 +238,13 @@ class TestPackedEngine:
         pieces = serre_pieces(ctx, "F", -1, 0, 1)
         jobs = ctx._jobs(pieces)
         for state in enumerate_basis(2)[::7]:
-            fast = ctx.bulk.combo_residual(jobs, state)
+            fast, = ctx.bulk.combo_residual([jobs], state)
             slow = ctx.engine.extract_sum(jobs, state)
             assert fast == slow == {}
 
     def answered(self, ctx, jobs, state):
         try:
-            return ctx.bulk.combo_residual(jobs, state)
+            return ctx.bulk.combo_residual([jobs], state)[0]
         except BulkError as exc:
             pytest.fail(f"packed engine declined: {exc}")
 
@@ -251,7 +253,7 @@ class TestPackedEngine:
         sab = AffineContext(f_overrides={"f13": affine_symbols().one()})
         pieces = serre_pieces(sab, "F", -1, -1, 0)
         jobs = sab._jobs(pieces)
-        fast = sab.bulk.combo_residual(jobs, VACUUM)
+        fast, = sab.bulk.combo_residual([jobs], VACUUM)
         slow = sab.engine.extract_sum(jobs, VACUUM)
         assert fast == slow
         assert fast and all(not c.is_zero() for c in fast.values())
@@ -273,8 +275,8 @@ class TestPackedEngine:
             for xi in weights:
                 jobs = ctx._jobs(ctx._pair_pieces(*pair, xi))
                 for state in enumerate_basis(2)[:10]:
-                    assert ctx.bulk.combo_residual(jobs, state) == ctx.engine.extract_sum(
-                        jobs, state)
+                    assert ctx.bulk.combo_residual([jobs], state) == [ctx.engine.extract_sum(
+                        jobs, state)]
         for pieces, leaks in ((sab_k2._pair_pieces("E2", 1, "E2", -1), False),
                               (sab_k2._pair_pieces("F1", 0, "F1", -1), True)):
             jobs = sab_k2._jobs(pieces)
@@ -327,7 +329,7 @@ class TestPackedEngine:
     def test_nonzero_product_decodes(self, ctx):
         # a single product, not a cancelling combination: decode path
         jobs = ctx._jobs([(("E1", "F1"), (0, 0), None)])
-        fast = ctx.bulk.combo_residual(jobs, VACUUM)
+        fast, = ctx.bulk.combo_residual([jobs], VACUUM)
         slow = ctx.engine.extract_sum(jobs, VACUUM)
         assert fast == slow and fast
 
@@ -336,10 +338,10 @@ class TestPackedEngine:
         pieces = ctx._pair_pieces("E1", 0, "F1", 0, huge)
         jobs = ctx._jobs(pieces)
         with pytest.raises(BulkError):
-            ctx.bulk.combo_residual(jobs, VACUUM)
+            ctx.bulk.combo_residual([jobs], VACUUM)
         # the public entry falls back to the exact path
-        out = ctx.combo_zero(pieces, VACUUM)
-        assert out == ctx.engine.extract_sum(jobs, VACUUM)
+        out = ctx.combo_zero([jobs], VACUUM)
+        assert out == [ctx.engine.extract_sum(jobs, VACUUM)]
 
     def test_chunked_reduce_matches(self, sab_k2, monkeypatch):
         # a few rows per chunk: every stage is built and merged in pieces
@@ -382,9 +384,148 @@ class TestPackedEngine:
         pieces = ctx._pair_pieces("E1", 0, "F1", 0, ctx.table.rational(2**58))
         jobs = ctx._jobs(pieces)
         with pytest.raises(BulkError, match="^stage sum bound exceeded$"):
-            ctx.bulk.combo_residual(jobs, VACUUM)
-        out = ctx.combo_zero(pieces, VACUUM)
+            ctx.bulk.combo_residual([jobs], VACUUM)
+        out, = ctx.combo_zero([jobs], VACUUM)
         assert out and out == ctx.engine.extract_sum(jobs, VACUUM)
+
+
+class TestBatchedKernel:
+    """eq11 and eq13 make one combo_zero -> combo_residual call per (pair,
+    sign, state) that carries every instance of the family, and each
+    instance's residual must equal the exact path on that instance's own
+    jobs."""
+
+    def calls(self, ctx, basis, monkeypatch):
+        """Every combo_residual call of check_eq11 and check_eq13 at window
+        1, as (jobs, state, answer); the kernel must answer each one."""
+        seen = []
+        real = ctx.bulk.combo_residual
+
+        def record(jobs, state):
+            try:
+                out = real(jobs, state)
+            except BulkError as exc:
+                pytest.fail(f"packed engine declined: {exc}")
+            seen.append((jobs, state, out))
+            return out
+
+        monkeypatch.setattr(ctx.bulk, "combo_residual", record)
+        check_eq11(ctx, basis, 1)
+        check_eq13(ctx, basis, 1)
+        return seen
+
+    @pytest.mark.parametrize("E_cut", [0, 1])
+    @pytest.mark.parametrize("level", ["formal", "k2_f13"])
+    def test_each_instance_matches_exact(self, level, E_cut, monkeypatch):
+        ctx = (AffineContext() if level == "formal" else
+               AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()}))
+        basis = enumerate_basis(E_cut)
+        seen = self.calls(ctx, basis, monkeypatch)
+        assert len(seen) == (len(EQ11_PAIRS) + len(EQ13_PAIRS)) * 2 * len(basis)
+        nonzero = mixed = 0
+        for jobs, state, out in seen:
+            assert len(out) == len(jobs) > 1
+            for inst_jobs, got in zip(jobs, out):
+                assert got == ctx.engine.extract_sum(inst_jobs, state)
+            nonzero += sum(map(bool, out))
+            mixed += any(out) and not all(out)
+        # at f13 = 1 one call holds vanishing and leaking instances side by
+        # side, so a residual credited to the wrong instance shows
+        assert (nonzero > 0, mixed > 0) == ((True, True) if level == "k2_f13" else (False, False))
+
+    def test_one_call_per_state(self, monkeypatch):
+        # the affine_full_e1w1 configuration: eq11 and eq13 made 630 calls
+        # when each instance had its own
+        ctx = AffineContext()
+        basis = enumerate_basis(1)
+        calls = []
+        real = ctx.bulk.combo_residual
+
+        def counted(jobs, state):
+            calls.append(len(jobs))
+            return real(jobs, state)
+
+        monkeypatch.setattr(ctx.bulk, "combo_residual", counted)
+        check_eq11(ctx, basis, 1)
+        check_eq13(ctx, basis, 1)
+        assert len(calls) <= (3 + 1) * 2 * 7 == 56
+        assert len(calls) == (len(EQ11_PAIRS) + len(EQ13_PAIRS)) * 2 * len(basis)
+        assert sum(calls) == 630
+
+    def test_results_match_per_instance_loop(self, sab_k2, monkeypatch):
+        # the reference is the per-instance loop on the exact path, every
+        # residual passed in full: the same verdicts, witnesses, checked
+        # counts and oracle blocks, though later residuals of a failing
+        # instance are dropped
+        basis = enumerate_basis(1)
+        batched = check_eq11(sab_k2, basis, 1) + check_eq13(sab_k2, basis, 1)
+
+        def per_instance(ctx, basis, instances):
+            return [affine._run_cases(ctx, rel_id, params, [
+                (format_state(s), ctx.engine.extract_sum(ctx._jobs(pieces), s), {})
+                for s in basis]) for rel_id, params, pieces in instances]
+
+        monkeypatch.setattr(affine, "_run_zero_cases", per_instance)
+        reference = check_eq11(sab_k2, basis, 1) + check_eq13(sab_k2, basis, 1)
+        assert [r.to_json() for r in batched] == [r.to_json() for r in reference]
+        assert sum(r.status == "fail" for r in batched) == 6 + 15
+
+    def test_small_chunks(self, sab_k2, monkeypatch):
+        # _CHUNK = 5 cuts every product of every instance into pieces
+        merges = []
+        real = bulk._reduce
+
+        def counted(k, v):
+            merges.append(k.size)
+            return real(k, v)
+
+        monkeypatch.setattr(bulk, "_reduce", counted)
+        monkeypatch.setattr(bulk, "_CHUNK", 5)
+        jobs = [sab_k2._jobs(serre_pieces(sab_k2, "F", n1, n2, m))
+                for n1, n2, m in itertools.product((-1, 0, 1), repeat=3) if n1 <= n2]
+        leaks = 0
+        for state in enumerate_basis(1)[:4]:
+            fast = sab_k2.bulk.combo_residual(jobs, state)
+            assert fast == [sab_k2.engine.extract_sum(j, state) for j in jobs]
+            leaks += sum(map(bool, fast))
+        assert leaks
+        assert len(merges) > 3 * 4 * len(jobs)
+
+    def test_group_guard_edge(self, sab_k2, monkeypatch):
+        # the smallest _GID_MAX that answers, and one below it: the guard
+        # trips and combo_zero answers every instance on the exact path
+        # with its own jobs
+        jobs = [sab_k2._jobs(serre_pieces(sab_k2, "F", n1, n2, m))
+                for n1, n2, m in ((-1, -1, 0), (0, 0, 0), (-1, 1, 1), (1, 1, 1))]
+        state = enumerate_basis(1)[1]
+        slow = [sab_k2.engine.extract_sum(j, state) for j in jobs]
+        assert any(slow) and not all(slow)
+
+        def answer(limit):
+            monkeypatch.setattr(bulk, "_GID_MAX", limit)
+            try:
+                return sab_k2.bulk.combo_residual(jobs, state)
+            except BulkError as exc:
+                assert str(exc) == "group registry full"
+                return None
+
+        lo, hi = 0, 1 << 20
+        assert answer(hi) == slow
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if answer(mid) is None else (lo, mid)
+        assert answer(hi) == slow
+        assert answer(hi - 1) is None
+        asked = []
+        real = sab_k2.engine.extract_sum
+
+        def exact(j, s):
+            asked.append(j)
+            return real(j, s)
+
+        monkeypatch.setattr(sab_k2.engine, "extract_sum", exact)
+        assert sab_k2.combo_zero(jobs, state) == slow
+        assert len(asked) == len(jobs) and all(a is j for a, j in zip(asked, jobs))
 
 
 _EQ11_PAIRS = [(pref, i, j) for pref in "EF" for i, j in ((1, 1), (1, 2), (2, 2))]
@@ -448,7 +589,7 @@ class TestPackedGuards:
         jobs = ctx._jobs(pieces)
         slow = ctx.engine.extract_sum(jobs, state)
         try:
-            fast = ctx.bulk.combo_residual(jobs, state)
+            fast, = ctx.bulk.combo_residual([jobs], state)
         except BulkError:
             return
         assert fast == slow
@@ -500,13 +641,19 @@ class TestDenominatorFree:
 
     def fused_names(self, ctx, monkeypatch):
         names = set()
+        jobs = ctx._jobs
 
-        def record(pieces, state):
+        def record(pieces):
             names.update(nm for nm, _, _ in pieces)
+            return jobs(pieces)
+
+        def vec(pieces, state):
+            record(pieces)
             return {}
 
-        monkeypatch.setattr(ctx, "combo_zero", record)
-        monkeypatch.setattr(ctx, "combo_vec", record)
+        monkeypatch.setattr(ctx, "_jobs", record)  # the kernel families' pieces
+        monkeypatch.setattr(ctx, "combo_zero", lambda jobs, state: [{} for _ in jobs])
+        monkeypatch.setattr(ctx, "combo_vec", vec)
         for check in (check_eq10, check_eq11, check_eq12, check_eq13):
             check(ctx, [VACUUM], 0)
         return sorted(names)
@@ -549,10 +696,10 @@ class TestDenominatorFree:
         pieces = [(("E1", "F1"), (0, 0), None)]
         jobs = ctx._jobs(pieces)
         with pytest.raises(BulkError, match="^denominator power above target$"):
-            ctx.bulk.combo_residual(jobs, VACUUM)
+            ctx.bulk.combo_residual([jobs], VACUUM)
         slow = ctx.engine.extract_sum(jobs, VACUUM)
         assert slow and any(c.dpow for c in slow.values())
-        assert ctx.combo_zero(pieces, VACUUM) == slow
+        assert ctx.combo_zero([jobs], VACUUM) == [slow]
 
 
 class TestResidues:
@@ -577,23 +724,27 @@ class TestResidues:
         basis = enumerate_basis(1)
         # the states of the window, plus momenta that move the z-powers
         walk = basis + enumerate_basis(0, 1)[1:]
-        seen = []
+        seen = []  # each relation instance's jobs
 
-        def record(pieces, state):
+        def record_zero(jobs, state):
             if state == basis[0]:
-                seen.append(pieces)
+                seen.extend(jobs)
+            return [{} for _ in jobs]
+
+        def record_vec(pieces, state):  # eq12's exact path
+            if state == basis[0]:
+                seen.append(ctx._jobs(pieces))
             return {}
 
-        monkeypatch.setattr(ctx, "combo_zero", record)
-        monkeypatch.setattr(ctx, "combo_vec", record)  # eq12's exact path
+        monkeypatch.setattr(ctx, "combo_zero", record_zero)
+        monkeypatch.setattr(ctx, "combo_vec", record_vec)
         check_eq11(ctx, basis, 1)
         check_eq12(ctx, basis, 1)
         check_eq13(ctx, basis, 1)
         assert len(seen) == 54 + 12 + 36
         walked = 0
         memo = {}
-        for pieces in seen:
-            jobs = ctx._jobs(pieces)
+        for jobs in seen:
             for state in walk:
                 got = list(ctx.engine.residues(jobs, state))
                 want = self.reference(ctx.engine, jobs, state, memo)
@@ -639,24 +790,24 @@ class TestResidues:
 @functools.lru_cache(maxsize=None)
 def _reached_residues(level):
     """Every (fused, res) that eq10-eq13 reach at E_cut=1, window=1, keyed
-    (fused.uid, res), with the context's engine."""
+    (fused.uid, res), with the context's engine.  Both paths ask flows_map
+    once for every reached residue, so its calls are the record."""
     ctx = (AffineContext() if level == "formal" else
            AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()}))
     basis = enumerate_basis(1)
     reached = {}
-    real = ctx.engine.residues
+    real = ctx.engine.flows_map
 
-    def record(jobs, state):
-        for item in real(jobs, state):
-            reached[item[0].uid, item[1]] = item[0]
-            yield item
+    def record(fused, res):
+        reached[fused.uid, res] = fused
+        return real(fused, res)
 
-    ctx.engine.residues = record
+    ctx.engine.flows_map = record
     try:
         for check in (check_eq10, check_eq11, check_eq12, check_eq13):
             check(ctx, basis, 1)
     finally:
-        del ctx.engine.residues
+        del ctx.engine.flows_map
     return ctx.engine, reached
 
 

@@ -72,6 +72,25 @@ def test_bound():
                                  0.25)["within_bound"]
 
 
+def test_unresolved_when_parent_spread_exceeds_bound():
+    # parent runs spread over +-30% of their median, wider than a 25% bound
+    parent = [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4]
+    mixed = [p * 1.05 for p in parent]  # within the bound, but unresolvable
+    s = bench_pairs.summarize(parent, mixed, "lower", 0.25)
+    assert s["parent_iqr"] > 0.25 * s["parent"]["median"]
+    assert s["within_bound"] and s["unresolved"]
+    # every change run better than every parent run resolves it
+    s = bench_pairs.summarize(parent, [p * 0.4 for p in parent], "lower", 0.25)
+    assert s["within_bound"] and not s["unresolved"]
+    s = bench_pairs.summarize(parent, [p * 4 for p in parent], "higher", 0.25)
+    assert not s["unresolved"]
+    # a narrow parent spread reads as within the bound, resolved
+    s = bench_pairs.summarize(PARENT, [p * 1.05 for p in PARENT], "lower", 0.25)
+    assert s["within_bound"] and not s["unresolved"]
+    # no bound, no such reading
+    assert "unresolved" not in bench_pairs.summarize(parent, mixed, "lower")
+
+
 def test_rejects_unpaired():
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower")

@@ -9,7 +9,8 @@ import hashlib
 
 import pytest
 
-from uqsl.affine import AffineContext
+from uqsl import bulk
+from uqsl.bulk import BulkEngine, BulkError
 from uqsl.cli import main
 
 AFFINE_E0W1 = ["check-affine", "--energy-cut", "0", "--mode-window", "1",
@@ -71,5 +72,33 @@ OVERRIDES = [case for case in PINNED if "--override" in case[0]]
 def test_witnesses_independent_of_path(tmp_path, monkeypatch, argv, code, digest):
     """The exact path renders every witness as the packed kernel does: a
     fallback from the kernel moves no byte."""
-    monkeypatch.setattr(AffineContext, "combo_zero", AffineContext.combo_vec)
+    def refuse(self, jobs, state):
+        raise BulkError("row value overflow")
+
+    monkeypatch.setattr(BulkEngine, "combo_residual", refuse)
     assert _digest(tmp_path, argv, code) == digest
+
+
+# the kernel families at E_cut=1: formal k, and k=2 with f13=1
+GROUP_GUARD = [case for case in PINNED if case[0][:3] == ["check-affine", "--energy-cut", "1"]]
+
+
+@pytest.mark.parametrize("argv, code, digest", GROUP_GUARD,
+                         ids=[" ".join(argv) for argv, _, _ in GROUP_GUARD])
+def test_group_guard_fallback(tmp_path, monkeypatch, argv, code, digest):
+    """A batch whose group registry overflows falls back as a whole, every
+    instance on the exact path with its own jobs, and moves no byte."""
+    tripped = []
+    real = BulkEngine.combo_residual
+
+    def counted(self, jobs, state):
+        try:
+            return real(self, jobs, state)
+        except BulkError as exc:
+            tripped.append(str(exc))
+            raise
+
+    monkeypatch.setattr(bulk, "_GID_MAX", 0)
+    monkeypatch.setattr(BulkEngine, "combo_residual", counted)
+    assert _digest(tmp_path, argv, code) == digest
+    assert tripped and set(tripped) == {"group registry full"}

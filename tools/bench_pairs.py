@@ -15,7 +15,12 @@ The output file holds the environment, every run's values, each side's
 median and quartiles per end-to-end metric, the number of pairs the change
 won, and whether that is a gain by the rule: the change wins at least nine
 tenths of the pairs (ties count for neither) and the medians differ, in the
-better direction, by more than the parent's interquartile range.
+better direction, by more than the parent's interquartile range.  A metric
+with a bound also records whether the change's median is within it, and is
+marked unresolved when the parent's interquartile range is wider than the
+bound (as a share of the parent's median) and the change does not beat
+every parent run in every run: such a spread cannot tell "no change" from
+a regression.
 """
 
 from __future__ import annotations
@@ -74,6 +79,11 @@ def summarize(parent, change, better: str, bound: float | None = None) -> dict:
         # worse by more than the bound, as a share of the parent's median
         out["bound"] = bound
         out["within_bound"] = -gap <= bound * abs(pmed)
+        # a parent spread wider than the bound cannot tell "no change" from
+        # a regression inside it, unless the change beats every parent run
+        # in every run
+        beats_all = (min(sign * c for c in change) > max(sign * p for p in parent))
+        out["unresolved"] = pq3 - pq1 > bound * abs(pmed) and not beats_all
     return out
 
 
@@ -196,7 +206,8 @@ def main(argv=None) -> int:
                   f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  change "
                   f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
                   f"{s['change']['q3']:.4g}]  wins {s['change_wins']}/{s['pairs']}"
-                  f"  gain {s['gain']}  within_bound {s.get('within_bound')}")
+                  f"  gain {s['gain']}  within_bound {s.get('within_bound')}"
+                  f"  unresolved {s.get('unresolved')}")
     print(f"wrote {out_path}")
     return 0
 
