@@ -101,6 +101,9 @@ _MOM_MAX = 1 << 10
 _SUM_LIMIT = 1 << 62
 _VAL_LIMIT = 1 << 63
 _CHUNK = 1 << 22
+# New flow maps are pooled this many at a time, which bounds the encodings
+# a call holds while it builds them.
+_FLOW_BATCH = 256
 # A float64 size guard within this factor of its limit is redone exactly:
 # over fewer than 2^32 blocks its rounding error stays far below 2^-20.
 _NEAR = 1 - 2.0 ** -20
@@ -192,19 +195,26 @@ def _ranges(start, n):
     return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
-def _stack(encs, tags) -> _Rows:
-    """Concatenate encoded scalars, lifting each onto the lcm denominator."""
+def _lift(encs):
+    """Encoded scalars over their lcm denominator: that denominator, each
+    scalar's factor onto it, and the lifted rows' smax, gmax, largest
+    absolute value and absolute sum."""
     denom = lcm(*(e.denom for e in encs))
     ups = [denom // e.denom for e in encs]
+    return (denom, ups, max(e.smax for e in encs), max(e.gmax for e in encs),
+            max(e.maxabs * up for e, up in zip(encs, ups)),
+            sum(e.sumabs * up for e, up in zip(encs, ups)))
+
+
+def _stack(encs, tags) -> _Rows:
+    """Concatenate encoded scalars, lifting each onto the lcm denominator."""
+    denom, ups, smax, gmax, maxabs, sumabs = _lift(encs)
     sizes = [e.keys.size for e in encs]
     return _Rows(
         np.concatenate([e.keys for e in encs]),
         np.concatenate([e.vals * up for e, up in zip(encs, ups)]),
         np.repeat(np.arange(len(encs), dtype=np.int64), sizes),
-        tuple(tags), denom,
-        max(e.smax for e in encs), max(e.gmax for e in encs),
-        max(e.maxabs * up for e, up in zip(encs, ups)),
-        sum(e.sumabs * up for e, up in zip(encs, ups)),
+        tuple(tags), denom, smax, gmax, maxabs, sumabs,
     )
 
 
@@ -345,7 +355,7 @@ class BulkEngine:
         if not items:
             raise BulkError("empty scalar")
         k0 = items[0][0]
-        vec = self.table._exp_vector(k0)
+        vec = self.table._exp_vector(k0, 1 if self.g_slot is None else 2)
         meta = k0 - vec[0]
         if self.g_slot is not None:
             meta -= vec[1] << _SLOT_BITS
@@ -379,25 +389,26 @@ class BulkEngine:
             sumabs += av
         return _Enc(keys, vals, elem.den, meta, smax, gmax, maxabs, sumabs, elem.dpow)
 
-    def _pooled(self, stats: _Pool, rows: _Pool, encs, row_cols=None, **cols) -> int:
-        """Append encoded scalars (_Enc or _Rows) to a pool pair; returns
-        the index of the first.  row_cols and cols hold the pools' further
-        columns, per row (as one array per scalar) and per scalar."""
+    def _pool_bases(self, encs) -> int:
+        """Append weighted-base encodings to the base pools; returns the
+        index of the first."""
         sizes = np.asarray([e.keys.size for e in encs], dtype=np.int64)
-        start = rows.extend(keys=np.concatenate([e.keys for e in encs]),
-                            vals=np.concatenate([e.vals for e in encs]),
-                            **{k: np.concatenate(v) for k, v in (row_cols or {}).items()})
-        dens = self._den_ids
-        return stats.extend(
+        start = self._base_rows.extend(keys=np.concatenate([e.keys for e in encs]),
+                                       vals=np.concatenate([e.vals for e in encs]))
+        dens, metas = self._den_ids, self._meta_ids
+        return self._base_stats.extend(
             start=start + np.cumsum(sizes) - sizes, n=sizes,
             den=[dens.setdefault(e.denom, len(dens)) for e in encs],
             smax=[e.smax for e in encs], gmax=[e.gmax for e in encs],
             maxabs=[float(e.maxabs) for e in encs], sumabs=[float(e.sumabs) for e in encs],
-            **cols)
+            meta=[metas.setdefault(e.meta, len(metas)) for e in encs],
+            dpow=[e.dpow for e in encs])
 
     # -- structure encoding ---------------------------------------------------
 
     def _enc_flows(self, fused, res):
+        """flows_map(fused, res) encoded: each entry's encoding and its
+        dkey id, or None for an empty map."""
         flows = self.engine.flows_map(fused, res)
         if not flows:
             return None
@@ -410,32 +421,52 @@ class BulkEngine:
                 raise BulkError("flow scalar carries symbol content")
             encs.append(e)
         ids = self._dkey_ids
-        rows = _stack(encs, [ids.setdefault(dkey, len(ids)) for dkey, _ in flows])
-        if rows.maxabs >= _SUM_LIMIT:
-            raise BulkError("flow numerator outside packed range")
-        return rows
+        return encs, [ids.setdefault(dkey, len(ids)) for dkey, _ in flows]
 
     def _flows(self, want) -> np.ndarray:
         """The flow-pool index of each distinct (fused, res) in want, -1
-        for an empty flow map; maps not seen before are encoded and pooled
-        together, and registered only once all of them are."""
+        for an empty flow map.  Maps not seen before are encoded and pooled
+        in batches of _FLOW_BATCH, each registered once it is pooled."""
         ids = self._flow_ids
         new = []
         for fused, res in want:
             if (fused.uid, res) not in ids:
-                rows = self._enc_flows(fused, res)
-                if rows is None:
+                enc = self._enc_flows(fused, res)
+                if enc is None:
                     ids[fused.uid, res] = -1
                 else:
-                    new.append(((fused.uid, res), rows))
+                    new.append(((fused.uid, res), *enc))
+                    if len(new) == _FLOW_BATCH:
+                        self._pool_flows(new)
+                        new = []
         if new:
-            encs = [rows for _, rows in new]
-            first = self._pooled(self._flow_stats, self._flow_rows, encs,
-                                 row_cols={"dk": [np.asarray(e.tags)[e.idx] for e in encs]})
-            for i, (key, _) in enumerate(new):
-                ids[key] = first + i
+            self._pool_flows(new)
         return np.fromiter((ids[fused.uid, res] for fused, res in want),
                            dtype=np.int64, count=len(want))
+
+    def _pool_flows(self, new):
+        """Append encoded flow maps, each stacked over its own common
+        denominator, to the flow pools and register them."""
+        lifts = [_lift(encs) for _, encs, _ in new]
+        if any(maxabs >= _SUM_LIMIT for _, _, _, _, maxabs, _ in lifts):
+            raise BulkError("flow numerator outside packed range")
+        entries = [e for _, encs, _ in new for e in encs]
+        sizes = np.asarray([e.keys.size for e in entries], dtype=np.int64)
+        ups = [up for _, entry_ups, _, _, _, _ in lifts for up in entry_ups]
+        dks = [d for _, _, entry_dks in new for d in entry_dks]
+        start = self._flow_rows.extend(
+            keys=np.concatenate([e.keys for e in entries]),
+            vals=np.concatenate([e.vals for e in entries]) * np.repeat(ups, sizes),
+            dk=np.repeat(dks, sizes))
+        rows = np.asarray([sum(e.keys.size for e in encs) for _, encs, _ in new], dtype=np.int64)
+        dens = self._den_ids
+        first = self._flow_stats.extend(
+            start=start + np.cumsum(rows) - rows, n=rows,
+            den=[dens.setdefault(denom, len(dens)) for denom, *_ in lifts],
+            smax=[lift[2] for lift in lifts], gmax=[lift[3] for lift in lifts],
+            maxabs=[float(lift[4]) for lift in lifts], sumabs=[float(lift[5]) for lift in lifts])
+        for i, (key, _, _) in enumerate(new):
+            self._flow_ids[key] = first + i
 
     def _enc_p(self, dkey):
         hit = self._p_cache.get(dkey, _MISSING)
@@ -533,6 +564,7 @@ class BulkEngine:
                 targets.append(tg)
         if not s_job:
             return None
+        s_job = np.asarray(s_job, dtype=np.int64)
 
         # Every job against the branches of its table that leave a
         # reachable residue, sum(res) >= 0: annihilated energies ascend
@@ -585,7 +617,7 @@ class BulkEngine:
             return None
 
         # Weighted bases: branches no earlier call needed are encoded now.
-        s_blk = np.asarray(s_job, dtype=np.int64)[jj]
+        s_blk = s_job[jj]
         sizes = np.asarray([pos.size for _, _, pos in stacks], dtype=np.int64)
         sfirst = np.cumsum(sizes) - sizes
         pos = np.concatenate([pos for _, _, pos in stacks])
@@ -601,10 +633,7 @@ class BulkEngine:
                 t, weight, _ = stacks[s]
                 base = tabs[t].branches[tabs[t].index[i]][0]
                 encs.append(self._enc(base if weight is None else base * weight))
-            metas = self._meta_ids
-            new0 = self._pooled(self._base_stats, self._base_rows, encs,
-                                meta=[metas.setdefault(e.meta, len(metas)) for e in encs],
-                                dpow=[e.dpow for e in encs])
+            new0 = self._pool_bases(encs)
             for n, (s, i) in enumerate(items):
                 stacks[s][2][i] = new0 + n
             pos[todo] = np.arange(new0, new0 + len(items))

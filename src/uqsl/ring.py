@@ -218,9 +218,10 @@ class SymbolTable:
             raise RingError("exponent key overflow")
         return out
 
-    def _exp_vector(self, key: int) -> tuple:
+    def _exp_vector(self, key: int, n: int | None = None) -> tuple:
+        """The signed exponent in each slot of key, or in its first n."""
         vec = []
-        for _ in range(self.nslots):
+        for _ in range(self.nslots if n is None else n):
             r = key & _MASK
             e = r - _BASE if r >= _HALF else r
             vec.append(e)
