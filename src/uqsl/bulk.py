@@ -100,7 +100,7 @@ _MOM_MAX = 1 << 10
 
 _SUM_LIMIT = 1 << 62
 _VAL_LIMIT = 1 << 63
-_CHUNK = 1 << 22
+_CHUNK = 1 << 20
 # New flow maps are pooled this many at a time, which bounds the encodings
 # a call holds while it builds them.
 _FLOW_BATCH = 256
@@ -195,15 +195,25 @@ def _ranges(start, n):
     return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
-def _lift(encs):
+class _Lift(NamedTuple):
     """Encoded scalars over their lcm denominator: that denominator, each
     scalar's factor onto it, and the lifted rows' smax, gmax, largest
     absolute value and absolute sum."""
+
+    denom: int
+    ups: list
+    smax: int
+    gmax: int
+    maxabs: int
+    sumabs: int
+
+
+def _lift(encs) -> _Lift:
     denom = lcm(*(e.denom for e in encs))
     ups = [denom // e.denom for e in encs]
-    return (denom, ups, max(e.smax for e in encs), max(e.gmax for e in encs),
-            max(e.maxabs * up for e, up in zip(encs, ups)),
-            sum(e.sumabs * up for e, up in zip(encs, ups)))
+    return _Lift(denom, ups, max(e.smax for e in encs), max(e.gmax for e in encs),
+                 max(e.maxabs * up for e, up in zip(encs, ups)),
+                 sum(e.sumabs * up for e, up in zip(encs, ups)))
 
 
 def _stack(encs, tags) -> _Rows:
@@ -249,6 +259,8 @@ def _stage_denom(fits, dpow: int = 0) -> int:
 
 def _reduce(k, v):
     """Merge rows with equal keys; drops zero sums."""
+    if not k.size:
+        return k, v
     order = np.argsort(k)
     k = k[order]
     v = v[order]
@@ -448,11 +460,11 @@ class BulkEngine:
         """Append encoded flow maps, each stacked over its own common
         denominator, to the flow pools and register them."""
         lifts = [_lift(encs) for _, encs, _ in new]
-        if any(maxabs >= _SUM_LIMIT for _, _, _, _, maxabs, _ in lifts):
+        if any(lift.maxabs >= _SUM_LIMIT for lift in lifts):
             raise BulkError("flow numerator outside packed range")
         entries = [e for _, encs, _ in new for e in encs]
         sizes = np.asarray([e.keys.size for e in entries], dtype=np.int64)
-        ups = [up for _, entry_ups, _, _, _, _ in lifts for up in entry_ups]
+        ups = [up for lift in lifts for up in lift.ups]
         dks = [d for _, _, entry_dks in new for d in entry_dks]
         start = self._flow_rows.extend(
             keys=np.concatenate([e.keys for e in entries]),
@@ -462,9 +474,10 @@ class BulkEngine:
         dens = self._den_ids
         first = self._flow_stats.extend(
             start=start + np.cumsum(rows) - rows, n=rows,
-            den=[dens.setdefault(denom, len(dens)) for denom, *_ in lifts],
-            smax=[lift[2] for lift in lifts], gmax=[lift[3] for lift in lifts],
-            maxabs=[float(lift[4]) for lift in lifts], sumabs=[float(lift[5]) for lift in lifts])
+            den=[dens.setdefault(lift.denom, len(dens)) for lift in lifts],
+            smax=[lift.smax for lift in lifts], gmax=[lift.gmax for lift in lifts],
+            maxabs=[float(lift.maxabs) for lift in lifts],
+            sumabs=[float(lift.sumabs) for lift in lifts])
         for i, (key, _, _) in enumerate(new):
             self._flow_ids[key] = first + i
 

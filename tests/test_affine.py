@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,6 +363,14 @@ class TestPackedEngine:
         # unchunked, a call merges at most three times (stage A, the
         # deficits, stage B)
         assert len(merges) > 3 * len(states)
+
+    def test_chunks_that_cancel_alone(self, monkeypatch):
+        # every piece cancels by itself, so the final merge meets no rows
+        monkeypatch.setattr(bulk, "_CHUNK", 2)
+        keys, vals = bulk._outer_blocks(
+            np.array([5, 5, 9, 9]), np.array([1, -1, 3, -3]), np.array([2, 2]),
+            np.array([0, 100]), np.array([1, 1]), np.array([1, 1]))
+        assert keys.size == vals.size == 0
 
     def test_no_stage_a_rows(self, ctx, monkeypatch):
         # a product against its own negative cancels inside stage A
