@@ -120,6 +120,36 @@ class TestNumericLevel:
         assert ctx.gamma_pow(1) == ctx.table.monomial({"q": 4})
 
 
+class TestOracleNegativeControl:
+    def test_blinded_comparison_fails_through_oracle(self, monkeypatch):
+        """With every exact comparison blinded (lhs - rhs reads zero), the
+        numeric oracle alone must fail exactly the relations that f13=1
+        breaks, none of them with a witness."""
+        def run():
+            return run_affine(E_cut=0, window=1, k=2, psi_nmax=1,
+                              f_overrides={"f13": affine_symbols(2).one()})
+
+        real = affine.compare_cases
+
+        def blinded(seed, rel_id, params, cases, zero, key, fmt):
+            cases = list(cases)  # built with the real arithmetic
+            with monkeypatch.context() as m:
+                m.setattr(RingElem, "__sub__", lambda self, other: self.table.zero())
+                return real(seed, rel_id, params, cases, zero, key, fmt)
+
+        plain = {r.id: r for r in run()}
+        monkeypatch.setattr(affine, "compare_cases", blinded)
+        blind = {r.id: r for r in run()}
+        assert blind.keys() == plain.keys()
+        failed = sorted(rid for rid, r in plain.items() if r.status == "fail")
+        assert len(failed) == 16
+        assert all(plain[rid].witness is not None for rid in failed)
+        assert sorted(rid for rid, r in blind.items() if r.status == "fail") == failed
+        for rid in failed:
+            assert blind[rid].witness is None
+            assert blind[rid].numeric["status"] == "fail"
+
+
 class TestScalars:
     def test_gamma_pow(self, ctx):
         T = ctx.table

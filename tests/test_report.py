@@ -1,9 +1,14 @@
 """Report serialization and the numeric cross-check oracle."""
 
 import json
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqsl import finite_symbols, report
 from uqsl.report import (
+    ORACLE_PAIRS,
     RelationResult,
     SuiteReport,
     compare_cases,
@@ -132,10 +137,107 @@ class TestNumericCheck:
 
         monkeypatch.setattr(SymbolTable, "numeric_point", read)
         monkeypatch.setattr(RingElem, "subst_numeric", evaluate)
-        pairs = [(T.qint(2), T.qint(2)), (T.qint(3), T.qint(3))]
+        # equal in value, stored with different dpow: both are evaluated
+        pairs = [(x, padded(x)) for x in (T.qint(2), T.qint(3))]
         assert numeric_check(0, "r", pairs)["status"] == "pass"
         assert reads == numeric_assignments(0, "r", T)
         assert len(evals) == 3 * 2 * 2
+
+    def test_dpow_only_difference_fails(self):
+        T = finite_symbols(2)
+        x = T.qint(2)
+        pairs = [(x, RingElem(T, dict(x.terms), x.dpow + 1, x.den))]
+        assert numeric_check(0, "r", pairs)["status"] == "fail"
+
+    def test_den_only_difference_fails(self):
+        T = finite_symbols(2)
+        x = T.qint(2)
+        pairs = [(x, RingElem(T, dict(x.terms), x.dpow, 3))]
+        assert numeric_check(0, "r", pairs)["status"] == "fail"
+
+    def test_unequal_pair_after_a_differing_equal_one_fails(self):
+        T = finite_symbols(2)
+        x = T.qint(2)
+        pairs = [(x, padded(x)), (T.qint(2), T.qint(3))]
+        assert numeric_check(0, "r", pairs)["status"] == "fail"
+
+    def test_identically_stored_pairs_derive_no_point(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was derived for identical sides")
+
+        monkeypatch.setattr(SymbolTable, "numeric_point", refuse)
+        monkeypatch.setattr(report, "numeric_assignments", refuse)
+        T = finite_symbols(2)
+        x = T.qint(3) * Fraction(1, 5) * T.qdiff_inv()
+        pairs = [(T.qint(2), T.qint(2)), (x, x),
+                 (x, RingElem(T, dict(x.terms), x.dpow, x.den)), (T.zero(), T.zero())]
+        assert numeric_check(0, "r", pairs) == {"assignments": 3, "pairs": 4,
+                                                 "status": "pass"}
+
+
+def padded(x):
+    """x stored with one more (q - q^-1) in numerator and denominator."""
+    T = x.table
+    return x * T.qdiff() * T.qdiff_inv()
+
+
+def reference_numeric_check(seed, rel_id, pairs, count=3):
+    """numeric_check as it was before it skipped identically stored pairs:
+    every capped pair is evaluated at every point."""
+    pairs = pairs[:ORACLE_PAIRS]
+    if not pairs:
+        return {"assignments": count, "pairs": 0, "status": "pass"}
+    table = pairs[0][0].table
+    for vals in numeric_assignments(seed, rel_id, table, count):
+        point = table.numeric_point(vals)
+        for lhs, rhs in pairs:
+            if lhs.subst_numeric(point) != rhs.subst_numeric(point):
+                return {"assignments": count, "pairs": len(pairs), "status": "fail"}
+    return {"assignments": count, "pairs": len(pairs), "status": "pass"}
+
+
+ORACLE_TABLE = finite_symbols(2)
+small_exps = st.integers(-3, 3)
+
+
+@st.composite
+def oracle_elements(draw):
+    T = ORACLE_TABLE
+    el = T.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        e = {"q": draw(small_exps), "L1": draw(small_exps), "L2": draw(small_exps)}
+        el = el + T.monomial(e, draw(st.fractions(-4, 4, max_denominator=3)))
+    return el * T.qdiff_inv(draw(st.integers(0, 2)))
+
+
+@st.composite
+def oracle_pairs(draw):
+    """A pair stored identically, equal but stored differently, unequal
+    (also with equal terms and another dpow or den), or with a zero side."""
+    T = ORACLE_TABLE
+    x = draw(oracle_elements())
+    kind = draw(st.sampled_from(["same", "copy", "padded", "dpow", "den", "other", "zero"]))
+    if kind == "same":
+        return x, x
+    if kind == "copy":
+        return x, RingElem(T, dict(x.terms), x.dpow, x.den)
+    if kind == "dpow":
+        return x, RingElem(T, dict(x.terms), x.dpow + 1, x.den)
+    if kind == "den":
+        return x, RingElem(T, dict(x.terms), x.dpow, 2 * x.den)
+    if kind == "padded":
+        return tuple(draw(st.permutations([x, padded(x)])))
+    if kind == "other":
+        return x, draw(oracle_elements())
+    return tuple(draw(st.permutations([x, T.zero()])))
+
+
+class TestNumericCheckFilter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9), st.lists(oracle_pairs(), max_size=ORACLE_PAIRS + 6))
+    def test_matches_reference(self, seed, pairs):
+        rel_id = f"r.{len(pairs)}"
+        assert numeric_check(seed, rel_id, pairs) == reference_numeric_check(seed, rel_id, pairs)
 
 
 class TestCompareCases:

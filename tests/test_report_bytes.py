@@ -24,6 +24,10 @@ PINNED = [
     # the kernel families at a formal level above the vacuum energy
     (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2"], 0,
      "5092ee5d8e665d66bd7586d584645b5ddbeda86f56664c3a52c013b028a4f9b6"),
+    # eq9 and eq10 at window 2, whose relations send stored-apart pairs to
+    # the numeric oracle
+    (["check-affine", "--energy-cut", "0", "--mode-window", "2", "--psi-nmax", "4"], 0,
+     "a70ae2f4f686ecccc3b18e98363e50db29fa3ea444db52fb1dff905c41db2c58"),
     # stage B of the packed kernel decodes residuals spread over many groups
     (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2",
       "--k", "2", "--override", "f13=1"], 1,

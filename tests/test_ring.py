@@ -16,6 +16,7 @@ from uqsl import (
     finite_symbols,
     verify_bracket_identity,
 )
+from uqsl.report import numeric_assignments
 from uqsl.ring import _div_qdiff, _mul_by_qdiff
 
 
@@ -328,6 +329,45 @@ class TestSubstNumeric:
         assert el.subst_numeric(point) == el.subst_numeric(vals) == reference_value(el, vals)
         with pytest.raises(RingError, match="assignment read for another symbol table"):
             finite_symbols(2).one().subst_numeric(point)
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def exponent_sums(draw):
+    """(table, [(exponent dict, numerator)], den, dpow): the value
+    sum(numerator * monomial) / (den (q - q^-1)^dpow)."""
+    T = draw(st.sampled_from(EVAL_TABLES))
+    terms = [({sym: draw(st.integers(-6, 6)) for sym in T.symbols}, draw(st.integers(-50, 50)))
+             for _ in range(draw(st.integers(0, 5)))]
+    return T, terms, draw(st.integers(1, 30)), draw(st.integers(0, 3))
+
+
+class TestSympyRoute:
+    """subst_numeric against sympy, which builds each value from the same
+    exponent dicts without the ring's packed keys or normal form."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(exponent_sums(), st.integers(0, 99))
+    def test_matches_sympy(self, sp, case, seed):
+        T, terms, den, dpow = case
+        el = T.zero()
+        for exps, n in terms:
+            el = el + T.monomial(exps, Fraction(n, den))
+        el = el * T.qdiff_inv(dpow)
+        syms = {sym: sp.Symbol("s" if sym == "q" else sym) for sym in T.symbols}
+        s = syms["q"]
+        expr = sp.Add(*[n * sp.Mul(*[syms[sym] ** e for sym, e in exps.items()])
+                        for exps, n in terms])
+        expr = expr / (den * (s ** 2 - s ** -2) ** dpow)
+        for vals in numeric_assignments(seed, "sympy", T):
+            got = el.subst_numeric(T.numeric_point(vals))
+            want = expr.subs({syms[sym]: sp.Rational(v.numerator, v.denominator)
+                              for sym, v in vals.items()})
+            assert sp.Rational(got.numerator, got.denominator) == want
 
 
 class TestCoefficientTypes:
