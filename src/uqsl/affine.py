@@ -26,7 +26,6 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
-from .bulk import BulkEngine, BulkError
 from .currents import (
     CURRENT_PARITY,
     VertexEngine,
@@ -65,7 +64,8 @@ EQ13_PAIRS = ROOT.serre_pairs()
 
 
 class AffineContext:
-    """One realization instance: symbol table, currents, fused products."""
+    """One realization instance: symbol table, currents, fused products;
+    the packed kernel (bulk.py, numpy) loads on the first combo_zero call."""
 
     def __init__(self, k=None, f_overrides=None, seed: int = 0):
         self.k = k
@@ -76,12 +76,16 @@ class AffineContext:
         self.e_values = default_e_values(self.table)
         self.f_values = f_constants(self.table, self.e_values, f_overrides)
         self.currents = make_currents(self.engine, {**self.e_values, **self.f_values})
-        self.bulk = BulkEngine(self.engine)
         self._fused: dict = {}
         # (name, n, state) -> ((state, coeff), ...) for one mode on one
         # state; name is an E/F/psi current or "H<i>" for H^i_n.
         self._app: dict = {}
         self._hc: dict = {}  # (i, n) -> h_coeffs(table, i, n)
+
+    @functools.cached_property
+    def bulk(self):
+        from .bulk import BulkEngine
+        return BulkEngine(self.engine)
 
     def gamma_pow(self, exponent) -> RingElem:
         """gamma^exponent with gamma = q^k; exponent may be half-integral."""
@@ -171,8 +175,10 @@ class AffineContext:
         instance's job list, as _jobs builds it from the instance's pieces.
         If any guard trips, every instance falls back to the exact path
         with its own jobs."""
+        from .bulk import BulkError
+        bulk = self.bulk  # outside the try: a constructor error is no fallback
         try:
-            return self.bulk.combo_residual(jobs, state)
+            return bulk.combo_residual(jobs, state)
         except BulkError:
             return [self.engine.extract_sum(j, state) for j in jobs]
 

@@ -245,7 +245,9 @@ class VertexEngine:
         contraction order kappa_1 = sum_c e_c q^c of A's annihilators against
         B's creators: every order-n contraction is q^(c n) times n-free
         factors and one 1/n, so n kappa_n = sum_c e_c q^(c n)."""
-        lst = self._series.get((vtA.uid, vtB.uid), (self.table.one(),))  # C_0 = 1
+        lst = self._series.get((vtA.uid, vtB.uid))
+        if lst is None:
+            lst = self._series[vtA.uid, vtB.uid] = [self.table.one()]  # C_0 = 1
         if len(lst) <= l:
             T = self.table
             kap = sum((vtA.ann_value(cf, 1) * vtB.cre_coeff(cf, 1) for cf in vtB.cre_fams),

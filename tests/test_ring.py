@@ -369,6 +369,34 @@ class TestSympyRoute:
                               for sym, v in vals.items()})
             assert sp.Rational(got.numerator, got.denominator) == want
 
+    # the Cartan matrix of sl(2|1), distinguished simple roots, written out
+    # here so the closed form below owes nothing to uqsl.structure
+    CARTAN_21 = {(1, 1): 2, (1, 2): -1, (2, 1): -1, (2, 2): 0}
+
+    @pytest.mark.parametrize("k", [None, -2, 0, 2], ids=lambda k: "formal" if k is None else f"k={k}")
+    def test_eq8_central_scalars(self, sp, k):
+        """[H^i_n, H^j_-n] on the vacuum, summed from the raw contractions
+        (h_scalar), and eq8's right side, against the closed form
+        (1/n)[a_ij n](gamma^n - gamma^-n)/(q - q^-1) built in sympy."""
+        from uqsl.affine import AffineContext
+        ctx = AffineContext(k=k)
+        T = ctx.table
+        s, G = sp.Symbol("s"), sp.Symbol("G")
+        rat = lambda v: sp.Rational(v.numerator, v.denominator)  # noqa: E731
+        q = s ** 2
+        gamma = G ** 2 if k is None else q ** k  # Gamma = q^(k/2)
+        for (i, j), a in self.CARTAN_21.items():
+            for n in [x for m in range(1, 7) for x in (m, -m)]:
+                expr = (sp.Rational(1, n) * (q ** (a * n) - q ** (-a * n)) / (q - 1 / q)
+                        * (gamma ** n - gamma ** -n) / (q - 1 / q))
+                rel_id = f"eq8-scalar.i={i}.j={j}.n={n}"
+                for vals in numeric_assignments(0, rel_id, T):
+                    point = T.numeric_point(vals)
+                    want = expr.subs({s: rat(vals["q"]), G: rat(vals.get("G", 1))})
+                    for el in (ctx.h_scalar(i, j, n), ctx.eq8_rhs_scalar(i, j, n)):
+                        got = el.subst_numeric(point)
+                        assert sp.Rational(got.numerator, got.denominator) == want, (i, j, n)
+
 
 class TestCoefficientTypes:
     def test_integral_rational_is_int(self, T):
