@@ -12,12 +12,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
 import contextlib, io, json, sys
-sys.path.insert(0, {src!r})
+sys.path.insert(0, sys.argv[1])
 
 def loaded():
     return sorted(m for m in ("numpy", "uqsl.bulk") if m in sys.modules)
 
-out = {{}}
+out = {}
 import uqsl.cli
 out["import"] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -30,7 +30,7 @@ ctx, basis = AffineContext(), enumerate_basis(0)
 ran = []
 for fam in ("eq6", "eq7", "eq8", "eq9", "eq10", "eq12", "eq14", "eq15"):
     ran += FAMILIES[fam](ctx, basis, 1, 1)
-out["exact families"] = [sorted({{r.status for r in ran}}), loaded(), "bulk" in vars(ctx)]
+out["exact families"] = [sorted({r.status for r in ran}), loaded(), "bulk" in vars(ctx)]
 
 calls = []
 def count(frame, event, arg):
@@ -40,13 +40,13 @@ def count(frame, event, arg):
 sys.setprofile(count)
 ran = FAMILIES["eq11"](ctx, basis, 1, 1)
 sys.setprofile(None)
-out["eq11"] = [sorted({{r.status for r in ran}}), loaded(), len(calls)]
+out["eq11"] = [sorted({r.status for r in ran}), loaded(), len(calls)]
 print(json.dumps(out))
 """
 
 
 def test_numpy_and_kernel_load_on_first_kernel_call():
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(src=str(SRC))],
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(SRC)],
                           text=True, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     out = json.loads(proc.stdout)
