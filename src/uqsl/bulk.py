@@ -21,7 +21,9 @@ flow map once.  A block is a (job, branch) pair with a nonempty flow map.
 The encodings a block needs, its branch's weighted base and its flow map,
 sit in append-only pools, so a call gathers their rows, guards and group
 keys by fancy indexing; Python runs only to encode what no earlier call
-did.
+did.  A flow map's scalars are entries of the engine's residue-free flow
+table of its vertex terms, so each entry is encoded once per (vertex-term
+uids, delta) and a new flow map's rows are gathered from those encodings.
 
 Stage A's guards run once over every block of the call.  Then each
 instance runs the two stages (the aggregate over its residue blocks, then
@@ -40,9 +42,10 @@ Laurent polynomials in q in the free-boson realization, so they are
 encoded without a denominator power, and a scalar with one is refused.
 
 Encodings are cached by value: a branch's weighted base per state (branch
-index and weight value), a flow map per (fused uid, residue), a creation
-bucket list per dkey.  The engine builds each flow map and bucket list
-without caching it, so the encoding is the only copy a kernel run keeps.
+index and weight value), a flow-table entry per (vertex-term uids, delta),
+the rows of a flow map per (fused uid, residue), a creation bucket list per
+dkey.  The engine keeps its flow tables, which the exact path reads too, but
+builds each flow map and bucket list without caching it.
 Nothing is keyed by object identity across calls, so no object is kept
 alive only to pin its id, and a weight rebuilt with the same value for the
 next relation hits.
@@ -133,10 +136,9 @@ class _Enc(NamedTuple):
 
 
 class _Rows(NamedTuple):
-    """Several scalars stacked over one common denominator: a flow map (one
-    entry per dkey, tagged with its id) or a merged creation bucket list
-    (one entry per occupation delta).  Row i came from entry idx[i], tagged
-    tags[idx[i]].  Neither kind carries a power of (q - q^-1)."""
+    """A merged creation bucket list stacked over one common denominator,
+    one entry per occupation delta.  Row i came from entry idx[i], tagged
+    tags[idx[i]].  It carries no power of (q - q^-1)."""
 
     keys: np.ndarray
     vals: np.ndarray
@@ -195,36 +197,18 @@ def _ranges(start, n):
     return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
-class _Lift(NamedTuple):
-    """Encoded scalars over their lcm denominator: that denominator, each
-    scalar's factor onto it, and the lifted rows' smax, gmax, largest
-    absolute value and absolute sum."""
-
-    denom: int
-    ups: list
-    smax: int
-    gmax: int
-    maxabs: int
-    sumabs: int
-
-
-def _lift(encs) -> _Lift:
-    denom = lcm(*(e.denom for e in encs))
-    ups = [denom // e.denom for e in encs]
-    return _Lift(denom, ups, max(e.smax for e in encs), max(e.gmax for e in encs),
-                 max(e.maxabs * up for e, up in zip(encs, ups)),
-                 sum(e.sumabs * up for e, up in zip(encs, ups)))
-
-
 def _stack(encs, tags) -> _Rows:
     """Concatenate encoded scalars, lifting each onto the lcm denominator."""
-    denom, ups, smax, gmax, maxabs, sumabs = _lift(encs)
+    denom = lcm(*(e.denom for e in encs))
+    ups = [denom // e.denom for e in encs]
     sizes = [e.keys.size for e in encs]
     return _Rows(
         np.concatenate([e.keys for e in encs]),
         np.concatenate([e.vals * up for e, up in zip(encs, ups)]),
         np.repeat(np.arange(len(encs), dtype=np.int64), sizes),
-        tuple(tags), denom, smax, gmax, maxabs, sumabs,
+        tuple(tags), denom, max(e.smax for e in encs), max(e.gmax for e in encs),
+        max(e.maxabs * up for e, up in zip(encs, ups)),
+        sum(e.sumabs * up for e, up in zip(encs, ups)),
     )
 
 
@@ -320,10 +304,11 @@ class BulkEngine:
     B the creation-bucket expansion.  Entry point is combo_residual, called
     once per state with every instance of a relation family.
 
-    Fed by the engine's cached state branches and by its flow and bucket
-    builders, which cache nothing; keeps per state a branch table for each
-    fused term, the packed encodings of weighted bases and flow maps in
-    pools, bucket lists keyed by value, and global registries."""
+    Fed by the engine's cached state branches, its flow tables and its
+    bucket builder, which caches nothing; keeps per state a branch table for
+    each fused term, the packed encodings of weighted bases, flow-table
+    entries and flow maps in pools, bucket lists keyed by value, and global
+    registries."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -345,6 +330,11 @@ class BulkEngine:
         self._flow_stats = _Pool(**_STATS)
         self._flow_rows = _Pool(keys=np.int64, vals=np.int64, dk=np.int64)
         self._flow_ids: dict = {}  # (fused.uid, res) -> flow pool index, -1 if empty
+        # Flow-table entries, one per (vertex-term uids, delta): a flow map's
+        # rows are gathered from these.
+        self._entry_stats = _Pool(**_STATS)
+        self._entry_rows = _Pool(keys=np.int64, vals=np.int64)
+        self._entry_ids: dict = {}  # (vterm uids, delta) -> entry pool index
         self._p_cache: dict = {}  # dkey -> _Rows | None
         self._occkeys: dict = {}  # (occ_after, dkey) -> bucket keys with occ ids
         self._deltas: dict = {}  # occupation delta -> the one tuple _p_cache tags hold
@@ -401,83 +391,110 @@ class BulkEngine:
             sumabs += av
         return _Enc(keys, vals, elem.den, meta, smax, gmax, maxabs, sumabs, elem.dpow)
 
-    def _pool_bases(self, encs) -> int:
-        """Append weighted-base encodings to the base pools; returns the
+    def _pool_encs(self, stats: _Pool, rows: _Pool, encs, **extra) -> int:
+        """Append encodings to a stats pool and its row pool; returns the
         index of the first."""
         sizes = np.asarray([e.keys.size for e in encs], dtype=np.int64)
-        start = self._base_rows.extend(keys=np.concatenate([e.keys for e in encs]),
-                                       vals=np.concatenate([e.vals for e in encs]))
-        dens, metas = self._den_ids, self._meta_ids
-        return self._base_stats.extend(
+        start = rows.extend(keys=np.concatenate([e.keys for e in encs]),
+                            vals=np.concatenate([e.vals for e in encs]))
+        dens = self._den_ids
+        return stats.extend(
             start=start + np.cumsum(sizes) - sizes, n=sizes,
             den=[dens.setdefault(e.denom, len(dens)) for e in encs],
             smax=[e.smax for e in encs], gmax=[e.gmax for e in encs],
             maxabs=[float(e.maxabs) for e in encs], sumabs=[float(e.sumabs) for e in encs],
-            meta=[metas.setdefault(e.meta, len(metas)) for e in encs],
-            dpow=[e.dpow for e in encs])
+            **extra)
 
     # -- structure encoding ---------------------------------------------------
 
-    def _enc_flows(self, fused, res):
-        """flows_map(fused, res) encoded: each entry's encoding and its
-        dkey id, or None for an empty map."""
-        flows = self.engine.flows_map(fused, res)
-        if not flows:
-            return None
-        encs = []
-        for _, ssum in flows:
-            if ssum.dpow:
-                raise BulkError("denominator power above target")
-            e = self._enc(ssum)
-            if e.meta:
-                raise BulkError("flow scalar carries symbol content")
-            encs.append(e)
-        ids = self._dkey_ids
-        return encs, [ids.setdefault(dkey, len(ids)) for dkey, _ in flows]
+    def _enc_flow(self, scalar) -> _Enc:
+        """One flow-table entry encoded; flow scalars carry neither a
+        (q - q^-1) power nor symbol content."""
+        if scalar.dpow:
+            raise BulkError("denominator power above target")
+        e = self._enc(scalar)
+        if e.meta:
+            raise BulkError("flow scalar carries symbol content")
+        return e
 
     def _flows(self, want) -> np.ndarray:
         """The flow-pool index of each distinct (fused, res) in want, -1
-        for an empty flow map.  Maps not seen before are encoded and pooled
-        in batches of _FLOW_BATCH, each registered once it is pooled."""
-        ids = self._flow_ids
-        new = []
+        for an empty flow map.  Maps not seen before are pooled in batches
+        of _FLOW_BATCH, each registered once it is pooled.  A flow map's
+        scalars are entries of the engine's flow table of fused's vertex
+        terms, so each is encoded once per (vertex-term uids, delta) and a
+        map's rows are gathered from the entry pools."""
+        ids, entry_ids, dkey_ids = self._flow_ids, self._entry_ids, self._dkey_ids
+        new, fresh, encs = [], {}, []
         for fused, res in want:
-            if (fused.uid, res) not in ids:
-                enc = self._enc_flows(fused, res)
-                if enc is None:
-                    ids[fused.uid, res] = -1
-                else:
-                    new.append(((fused.uid, res), *enc))
-                    if len(new) == _FLOW_BATCH:
-                        self._pool_flows(new)
-                        new = []
+            if (fused.uid, res) in ids:
+                continue
+            flows = self.engine.flows_map(fused, res)
+            if not flows:
+                ids[fused.uid, res] = -1
+                continue
+            idx = []
+            for (_, scalar), delta in zip(flows, self.engine.flow_deltas(fused, res)):
+                key = (fused.uids, delta)
+                e = entry_ids.get(key)
+                if e is None:
+                    e = fresh.get(key)
+                    if e is None:
+                        encs.append(self._enc_flow(scalar))
+                        e = fresh[key] = self._entry_stats.size + len(encs) - 1
+                idx.append(e)
+            new.append(((fused.uid, res), idx,
+                        [dkey_ids.setdefault(dkey, len(dkey_ids)) for dkey, _ in flows]))
+            if len(new) == _FLOW_BATCH:
+                self._pool_flows(new, fresh, encs)
+                new, fresh, encs = [], {}, []
         if new:
-            self._pool_flows(new)
+            self._pool_flows(new, fresh, encs)
         return np.fromiter((ids[fused.uid, res] for fused, res in want),
                            dtype=np.int64, count=len(want))
 
-    def _pool_flows(self, new):
-        """Append encoded flow maps, each stacked over its own common
-        denominator, to the flow pools and register them."""
-        lifts = [_lift(encs) for _, encs, _ in new]
-        if any(lift.maxabs >= _SUM_LIMIT for lift in lifts):
-            raise BulkError("flow numerator outside packed range")
-        entries = [e for _, encs, _ in new for e in encs]
-        sizes = np.asarray([e.keys.size for e in entries], dtype=np.int64)
-        ups = [up for lift in lifts for up in lift.ups]
-        dks = [d for _, _, entry_dks in new for d in entry_dks]
-        start = self._flow_rows.extend(
-            keys=np.concatenate([e.keys for e in entries]),
-            vals=np.concatenate([e.vals for e in entries]) * np.repeat(ups, sizes),
-            dk=np.repeat(dks, sizes))
-        rows = np.asarray([sum(e.keys.size for e in encs) for _, encs, _ in new], dtype=np.int64)
+    def _pool_flows(self, new, fresh, encs):
+        """Pool and register the new entries, then append the new flow maps,
+        each gathered from its entries' rows and lifted onto its own
+        common denominator, to the flow pools and register them."""
+        if encs:
+            self._pool_encs(self._entry_stats, self._entry_rows, encs)
+            self._entry_ids.update(fresh)
+        E, ER = self._entry_stats.cols, self._entry_rows.cols
+        cnt = np.asarray([len(idx) for _, idx, _ in new], dtype=np.int64)
+        firsts = np.cumsum(cnt) - cnt
+        ei = np.asarray([e for _, idx, _ in new for e in idx], dtype=np.int64)
+        den = E["den"][ei]
+        map_den = den[firsts]
+        up = np.ones(ei.size, dtype=np.int64)
+        # A map whose entries share a denominator keeps it (each entry's
+        # numerators are below 2^62); the others lift onto the lcm, exactly.
+        mixed = np.minimum.reduceat(den, firsts) != np.maximum.reduceat(den, firsts)
         dens = self._den_ids
+        den_list = list(dens)
+        for j in np.flatnonzero(mixed).tolist():
+            part = slice(int(firsts[j]), int(firsts[j] + cnt[j]))
+            ds = [den_list[d] for d in den[part].tolist()]
+            denom = lcm(*ds)
+            ups = [denom // d for d in ds]
+            if max(self._abs(self._entry_stats, self._entry_rows, e, max) * u
+                   for e, u in zip(ei[part].tolist(), ups)) >= _SUM_LIMIT:
+                raise BulkError("flow numerator outside packed range")
+            up[part] = ups
+            map_den[j] = dens.setdefault(denom, len(dens))
+        n = E["n"][ei]
+        ri = _ranges(E["start"][ei], n)
+        start = self._flow_rows.extend(
+            keys=ER["keys"][ri], vals=ER["vals"][ri] * np.repeat(up, n),
+            dk=np.repeat(np.asarray([d for _, _, dks in new for d in dks], dtype=np.int64), n))
+        rows = np.add.reduceat(n, firsts)
+        upf = up.astype(np.float64)
         first = self._flow_stats.extend(
-            start=start + np.cumsum(rows) - rows, n=rows,
-            den=[dens.setdefault(lift.denom, len(dens)) for lift in lifts],
-            smax=[lift.smax for lift in lifts], gmax=[lift.gmax for lift in lifts],
-            maxabs=[float(lift.maxabs) for lift in lifts],
-            sumabs=[float(lift.sumabs) for lift in lifts])
+            start=start + np.cumsum(rows) - rows, n=rows, den=map_den,
+            smax=np.maximum.reduceat(E["smax"][ei], firsts),
+            gmax=np.maximum.reduceat(E["gmax"][ei], firsts),
+            maxabs=np.maximum.reduceat(E["maxabs"][ei] * upf, firsts),
+            sumabs=np.add.reduceat(E["sumabs"][ei] * upf, firsts))
         for i, (key, _, _) in enumerate(new):
             self._flow_ids[key] = first + i
 
@@ -646,7 +663,10 @@ class BulkEngine:
                 t, weight, _ = stacks[s]
                 base = tabs[t].branches[tabs[t].index[i]][0]
                 encs.append(self._enc(base if weight is None else base * weight))
-            new0 = self._pool_bases(encs)
+            metas = self._meta_ids
+            new0 = self._pool_encs(self._base_stats, self._base_rows, encs,
+                                   meta=[metas.setdefault(e.meta, len(metas)) for e in encs],
+                                   dpow=[e.dpow for e in encs])
             for n, (s, i) in enumerate(items):
                 stacks[s][2][i] = new0 + n
             pos[todo] = np.arange(new0, new0 + len(items))

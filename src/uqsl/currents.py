@@ -15,7 +15,10 @@ crossing signs.  A product of r terms has one G_ab per variable pair a < b,
 and its order l moves l units of creation degree from z_b to z_a.  Mode
 operators X_n are then read off exactly: applied to a Fock state, only
 finitely many creation multisets and series orders can reach the required
-z-powers, so the sum below every extraction is finite.
+z-powers, so the sum below every extraction is finite.  The series scalar
+of a creation-degree vector d reached from the residue res depends only on
+the vertex terms and on delta = d - res, so one flow table per vertex-term
+tuple serves every residue.
 
 Per-mode coefficients of the field exponentials (on normalized modes):
 
@@ -172,7 +175,7 @@ class VTerm:
 class FusedTerm:
     """A normal-ordered product of VTerms, one z variable per factor."""
 
-    __slots__ = ("const", "p0s", "eps", "sigma", "sigma_a", "taus", "vterms", "uid")
+    __slots__ = ("const", "p0s", "eps", "sigma", "sigma_a", "taus", "vterms", "uids", "uid")
 
     def __init__(self, const, p0s, eps, sigma, sigma_a, taus, vterms, uid):
         self.const = const
@@ -182,7 +185,24 @@ class FusedTerm:
         self.sigma_a = sigma_a
         self.taus = taus
         self.vterms = vterms
+        self.uids = tuple(vt.uid for vt in vterms)  # keys the flow table
         self.uid = uid
+
+
+class _FlowTable:
+    """The residue-free flow table of one vertex-term tuple, filled lazily.
+
+    entries holds (delta, scalar) for every nonzero delta >= -reach, in the
+    lexicographic order of each delta's first order vector: the scalar sums
+    the products of the series coefficients over every order vector that
+    moves creation degree by delta, and does not depend on the residue.  A
+    residue with no entry above reach finds all of its deltas here."""
+
+    __slots__ = ("reach", "entries")
+
+    def __init__(self):
+        self.reach = -1
+        self.entries = []
 
 
 class VertexEngine:
@@ -199,10 +219,12 @@ class VertexEngine:
         self._singles: dict = {}
         self._vterms: dict = {}  # vt.uid -> VTerm, for resolving dkeys
         self._series: dict = {}  # (uidA, uidB) -> [C_l, l <= largest order asked]
+        self._flowtabs: dict = {}  # vterm uids -> _FlowTable
         self._buckets: dict = {}  # (vt.uid, degree) -> [(delta occ, scalar)]
         self._branches: dict = {}  # state -> {fused.uid: branch data}
         # flows_map and bucket_product_key keep no cache: these two are the
-        # exact path's (aggregate, extract_sum); bulk.py keeps its encodings
+        # exact path's (aggregate, extract_sum); bulk.py keeps its encodings.
+        # The flow tables under both are shared.
         self._flowcache: dict = {}  # (fused.uid, res) -> flows_map(fused, res)
         self._prodcache: dict = {}  # dkey -> bucket_product_key(dkey)
 
@@ -396,41 +418,72 @@ class VertexEngine:
         series scalars, as (dkey, scalar) pairs, for any number of variables.
 
         Order l of pair a < b (coefficient C_l of G_ab) moves l units of
-        creation degree from b to a.  Pairs go b descending, then a
-        descending; l runs up to b's degree, and from a's deficit when
-        b = a + 1 (the last pair that feeds a), so every degree stays >= 0.
+        creation degree from b to a, so an order vector takes res to
+        d = res + delta with delta independent of res, and the scalar of d
+        is the entry of delta in the flow table of fused's vertex terms.
+        Every d >= 0 with a nonzero entry gives one pair, in table order:
+        the order in which a walk from res meets them.
 
         A dkey is the sorted ((vterm uid, degree), ...) of the nonzero
         degrees; it ignores variable order, so permuted products of the
         same terms share creation buckets.  Not cached here."""
-        r = len(res)
-        local: dict = {}
-        if r > 1:
+        vts = fused.vterms
+        out = []
+        for delta, s in self._flow_table(fused, res).entries:
+            dvec = tuple(map(add, delta, res))
+            if min(dvec) >= 0:
+                out.append((tuple(sorted((vt.uid, d) for vt, d in zip(vts, dvec) if d)), s))
+        return tuple(out)
+
+    def flow_deltas(self, fused: FusedTerm, res) -> list:
+        """The delta of each pair of flows_map(fused, res), in its order: the
+        key of the pair's scalar in the flow table of fused's vertex terms."""
+        return [delta for delta, _ in self._flow_table(fused, res).entries
+                if min(map(add, delta, res)) >= 0]
+
+    def _flow_table(self, fused: FusedTerm, res) -> _FlowTable:
+        """The flow table of fused's vertex terms, complete for res.  When
+        max(res) passes the table's reach, the table is refilled from a walk
+        from the residue (reach, ..., reach) with reach = max(res).  That
+        walk meets every order vector of every delta >= -reach, which holds
+        every delta res can reach, so each entry is complete; and it meets
+        the deltas in the order of their first order vectors, which no
+        residue changes, so a walk from res would meet the deltas it reaches
+        in the table's order."""
+        tab = self._flowtabs.get(fused.uids)
+        if tab is None:
+            tab = self._flowtabs[fused.uids] = _FlowTable()
+        reach = max(res)
+        if reach > tab.reach:
+            r = len(res)
             pairs = [(a, b) for b in range(r - 1, 0, -1) for a in range(b - 1, -1, -1)]
-            self._walk_orders(fused.vterms, pairs, 0, list(res), None, local)
-        elif res[0] >= 0:
-            local[tuple(res)] = self.table.one()
-        return tuple(
-            (tuple(sorted((vt.uid, d) for vt, d in zip(fused.vterms, dvec) if d)), s)
-            for dvec, s in local.items() if not s.is_zero()
-        )
+            local: dict = {}
+            self._walk_orders(fused.vterms, pairs, 0, [reach] * r, self.table.one(), local)
+            tab.entries = [(tuple(d - reach for d in dvec), s)
+                           for dvec, s in local.items() if not s.is_zero()]
+            tab.reach = reach
+        return tab
 
     def _walk_orders(self, vts, pairs, i, deg, scalar, local):
-        """flows_map's walk from pairs[i] on: sums the product of the series
-        coefficients, in walk order, into local[degree vector]."""
+        """_flow_table's walk from pairs[i] on.  Pairs go b descending, then
+        a descending, so every pair that feeds a variable comes before every
+        pair that drains it; from degrees >= 0, l running up to b's degree
+        keeps every degree >= 0 and reaches every order vector that ends
+        with all degrees >= 0, in lexicographic order.  Sums the product of
+        the series coefficients, in walk order, into local[degree vector]."""
         if i == len(pairs):
             dvec = tuple(deg)
             prev = local.get(dvec)
             local[dvec] = scalar if prev is None else prev + scalar
             return
         a, b = pairs[i]
-        for l in range(max(0, -deg[a]) if b == a + 1 else 0, deg[b] + 1):
+        for l in range(deg[b] + 1):
             c = self._series_coeff(vts[a], vts[b], l)
             if c.is_zero():
                 continue
             deg[a] += l
             deg[b] -= l
-            self._walk_orders(vts, pairs, i + 1, deg, c if scalar is None else scalar * c, local)
+            self._walk_orders(vts, pairs, i + 1, deg, scalar * c, local)
             deg[a] -= l
             deg[b] += l
 

@@ -452,6 +452,14 @@ class RingElem:
     def __mul__(self, other):
         if type(other) is RingElem:
             self._check(other)
+            # an operand stored as exactly 1 ({0: 1}, den 1, dpow 0) returns
+            # the other one, which the full product would store identically
+            t = other.terms
+            if len(t) == 1 and t.get(0) == 1 and other.den == 1 and not other.dpow:
+                return self
+            t = self.terms
+            if len(t) == 1 and t.get(0) == 1 and self.den == 1 and not self.dpow:
+                return other
             return _lowest(self.table, _mul_terms(self.terms, other.terms),
                            self.dpow + other.dpow, self.den * other.den)
         n, d = _ratio(other)

@@ -326,15 +326,33 @@ class TestPackedEngine:
             return sum(len(c) + sum(len(v) for v in c.values() if isinstance(v, dict))
                        for c in vars(ctx.bulk).values() if isinstance(c, dict))
 
+        def tables():
+            tabs = ctx.engine._flowtabs
+            return len(tabs), sum(len(t.entries) for t in tabs.values()), \
+                sum(t.reach for t in tabs.values())
+
+        def pools():
+            b = ctx.bulk
+            return tuple(p.size for p in (b._entry_stats, b._entry_rows, b._flow_stats,
+                                          b._flow_rows, b._base_stats, b._base_rows))
+
         sizes = []
         deltas = []
+        grown = []
         for _ in range(2):
             check_eq11(ctx, basis, 1)
             check_eq13(ctx, basis, 1)
             sizes.append(entries())
             deltas.append(len(ctx.bulk._deltas))
+            grown.append((tables(), pools()))
         assert sizes[0] == sizes[1] > 0
         assert deltas[0] == deltas[1] > 0
+        # neither the engine's flow tables nor the kernel's pools grow on
+        # the second pass
+        assert grown[0] == grown[1] and all(grown[0][1])
+        # every pooled entry is an entry of the engine's table
+        held = {(uids, d) for uids, t in ctx.engine._flowtabs.items() for d, _ in t.entries}
+        assert set(ctx.bulk._entry_ids) <= held
         # equal occupation deltas are one shared tuple across bucket lists
         tags = [t for rows in ctx.bulk._p_cache.values() if rows for t in rows.tags]
         assert len({id(t) for t in tags}) == len(set(tags)) < len(tags)
@@ -891,6 +909,193 @@ def _reference_flows_map(engine, fused, res):
         (tuple(sorted((vt.uid, d) for vt, d in zip(fused.vterms, dvec) if d)), s)
         for dvec, s in local.items() if not s.is_zero()
     )
+
+
+def _reference_deltas(engine, fused, res):
+    """d - res for each entry of _reference_flows_map, in its order."""
+    local = {}
+    for dvec, ss in _reference_flows(engine, fused, res):
+        prev = local.get(dvec)
+        local[dvec] = ss if prev is None else prev + ss
+    return [tuple(d - x for d, x in zip(dvec, res)) for dvec, s in local.items() if not s.is_zero()]
+
+
+def _walk_flows_map(engine, fused, res):
+    """flows_map as it was before the flow tables: one walk over the
+    contraction orders per residue, for any number of variables.  Returns
+    its (dkey, scalar) pairs and each pair's d - res."""
+    r = len(res)
+    vts = fused.vterms
+    local = {}
+
+    def walk(pairs, i, deg, scalar):
+        if i == len(pairs):
+            dvec = tuple(deg)
+            prev = local.get(dvec)
+            local[dvec] = scalar if prev is None else prev + scalar
+            return
+        a, b = pairs[i]
+        for l in range(max(0, -deg[a]) if b == a + 1 else 0, deg[b] + 1):
+            c = engine._series_coeff(vts[a], vts[b], l)
+            if c.is_zero():
+                continue
+            deg[a] += l
+            deg[b] -= l
+            walk(pairs, i + 1, deg, c if scalar is None else scalar * c)
+            deg[a] -= l
+            deg[b] += l
+
+    if r > 1:
+        walk([(a, b) for b in range(r - 1, 0, -1) for a in range(b - 1, -1, -1)],
+             0, list(res), None)
+    elif res[0] >= 0:
+        local[tuple(res)] = engine.table.one()
+    kept = [(dvec, s) for dvec, s in local.items() if not s.is_zero()]
+    return (tuple((tuple(sorted((vt.uid, d) for vt, d in zip(vts, dvec) if d)), s)
+                  for dvec, s in kept),
+            [tuple(d - x for d, x in zip(dvec, res)) for dvec, _ in kept])
+
+
+def _same_flows(got, want, res):
+    """Same dkeys in the same order, each scalar stored identically."""
+    assert [dkey for dkey, _ in got] == [dkey for dkey, _ in want], res
+    for (_, g), (_, w) in zip(got, want):
+        assert list(g.terms.items()) == list(w.terms.items()), res
+        assert (g.dpow, g.den) == (w.dpow, w.den), res
+
+
+def _level_ctx(level):
+    return (AffineContext() if level == "formal" else
+            AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()}))
+
+
+class TestFlowTable:
+    """flows_map reads one residue-free table per vertex-term tuple: the
+    scalar of degree vector d is the table's entry for delta = d - res, and
+    the pairs come in the order of the entries' first order vectors.  That
+    must give the per-residue walk's entries in its order, whatever residues
+    filled the table before."""
+
+    @pytest.mark.parametrize("level", ["formal", "k2_f13"])
+    def test_every_kernel_term_and_residue(self, level, monkeypatch):
+        # every fused term eq10-eq13 use, at every residue in range(-2, 4)^r,
+        # on two fresh contexts that fill their tables in opposite orders
+        names = TestDenominatorFree().fused_names(_level_ctx(level), monkeypatch)
+        assert {len(nm) for nm in names} == {2, 3}
+        for order in (1, -1):
+            ctx = _level_ctx(level)
+            engine = ctx.engine
+            pairs = 0
+            for nm in names:
+                for fused in ctx.fused_terms(nm):
+                    for res in list(itertools.product(range(-2, 4), repeat=len(nm)))[::order]:
+                        got = engine.flows_map(fused, res)
+                        _same_flows(got, _reference_flows_map(engine, fused, res), res)
+                        assert engine.flow_deltas(fused, res) == _reference_deltas(
+                            engine, fused, res), res
+                        pairs += len(got)
+            assert pairs > 10_000
+
+    def test_four_variables_match_walk(self):
+        # the pre-table walk, kept above, on four-variable products: two
+        # distinct currents twice, and one current three times (repeated
+        # vertex terms, whose permuted tuples have their own tables)
+        ctx = AffineContext()
+        engine = ctx.engine
+        pairs = 0
+        for nm in (("E1", "F1", "E2", "F2"), ("F1", "F2", "F1", "F1")):
+            for fused in ctx.fused_terms(nm)[::5]:
+                for res in itertools.product(range(-1, 3), repeat=4):
+                    want, deltas = _walk_flows_map(engine, fused, res)
+                    got = engine.flows_map(fused, res)
+                    _same_flows(got, want, res)
+                    assert engine.flow_deltas(fused, res) == deltas, res
+                    pairs += len(got)
+        assert pairs > 1_000
+
+    def test_kernel_encodes_each_entry_once(self, monkeypatch):
+        # eq11 and eq13 at E_cut=1, window=1 (affine_full_e1w1): 5,234 flow
+        # maps with 7,162 entries hold 850 distinct (vertex-term uids, delta)
+        # scalars, and the kernel encodes each of those once
+        ctx = AffineContext()
+        basis = enumerate_basis(1)
+        maps = []
+        real_flows = ctx.engine.flows_map
+
+        def flows(fused, res):
+            out = real_flows(fused, res)
+            maps.append((fused, res, out))
+            return out
+
+        encoded = []
+        real_enc = ctx.bulk._enc_flow
+
+        def enc(scalar):
+            encoded.append(scalar)
+            return real_enc(scalar)
+
+        monkeypatch.setattr(ctx.engine, "flows_map", flows)
+        monkeypatch.setattr(ctx.bulk, "_enc_flow", enc)
+        check_eq11(ctx, basis, 1)
+        check_eq13(ctx, basis, 1)
+        assert len(maps) == len({(f.uid, res) for f, res, _ in maps}) == 5_234
+        assert sum(len(out) for _, _, out in maps) == 7_162
+        keys = {(f.uids, delta) for f, res, _ in maps for delta in ctx.engine.flow_deltas(f, res)}
+        assert len(encoded) == len(keys) == len(ctx.bulk._entry_ids) == 850
+        assert set(ctx.bulk._entry_ids) == keys
+        # each pooled entry holds its table scalar's numerators, in order
+        E, ER = ctx.bulk._entry_stats.cols, ctx.bulk._entry_rows.cols
+        for (uids, delta), i in ctx.bulk._entry_ids.items():
+            s, = [s for d, s in ctx.engine._flowtabs[uids].entries if d == delta]
+            start = int(E["start"][i])
+            assert ER["vals"][start:start + int(E["n"][i])].tolist() == list(s.terms.values())
+
+
+class TestFlowDenominators:
+    """Flow scalars of the realization have den 1.  Scaled by a rule on
+    delta (the pools key a scalar by delta), the entries of one flow map get
+    different denominators, and the kernel must lift each map onto its lcm
+    exactly, or refuse it."""
+
+    def scale(self, ctx, monkeypatch, rule):
+        real = ctx.engine.flows_map
+
+        def flows(fused, res):
+            return tuple((dkey, s * rule(delta)) for (dkey, s), delta
+                         in zip(real(fused, res), ctx.engine.flow_deltas(fused, res)))
+
+        monkeypatch.setattr(ctx.engine, "flows_map", flows)
+
+    def mixed_maps(self, ctx, jobs, states):
+        return sum(len({d[0] % 2 for d in ctx.engine.flow_deltas(fused, res)}) == 2
+                   for state in states
+                   for fused, res, *_ in ctx.engine.residues(jobs, state))
+
+    def test_mixed_denominators_lift_exactly(self, monkeypatch):
+        ctx = AffineContext()
+        self.scale(ctx, monkeypatch, lambda d: Fraction(1, 2) if d[0] % 2 else Fraction(3))
+        jobs = ctx._jobs([(("E1", "F1"), (0, 0), None), (("F1", "E2"), (1, -1), None)])
+        states = enumerate_basis(1)
+        assert self.mixed_maps(ctx, jobs, states)
+        nonzero = 0
+        for state in states:
+            fast, = ctx.bulk.combo_residual([jobs], state)
+            assert fast == ctx.engine.extract_sum(jobs, state)
+            nonzero += bool(fast)
+        assert nonzero
+
+    def test_lifted_numerator_refused(self, monkeypatch):
+        # entries below 2^62 each, over 1 and over 9: lifted onto 9, the
+        # first ones pass 2^62 and the map is refused before any row
+        ctx = AffineContext()
+        self.scale(ctx, monkeypatch, lambda d: Fraction(1, 9) if d[0] % 2 else 2**59)
+        jobs = ctx._jobs([(("E1", "F1"), (0, 0), None)])
+        states = [s for s in enumerate_basis(1) if self.mixed_maps(ctx, jobs, [s])]
+        assert states
+        for state in states[:3]:
+            with pytest.raises(BulkError, match="^flow numerator outside packed range$"):
+                ctx.bulk.combo_residual([jobs], state)
+            assert ctx.combo_zero([jobs], state) == [ctx.engine.extract_sum(jobs, state)]
 
 
 class TestNegativeControls:

@@ -396,6 +396,36 @@ class TestSympyRoute:
                         assert sp.Rational(el.subst_numeric(point)) == want, (i, j, n)
 
 
+class TestUnitProduct:
+    """A product with an operand stored as exactly 1 ({0: 1}, den 1, dpow
+    0) returns the other operand; no other element takes that path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements())
+    def test_one_returns_the_other_operand(self, x):
+        one = x.table.one()
+        for got in (x * one, one * x, one * one * x):
+            assert got is x
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements().filter(lambda x: not x.is_zero()))
+    def test_other_units_multiply(self, x):
+        T = x.table
+        half = T.rational(Fraction(1, 2))
+        padded = T.qdiff_inv()  # {0: 1} over (q - q^-1)
+        value_one = T.qdiff() * T.qdiff_inv()  # 1, stored as (q - q^-1)/(q - q^-1)
+        assert (half.terms, half.den, padded.terms, padded.dpow) == ({0: 1}, 2, {0: 1}, 1)
+        for a, b in ((x, half), (half, x)):
+            got = a * b
+            assert got == x * Fraction(1, 2) and got != x
+        for a, b in ((x, padded), (padded, x)):
+            got = a * b
+            assert got.dpow == x.dpow + 1 and list(got.terms.items()) == list(x.terms.items())
+        for a, b in ((x, value_one), (value_one, x)):
+            got = a * b
+            assert got == x and got.dpow == x.dpow + 1 and got is not x
+
+
 class TestCoefficientTypes:
     def test_integral_rational_is_int(self, T):
         c = T.rational(Fraction(6, 3)).terms[0]
