@@ -49,7 +49,7 @@ from .oscillators import (
     vec_scale,
     vec_sub,
 )
-from .report import RelationResult, compare_cases
+from .report import run_family, run_instances
 # Re-exported: perfbench/spans.py swaps affine.numeric_check for a timing
 # wrapper and fails if the attribute is missing.
 from .report import numeric_check  # noqa: F401
@@ -228,22 +228,29 @@ class AffineContext:
         )
 
 
-def _run_cases(ctx: AffineContext, rel_id: str, params: dict, cases) -> RelationResult:
-    """Compare lhs/rhs state vectors case by case, outputs in state order."""
-    return compare_cases(ctx.seed, rel_id, params, cases, ctx.table.zero(),
-                         None, format_state)
+def _family(prefix: str, *keys):
+    """check(ctx, ...) from a generator of (params, cases): one
+    RelationResult per instance, its id read off its params by the keys,
+    outputs compared in state order."""
+    def wrap(instances):
+        @functools.wraps(instances)
+        def check(ctx: AffineContext, *args, **kwargs) -> list:
+            return run_instances(ctx.seed, prefix, keys, instances(ctx, *args, **kwargs),
+                                 ctx.table.zero(), None, format_state)
+        return check
+    return wrap
 
 
-def _run_zero_cases(ctx: AffineContext, basis: list, instances) -> list:
-    """Relation instances (rel_id, params, pieces) whose right side is zero,
-    state-outer: one combo_zero call per state for all of them, then each
-    instance's cases in basis order.
+def _zero_cases(ctx: AffineContext, basis: list, instances) -> list:
+    """(params, pieces) of relation instances whose right side is zero ->
+    (params, cases), state-outer: one combo_zero call per state for all of
+    them, then each instance's cases in basis order.
 
     compare_cases reports a relation's first nonzero difference and asks
     the oracle only when there is none, so residuals that follow an
     instance's first nonzero one cannot change its result: they are dropped
     as they arrive, and their cases carry {} instead."""
-    jobs = [ctx._jobs(pieces) for _, _, pieces in instances]
+    jobs = [ctx._jobs(pieces) for _, pieces in instances]
     cases = [[] for _ in instances]
     settled = [False] * len(instances)
     for s in basis:
@@ -254,15 +261,15 @@ def _run_zero_cases(ctx: AffineContext, basis: list, instances) -> list:
             else:
                 settled[k] = any(not c.is_zero() for c in res.values())
             cases[k].append((label, res, {}))
-    return [_run_cases(ctx, rel_id, params, inst_cases)
-            for (rel_id, params, _), inst_cases in zip(instances, cases)]
+    return [(params, inst_cases) for (params, _), inst_cases in zip(instances, cases)]
 
 
 def _kstr(k) -> str:
     return "formal" if k is None else str(k)
 
 
-def check_eq6(ctx: AffineContext, window: int) -> list:
+@_family("drinfeld.eq6", "k")
+def check_eq6(ctx: AffineContext, window: int):
     """gamma = q^k is a central scalar: powers compose and commute with
     every coefficient the engine produces."""
     T = ctx.table
@@ -279,11 +286,11 @@ def check_eq6(ctx: AffineContext, window: int) -> list:
     for s in sorted(sample):
         c = sample[s]
         cases.append((f"commutes at {format_state(s)}", {s: g * c}, {s: c * g}))
-    rel_id = f"drinfeld.eq6.k={_kstr(ctx.k)}"
-    return [_run_cases(ctx, rel_id, {"k": _kstr(ctx.k)}, cases)]
+    yield {"k": _kstr(ctx.k)}, cases
 
 
-def check_eq7(ctx: AffineContext, basis: list, window: int) -> list:
+@_family("drinfeld.eq7", "i", "j", "gen", "sign")
+def check_eq7(ctx: AffineContext, basis: list, window: int):
     """K_i X^{+-,j}_n K_i^-1 = q^{+-a_ij} X^{+-,j}_n and [K_i, H^j_n] = 0."""
     T = ctx.table
     modes = range(-window, window + 1)
@@ -297,31 +304,26 @@ def check_eq7(ctx: AffineContext, basis: list, window: int) -> list:
                 lhs = {s: c * k_eigenvalue(T, i, s) for s, c in vec.items()}
                 yield f"{format_state(state)} n={n}", lhs, {s: c * kin for s, c in vec.items()}
 
-    out = []
     for i in NODES:
         for j in NODES:
             a = ROOT.cartan(i, j)
             for sign, name in (("plus", f"E{j}"), ("minus", f"F{j}")):
                 scale = T.qpow(LinForm(a if sign == "plus" else -a))
                 act = functools.partial(ctx.mode_vec, name)
-                rel_id = f"drinfeld.eq7.i={i}.j={j}.gen=E.sign={sign}"
-                params = {"i": i, "j": j, "gen": "E", "sign": sign, "window": window}
-                out.append(_run_cases(ctx, rel_id, params, conj_cases(i, act, scale, modes)))
+                yield ({"i": i, "j": j, "gen": "E", "sign": sign, "window": window},
+                       conj_cases(i, act, scale, modes))
             act = functools.partial(ctx.h_vec, j)
-            rel_id = f"drinfeld.eq7.i={i}.j={j}.gen=H"
-            params = {"i": i, "j": j, "gen": "H", "window": window}
-            out.append(_run_cases(ctx, rel_id, params,
-                                  conj_cases(i, act, T.one(), [n for n in modes if n])))
-    return out
+            yield ({"i": i, "j": j, "gen": "H", "window": window},
+                   conj_cases(i, act, T.one(), [n for n in modes if n]))
 
 
-def check_eq8(ctx: AffineContext, basis: list, window: int, scalar_max: int = 6) -> list:
+@_family("drinfeld.eq8", "i", "j", "n", "m")
+def check_eq8(ctx: AffineContext, basis: list, window: int, scalar_max: int = 6):
     """[H^i_n, H^j_m] = delta_{n+m,0} (1/n)[a_ij n](gamma^n - gamma^-n)/(q-q^-1),
     as maps inside the window and as central scalars out to |n| = scalar_max."""
     T = ctx.table
     inside = [x for x in range(-window, window + 1) if x]
     beyond = [x for s in range(window + 1, scalar_max + 1) for x in (s, -s)]
-    out = []
     for i in NODES:
         for j in NODES:
             for n in inside + beyond:
@@ -341,15 +343,13 @@ def check_eq8(ctx: AffineContext, basis: list, window: int, scalar_max: int = 6)
                                           ctx.h_vec(j, m, ctx.h_vec(i, n, one)))
                             rhs = {} if m != -n else {state: rhs_scalar}
                             cases.append((format_state(state), lhs, rhs))
-                    rel_id = f"drinfeld.eq8.i={i}.j={j}.n={n}.m={m}"
-                    out.append(_run_cases(ctx, rel_id, params, cases))
-    return out
+                    yield params, cases
 
 
-def check_eq9(ctx: AffineContext, basis: list, window: int) -> list:
+@_family("drinfeld.eq9", "i", "j", "sign", "n", "m")
+def check_eq9(ctx: AffineContext, basis: list, window: int):
     """[H^i_n, X^{+-,j}_m] = +-(1/n)[a_ij n] gamma^{-+|n|/2} X^{+-,j}_{n+m}."""
     T = ctx.table
-    out = []
     for i in NODES:
         for j in NODES:
             a = ROOT.cartan(i, j)
@@ -371,18 +371,15 @@ def check_eq9(ctx: AffineContext, basis: list, window: int) -> list:
                             )
                             rhs = vec_scale(ctx.mode_vec(name, n + m, one), coeff)
                             cases.append((format_state(state), lhs, rhs))
-                        rel_id = f"drinfeld.eq9.i={i}.j={j}.sign={sign}.n={n}.m={m}"
-                        params = {"i": i, "j": j, "sign": sign, "n": n, "m": m}
-                        out.append(_run_cases(ctx, rel_id, params, cases))
-    return out
+                        yield {"i": i, "j": j, "sign": sign, "n": n, "m": m}, cases
 
 
-def check_eq10(ctx: AffineContext, basis: list, window: int) -> list:
+@_family("drinfeld.eq10", "i", "j", "n", "m", "k")
+def check_eq10(ctx: AffineContext, basis: list, window: int):
     """[E^i_n, F^j_m} = delta_ij (gamma^{(n-m)/2} psi^i_{+,n+m}
     - gamma^{-(n-m)/2} psi^i_{-,n+m})/(q - q^-1)."""
     T = ctx.table
     inv = T.qdiff_inv()
-    out = []
     for i in NODES:
         for j in NODES:
             for n in range(-window, window + 1):
@@ -404,17 +401,14 @@ def check_eq10(ctx: AffineContext, basis: list, window: int) -> list:
                             )
                             rhs = vec_sub(plus, minus)
                         cases.append((format_state(state), lhs, rhs))
-                    rel_id = f"drinfeld.eq10.i={i}.j={j}.n={n}.m={m}.k={_kstr(ctx.k)}"
-                    params = {"i": i, "j": j, "n": n, "m": m, "k": _kstr(ctx.k)}
-                    out.append(_run_cases(ctx, rel_id, params, cases))
-    return out
+                    yield {"i": i, "j": j, "n": n, "m": m, "k": _kstr(ctx.k)}, cases
 
 
-def check_eq11(ctx: AffineContext, basis: list, window: int) -> list:
+@_family("drinfeld.eq11", "i", "j", "sign", "n", "m")
+def check_eq11(ctx: AffineContext, basis: list, window: int):
     """[X_{n+1}^i, X_m^j]_{q^{+-a_ij}} + [X_{m+1}^j, X_n^i]_{q^{+-a_ij}} = 0
     for every node pair i <= j (a_22 = 0 included)."""
     T = ctx.table
-    out = []
     for (i, j) in EQ11_PAIRS:
         a = ROOT.cartan(i, j)
         for sign, pref in (("plus", "E"), ("minus", "F")):
@@ -425,36 +419,30 @@ def check_eq11(ctx: AffineContext, basis: list, window: int) -> list:
                 for m in range(-window, window + 1):
                     pieces = ctx._pair_pieces(f"{pref}{i}", n + 1, f"{pref}{j}", m, xi)
                     pieces += ctx._pair_pieces(f"{pref}{j}", m + 1, f"{pref}{i}", n, xi)
-                    rel_id = f"drinfeld.eq11.i={i}.j={j}.sign={sign}.n={n}.m={m}"
-                    params = {"i": i, "j": j, "sign": sign, "n": n, "m": m}
-                    instances.append((rel_id, params, pieces))
-            out += _run_zero_cases(ctx, basis, instances)
-    return out
+                    instances.append(({"i": i, "j": j, "sign": sign, "n": n, "m": m}, pieces))
+            yield from _zero_cases(ctx, basis, instances)
 
 
-def check_eq12(ctx: AffineContext, basis: list, window: int) -> list:
+@_family("drinfeld.eq12", "i", "j", "sign", "n", "m")
+def check_eq12(ctx: AffineContext, basis: list, window: int):
     """[X^i_n, X^j_m} = 0 for the pairs with a_ij = 0 (for (2|1) the odd
     node with itself, so the bracket is the anticommutator)."""
-    out = []
     for (i, j) in EQ12_PAIRS:
         for sign, pref in (("plus", "E"), ("minus", "F")):
             for n in range(-window, window + 1):
                 for m in range(n if i == j else -window, window + 1):
                     pieces = ctx._pair_pieces(f"{pref}{i}", n, f"{pref}{j}", m)
-                    cases = ((format_state(s), ctx.combo_vec(pieces, s), {}) for s in basis)
-                    rel_id = f"drinfeld.eq12.i={i}.j={j}.sign={sign}.n={n}.m={m}"
-                    params = {"i": i, "j": j, "sign": sign, "n": n, "m": m}
-                    out.append(_run_cases(ctx, rel_id, params, cases))
-    return out
+                    yield ({"i": i, "j": j, "sign": sign, "n": n, "m": m},
+                           ((format_state(s), ctx.combo_vec(pieces, s), {}) for s in basis))
 
 
-def check_eq13(ctx: AffineContext, basis: list, window: int) -> list:
+@_family("drinfeld.eq13", "i", "j", "sign", "n1", "n2", "m")
+def check_eq13(ctx: AffineContext, basis: list, window: int):
     """[X^i_{n1}, [X^i_{n2}, X^j_m]_{q^-1}]_q + (n1 <-> n2) = 0, the cubic
     Serre relation for each pair of EQ13_PAIRS (X^i even, j adjacent)."""
     T = ctx.table
     mq = -T.qpow(LinForm(1))
     mqinv = -T.qpow(LinForm(-1))
-    out = []
     for (i, j) in EQ13_PAIRS:
         for sign, pref in (("plus", "E"), ("minus", "F")):
             x, y = f"{pref}{i}", f"{pref}{j}"
@@ -471,24 +459,19 @@ def check_eq13(ctx: AffineContext, basis: list, window: int) -> list:
                                 (names_aba, (nb, m, na), mq),
                                 (names_baa, (m, nb, na), None),
                             ]
-                        rel_id = (f"drinfeld.eq13.i={i}.j={j}.sign={sign}"
-                                  f".n1={n1}.n2={n2}.m={m}")
                         params = {"i": i, "j": j, "sign": sign,
                                   "n1": n1, "n2": n2, "m": m}
-                        instances.append((rel_id, params, pieces))
-            out += _run_zero_cases(ctx, basis, instances)
-    return out
+                        instances.append((params, pieces))
+            yield from _zero_cases(ctx, basis, instances)
 
 
-def check_eq14(ctx: AffineContext) -> list:
+@_family("drinfeld.eq14")
+def check_eq14(ctx: AffineContext):
     """The quartic Serre relation needs the odd node M to have two
     neighbours M - 1 and M + 1; rank 2 has no node 3, so the relation set is
     empty here."""
     M = ROOT.M
-    return [RelationResult(
-        "drinfeld.eq14", "not-applicable", 0, {"M": M, "N": ROOT.N},
-        witness={"reason": f"needs nodes {M - 1} and {M + 1} inside 1..{ROOT.rank}"},
-    )]
+    yield {"M": M, "N": ROOT.N}, f"needs nodes {M - 1} and {M + 1} inside 1..{ROOT.rank}"
 
 
 def _partitions(n: int) -> list:
@@ -508,11 +491,11 @@ def _partitions(n: int) -> list:
     return out
 
 
-def check_eq15(ctx: AffineContext, basis: list, nmax: int) -> list:
+@_family("psi.eq15", "i", "sign", "n")
+def check_eq15(ctx: AffineContext, basis: list, nmax: int):
     """psi modes from the displayed products of half fields against the
     generating function K^{+-1} exp(+-(q-q^-1) sum_{+-n>0} H^i_n z^-n)."""
     T = ctx.table
-    out = []
     for i in NODES:
         for sign, sgn in (("plus", 1), ("minus", -1)):
             for n in range(-nmax, nmax + 1):
@@ -538,25 +521,23 @@ def check_eq15(ctx: AffineContext, basis: list, nmax: int) -> list:
                             for s, c in vec.items():
                                 add_term(rhs, s, c * coeff * keig)
                     cases.append((format_state(state), lhs, rhs))
-                rel_id = f"psi.eq15.i={i}.sign={sign}.n={n}"
-                params = {"i": i, "sign": sign, "n": n}
-                out.append(_run_cases(ctx, rel_id, params, cases))
-    return out
+                yield {"i": i, "sign": sign, "n": n}, cases
 
 
-# Every relation family in run order, each called as
-# family(ctx, basis, window, psi_nmax) -> list of RelationResult.
+# Every relation family in run order: (check, the options it reads after
+# the context), run through report.run_family with the options ctx, basis,
+# window and psi_nmax.
 FAMILIES = {
-    "eq6": lambda ctx, basis, window, psi_nmax: check_eq6(ctx, window),
-    "eq7": lambda ctx, basis, window, psi_nmax: check_eq7(ctx, basis, window),
-    "eq8": lambda ctx, basis, window, psi_nmax: check_eq8(ctx, basis, window),
-    "eq9": lambda ctx, basis, window, psi_nmax: check_eq9(ctx, basis, window),
-    "eq10": lambda ctx, basis, window, psi_nmax: check_eq10(ctx, basis, window),
-    "eq11": lambda ctx, basis, window, psi_nmax: check_eq11(ctx, basis, window),
-    "eq12": lambda ctx, basis, window, psi_nmax: check_eq12(ctx, basis, window),
-    "eq13": lambda ctx, basis, window, psi_nmax: check_eq13(ctx, basis, window),
-    "eq14": lambda ctx, basis, window, psi_nmax: check_eq14(ctx),
-    "eq15": lambda ctx, basis, window, psi_nmax: check_eq15(ctx, basis, psi_nmax),
+    "eq6": (check_eq6, ("ctx", "window")),
+    "eq7": (check_eq7, ("ctx", "basis", "window")),
+    "eq8": (check_eq8, ("ctx", "basis", "window")),
+    "eq9": (check_eq9, ("ctx", "basis", "window")),
+    "eq10": (check_eq10, ("ctx", "basis", "window")),
+    "eq11": (check_eq11, ("ctx", "basis", "window")),
+    "eq12": (check_eq12, ("ctx", "basis", "window")),
+    "eq13": (check_eq13, ("ctx", "basis", "window")),
+    "eq14": (check_eq14, ("ctx",)),
+    "eq15": (check_eq15, ("ctx", "basis", "psi_nmax")),
 }
 
 
@@ -564,10 +545,10 @@ def run_affine(E_cut: int = 2, window: int = 2, k=None, radius: int = 0,
                norm: str = "l1", psi_nmax: int = 4, seed: int = 0,
                f_overrides=None) -> list:
     """All affine relation results for one configuration, unsorted."""
-    ctx = AffineContext(k=k, f_overrides=f_overrides, seed=seed)
-    basis = enumerate_basis(E_cut, radius, norm)
-    return [r for family in FAMILIES.values()
-            for r in family(ctx, basis, window, psi_nmax)]
+    opts = {"ctx": AffineContext(k=k, f_overrides=f_overrides, seed=seed),
+            "basis": enumerate_basis(E_cut, radius, norm),
+            "window": window, "psi_nmax": psi_nmax}
+    return [r for family in FAMILIES.values() for r in run_family(family, opts)]
 
 
 def affine_config(E_cut: int, window: int, k, radius: int, norm: str,

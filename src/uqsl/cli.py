@@ -20,24 +20,20 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 
-from .affine import FAMILIES, AffineContext, affine_config
+from . import affine, finite
+from .affine import AffineContext, affine_config
 from .finite import (
+    BRACKET_NMAX,
     SABOTAGE_IDS,
     FiniteRealization,
-    check_chevalley,
-    check_intermediate,
-    check_remarks,
     sabotage_changes_nothing,
 )
 from .grassmann import SuperPoly
 from .oscillators import enumerate_basis
-from .report import RelationResult, SuiteReport
-from .ring import LinForm, RingError, affine_symbols, verify_bracket_identity
+from .report import SuiteReport, run_family
+from .ring import LinForm, RingError, affine_symbols
 
 F_NAMES = ("f11", "f12", "f13", "f21", "f22", "f23", "f24")
-BRACKET_NMAX = 4
-
-_FINITE_TASKS = ("chevalley", "intermediate", "remarks", "bracket")
 
 
 def parse_scalar(table, text: str):
@@ -85,62 +81,45 @@ def _override_elems(table, spec: dict) -> dict:
     return {name: parse_scalar(table, text) for name, text in spec.items()}
 
 
-def bracket_results(nmax: int = BRACKET_NMAX) -> list:
-    """The exponent-splitting bracket identity as relation reports."""
-    out = []
-    for n in range(1, nmax + 1):
-        ok = verify_bracket_identity(n)
-        out.append(RelationResult(
-            f"bracket.eq32.n={n}", "pass" if ok else "fail", 1, {"n": n},
-            None if ok else {"element": "formal exponents",
-                             "reason": "sum of shifted brackets != joint bracket"},
-        ))
-    return out
-
-
-def _finite_task(args) -> list:
-    name, M, N, variant, D, seed, sabotage = args
-    if name == "chevalley":
-        return check_chevalley(M, N, variant, D, seed, sabotage)
-    if name == "intermediate":
-        return check_intermediate(M, N, D, seed, sabotage)
-    if name == "remarks":
-        return check_remarks(M, N, D, seed)
-    return bracket_results()
-
-
 @functools.lru_cache(maxsize=1)
-def _affine_setup(k, seed, spec_items, E_cut, radius, norm):
+def _affine_setup(k, seed, spec_items, E_cut, radius, norm) -> dict:
     """One context and basis per process, shared by the families it runs."""
     overrides = _override_elems(affine_symbols(k), dict(spec_items)) or None
-    ctx = AffineContext(k=k, f_overrides=overrides, seed=seed)
-    return ctx, enumerate_basis(E_cut, radius, norm)
+    return {"ctx": AffineContext(k=k, f_overrides=overrides, seed=seed),
+            "basis": enumerate_basis(E_cut, radius, norm)}
 
 
-def _affine_task(args) -> list:
-    eq, setup, window, psi_nmax = args
-    ctx, basis = _affine_setup(*setup)
-    return FAMILIES[eq](ctx, basis, window, psi_nmax)
+# Per suite: its families by name, and the function that turns a run's setup
+# tuple into the options each process builds once (none for the finite suite:
+# dict() is {}).
+SUITES = {
+    "affine": (affine.FAMILIES, _affine_setup),
+    "finite": (finite.FAMILIES, dict),
+}
 
 
-def _timed(task_fn, args):
+def _task(args):
+    """One family of one suite, looked up by name, and its wall time."""
+    suite, name, setup, opts = args
+    families, build = SUITES[suite]
     t0 = time.monotonic()
-    out = task_fn(args)
+    out = run_family(families[name], {**build(*setup), **opts})
     return out, time.monotonic() - t0
 
 
-def _run_tasks(task_fn, argslist, jobs: int, labels, want_timings: bool):
-    """Run tasks in a fixed order, in this process or in a pool of at most
-    `jobs` workers, never more than there are tasks; results and timings
-    merge deterministically."""
-    timed = functools.partial(_timed, task_fn)
-    jobs = min(jobs, len(argslist))
+def _run_suite(suite: str, setup: tuple, opts: dict, jobs: int, want_timings: bool):
+    """Every family of a suite in a fixed order, in this process or in a pool
+    of at most `jobs` workers, never more than there are families; results
+    and timings merge deterministically."""
+    names = tuple(SUITES[suite][0])
+    jobs = min(jobs, len(names))
     with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
-        outs = list((pool.map if pool else map)(timed, argslist))
+        outs = list((pool.map if pool else map)(
+            _task, [(suite, name, setup, opts) for name in names]))
     results = [r for chunk, _ in outs for r in chunk]
     if not want_timings:
         return results, None
-    timings = {label: round(dt, 3) for label, (_, dt) in zip(labels, outs)}
+    timings = {name: round(dt, 3) for name, (_, dt) in zip(names, outs)}
     timings["total_seconds"] = round(sum(timings.values()), 3)
     return results, timings
 
@@ -169,13 +148,9 @@ def _cmd_check_finite(args) -> int:
         raise ValueError("--max-degree must be >= 0")
     if args.sabotage is not None and args.sabotage not in SABOTAGE_IDS:
         raise ValueError(f"unknown sabotage id {args.sabotage!r}")
-    argslist = [
-        (name, args.M, args.N, args.variant, args.max_degree, args.seed,
-         args.sabotage)
-        for name in _FINITE_TASKS
-    ]
-    results, timings = _run_tasks(
-        _finite_task, argslist, args.jobs, _FINITE_TASKS, args.timings)
+    opts = {"M": args.M, "N": args.N, "variant": args.variant,
+            "D": args.max_degree, "seed": args.seed, "sabotage": args.sabotage}
+    results, timings = _run_suite("finite", (), opts, args.jobs, args.timings)
     report = SuiteReport("finite", cfg, args.seed, results, timings)
     # a failed relation already shows the sabotage changed something
     if (args.sabotage is not None and not report.failed
@@ -200,10 +175,9 @@ def _cmd_check_affine(args) -> int:
                         args.psi_nmax, spec)
     setup = (args.k, args.seed, tuple(spec.items()), args.energy_cut,
              args.momentum_radius, args.momentum_norm)
-    argslist = [(eq, setup, args.mode_window, args.psi_nmax) for eq in FAMILIES]
+    opts = {"window": args.mode_window, "psi_nmax": args.psi_nmax}
     try:
-        results, timings = _run_tasks(
-            _affine_task, argslist, args.jobs, tuple(FAMILIES), args.timings)
+        results, timings = _run_suite("affine", setup, opts, args.jobs, args.timings)
     finally:
         _affine_setup.cache_clear()  # the context and its caches end with the run
     report = SuiteReport("affine", cfg, args.seed, results, timings)

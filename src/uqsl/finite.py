@@ -17,16 +17,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grassmann import FlagSpace, SuperPoly, basis_upto
-from .report import RelationResult, compare_cases
+from .report import RelationResult, relation_id, run_instances
 # Re-exported: perfbench/spans.py swaps finite.numeric_check for a timing
 # wrapper and fails if the attribute is missing.
 from .report import numeric_check  # noqa: F401
-from .ring import LinForm, finite_symbols
+from .ring import LinForm, finite_symbols, verify_bracket_identity
 from .structure import build_root_data, graded_bracket_sign
 
 _NO_SHIFT = LinForm(0)
 
 SABOTAGE_IDS = ("e_ii", "e_iip", "f1", "f2", "f3", "h", "f2-theta")
+BRACKET_NMAX = 4
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,6 @@ def compose(A, B) -> LinMap:
 
 def scale_map(A, c) -> LinMap:
     return LinMap(lambda p: A.apply(p).scale(c), A.parity)
-
-
-def zero_map(space: FlagSpace, parity: int = 0) -> LinMap:
-    return LinMap(lambda p: SuperPoly(space, {}), parity)
 
 
 def graded_commutator(A, B, xi=None) -> LinMap:
@@ -295,92 +292,72 @@ def _descending(m: tuple) -> tuple:
     return tuple(-e for e in m)
 
 
-def _compare_maps(rel_id, params, lhs, rhs, basis, space, seed) -> RelationResult:
-    """Apply both maps to every basis monomial and compare exactly, outputs
-    in descending monomial order."""
+def _driver(real: FiniteRealization, D: int, seed: int):
+    """run(prefix, keys, instances), the driver for one realization, and
+    cases(lhs, rhs): both maps applied to every flag monomial of degree
+    <= D (rhs None is the zero map), outputs compared in descending
+    monomial order."""
+    space = real.space
+    basis = basis_upto(space, D)
     one = space.table.one()
 
-    def cases():
+    def cases(lhs, rhs=None):
         for m in basis:
             inp = SuperPoly(space, {m: one})
-            yield space.format_monomial(m), lhs.apply(inp).terms, rhs.apply(inp).terms
+            yield (space.format_monomial(m), lhs.apply(inp).terms,
+                   {} if rhs is None else rhs.apply(inp).terms)
 
-    return compare_cases(seed, rel_id, params, cases(), space.table.zero(),
-                         _descending, space.format_monomial)
+    def run(prefix, keys, instances):
+        return run_instances(seed, prefix, keys, instances, space.table.zero(),
+                             _descending, space.format_monomial)
+
+    return run, cases
 
 
 def check_chevalley(M, N, variant, D, seed=0, sabotage=None) -> list:
     real = FiniteRealization(M, N, sabotage)
-    root, space = real.root, real.space
-    basis = basis_upto(space, D)
+    root, table = real.root, real.table
     rank = root.rank
-    table = space.table
-    out = []
+    nodes = range(1, rank + 1)
+    run, cases = _driver(real, D, seed)
     base = {"M": M, "N": N, "variant": variant, "D": D}
 
-    t = {i: real.build_t(i) for i in range(1, rank + 1)}
-    tinv = {i: real.build_t(i, -1) for i in range(1, rank + 1)}
-    e = {i: real.build_e(i, variant) for i in range(1, rank + 1)}
-    f = {i: real.build_f(i, variant) for i in range(1, rank + 1)}
-
-    for i in range(1, rank + 1):
-        for j in range(i, rank + 1):
-            out.append(_compare_maps(
-                f"chevalley.eq1.i={i}.j={j}.variant={variant}",
-                dict(base, i=i, j=j),
-                compose(t[i], t[j]), compose(t[j], t[i]), basis, space, seed,
-            ))
-
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            a = root.cartan(i, j)
-            for sign, gen in (("plus", e[j]), ("minus", f[j])):
-                xi = table.qpow(LinForm(a if sign == "plus" else -a))
-                out.append(_compare_maps(
-                    f"chevalley.eq2.i={i}.j={j}.sign={sign}.variant={variant}",
-                    dict(base, i=i, j=j, sign=sign),
-                    compose(t[i], compose(gen, tinv[i])),
-                    scale_map(gen, xi), basis, space, seed,
-                ))
-
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            lhs = graded_commutator(e[i], f[j])
-            rhs = real.build_h_bracket(i) if i == j else zero_map(space)
-            out.append(_compare_maps(
-                f"chevalley.eq3.i={i}.j={j}.variant={variant}",
-                dict(base, i=i, j=j),
-                lhs, rhs, basis, space, seed,
-            ))
-
+    t = {i: real.build_t(i) for i in nodes}
+    tinv = {i: real.build_t(i, -1) for i in nodes}
+    e = {i: real.build_e(i, variant) for i in nodes}
+    f = {i: real.build_f(i, variant) for i in nodes}
+    signs = (("plus", e, 1), ("minus", f, -1))
     qpos = table.qpow(LinForm(1))
     qneg = table.qpow(LinForm(-1))
-    for i, j in root.serre_pairs():
-        for sign, gen in (("plus", e), ("minus", f)):
-            inner = graded_commutator(gen[i], gen[j], qneg)
-            lhs = graded_commutator(gen[i], inner, qpos)
-            out.append(_compare_maps(
-                f"chevalley.eq4.i={i}.j={j}.sign={sign}.variant={variant}",
-                dict(base, i=i, j=j, sign=sign),
-                lhs, zero_map(space, lhs.parity), basis, space, seed,
-            ))
 
-    for sign, gen in (("plus", e), ("minus", f)):
-        rel_id = f"chevalley.eq5.sign={sign}.variant={variant}"
-        if M - 1 >= 1 and M + 1 <= rank:
-            inner = graded_commutator(gen[M], gen[M - 1], qneg)
-            mid = graded_commutator(gen[M + 1], inner, qpos)
-            lhs = graded_commutator(gen[M], mid)
-            out.append(_compare_maps(
-                rel_id, dict(base, sign=sign), lhs,
-                zero_map(space, lhs.parity), basis, space, seed,
-            ))
-        else:
-            out.append(RelationResult(
-                rel_id, "not-applicable", 0, dict(base, sign=sign),
-                {"reason": f"needs nodes {M-1} and {M+1} inside 1..{rank}"},
-            ))
-    return out
+    out = run("chevalley.eq1", ("i", "j", "variant"), (
+        (dict(base, i=i, j=j), cases(compose(t[i], t[j]), compose(t[j], t[i])))
+        for i in nodes for j in range(i, rank + 1)))
+    out += run("chevalley.eq2", ("i", "j", "sign", "variant"), (
+        (dict(base, i=i, j=j, sign=sign),
+         cases(compose(t[i], compose(gen[j], tinv[i])),
+               scale_map(gen[j], table.qpow(LinForm(s * root.cartan(i, j))))))
+        for i in nodes for j in nodes for sign, gen, s in signs))
+    out += run("chevalley.eq3", ("i", "j", "variant"), (
+        (dict(base, i=i, j=j),
+         cases(graded_commutator(e[i], f[j]),
+               real.build_h_bracket(i) if i == j else None))
+        for i in nodes for j in nodes))
+    out += run("chevalley.eq4", ("i", "j", "sign", "variant"), (
+        (dict(base, i=i, j=j, sign=sign),
+         cases(graded_commutator(gen[i], graded_commutator(gen[i], gen[j], qneg), qpos)))
+        for i, j in root.serre_pairs() for sign, gen, _ in signs))
+
+    def eq5():
+        for sign, gen, _ in signs:
+            if M - 1 >= 1 and M + 1 <= rank:
+                inner = graded_commutator(gen[M], gen[M - 1], qneg)
+                mid = graded_commutator(gen[M + 1], inner, qpos)
+                yield dict(base, sign=sign), cases(graded_commutator(gen[M], mid))
+            else:
+                yield dict(base, sign=sign), f"needs nodes {M-1} and {M+1} inside 1..{rank}"
+
+    return out + run("chevalley.eq5", ("sign", "variant"), eq5())
 
 
 def _intermediate_rhs29(real: FiniteRealization, i: int, j: int):
@@ -445,126 +422,115 @@ def _intermediate_rhs31(real: FiniteRealization, i, ip, j, jp):
 def check_intermediate(M, N, D, seed=0, sabotage=None) -> list:
     real = FiniteRealization(M, N, sabotage)
     root, space = real.root, real.space
-    basis = basis_upto(space, D)
-    rank = root.rank
-    total = root.total
-    out = []
+    rank, total = root.rank, root.total
+    nodes = range(1, rank + 1)
+    run, cases = _driver(real, D, seed)
     base = {"M": M, "N": N, "D": D}
 
     def bracket_of(a_atom, f_atom):
         return graded_commutator(real._op([a_atom]), real._op([f_atom]))
 
-    # vanishing cross terms
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            for jp in range(1, j):
-                lhs = bracket_of(real.atom_e_ii(i), real.atom_f1(j, jp))
-                out.append(_compare_maps(
-                    f"intermediate.eq28.kind=e_ii-f1.i={i}.j={j}.jp={jp}",
-                    dict(base, i=i, j=j, jp=jp),
-                    lhs, zero_map(space, lhs.parity), basis, space, seed,
-                ))
-            for jp in range(j + 2, total + 1):
-                lhs = bracket_of(real.atom_e_ii(i), real.atom_f3(j, jp))
-                out.append(_compare_maps(
-                    f"intermediate.eq28.kind=e_ii-f3.i={i}.j={j}.jp={jp}",
-                    dict(base, i=i, j=j, jp=jp),
-                    lhs, zero_map(space, lhs.parity), basis, space, seed,
-                ))
-            for ip in range(1, i):
-                lhs = bracket_of(real.atom_e_iip(i, ip), real.atom_f2(j))
-                out.append(_compare_maps(
-                    f"intermediate.eq28.kind=e_iip-f2.i={i}.ip={ip}.j={j}",
-                    dict(base, i=i, ip=ip, j=j),
-                    lhs, zero_map(space, lhs.parity), basis, space, seed,
-                ))
+    # vanishing cross terms; the kind of bracket is part of the prefix
+    out = run("intermediate.eq28.kind=e_ii-f1", ("i", "j", "jp"), (
+        (dict(base, i=i, j=j, jp=jp),
+         cases(bracket_of(real.atom_e_ii(i), real.atom_f1(j, jp))))
+        for i in nodes for j in nodes for jp in range(1, j)))
+    out += run("intermediate.eq28.kind=e_ii-f3", ("i", "j", "jp"), (
+        (dict(base, i=i, j=j, jp=jp),
+         cases(bracket_of(real.atom_e_ii(i), real.atom_f3(j, jp))))
+        for i in nodes for j in nodes for jp in range(j + 2, total + 1)))
+    out += run("intermediate.eq28.kind=e_iip-f2", ("i", "ip", "j"), (
+        (dict(base, i=i, ip=ip, j=j),
+         cases(bracket_of(real.atom_e_iip(i, ip), real.atom_f2(j))))
+        for i in nodes for j in nodes for ip in range(1, i)))
 
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            lhs = bracket_of(real.atom_e_ii(i), real.atom_f2(j))
-            rhs = real._op(_intermediate_rhs29(real, i, j))
-            out.append(_compare_maps(
-                f"intermediate.eq29.i={i}.j={j}", dict(base, i=i, j=j),
-                lhs, rhs, basis, space, seed,
-            ))
+    out += run("intermediate.eq29", ("i", "j"), (
+        (dict(base, i=i, j=j),
+         cases(bracket_of(real.atom_e_ii(i), real.atom_f2(j)),
+               real._op(_intermediate_rhs29(real, i, j))))
+        for i in nodes for j in nodes))
+    out += run("intermediate.eq30", ("i", "ip", "j", "jp"), (
+        (dict(base, i=i, ip=ip, j=j, jp=jp),
+         cases(bracket_of(real.atom_e_iip(i, ip), real.atom_f1(j, jp)),
+               real._op(_intermediate_rhs30(real, i, ip, j, jp))))
+        for i in nodes for ip in range(1, i) for j in nodes for jp in range(1, j)))
+    out += run("intermediate.eq31", ("i", "ip", "j", "jp"), (
+        (dict(base, i=i, ip=ip, j=j, jp=jp),
+         cases(bracket_of(real.atom_e_iip(i, ip), real.atom_f3(j, jp)),
+               real._op(_intermediate_rhs31(real, i, ip, j, jp))))
+        for i in nodes for ip in range(1, i) for j in nodes
+        for jp in range(j + 2, total + 1)))
 
-    for i in range(1, rank + 1):
-        for ip in range(1, i):
-            for j in range(1, rank + 1):
-                for jp in range(1, j):
-                    lhs = bracket_of(real.atom_e_iip(i, ip), real.atom_f1(j, jp))
-                    rhs = real._op(_intermediate_rhs30(real, i, ip, j, jp))
-                    out.append(_compare_maps(
-                        f"intermediate.eq30.i={i}.ip={ip}.j={j}.jp={jp}",
-                        dict(base, i=i, ip=ip, j=j, jp=jp),
-                        lhs, rhs, basis, space, seed,
-                    ))
-                for jp in range(j + 2, total + 1):
-                    lhs = bracket_of(real.atom_e_iip(i, ip), real.atom_f3(j, jp))
-                    rhs = real._op(_intermediate_rhs31(real, i, ip, j, jp))
-                    out.append(_compare_maps(
-                        f"intermediate.eq31.i={i}.ip={ip}.j={j}.jp={jp}",
-                        dict(base, i=i, ip=ip, j=j, jp=jp),
-                        lhs, rhs, basis, space, seed,
-                    ))
+    def eq33():
+        for i in nodes:
+            for j in nodes:
+                parity = (root.gen_parity(i) + root.gen_parity(j)) % 2
+                pieces = [("f2", bracket_of(real.atom_e_ii(i), real.atom_f2(j)))]
+                for ip in range(1, i):
+                    for jp in range(1, j):
+                        pieces.append(("f1", bracket_of(
+                            real.atom_e_iip(i, ip), real.atom_f1(j, jp))))
+                    for jp in range(j + 2, total + 1):
+                        pieces.append(("f3", bracket_of(
+                            real.atom_e_iip(i, ip), real.atom_f3(j, jp))))
+                rhs = real.build_h_bracket(i) if i == j else None
+                for eps_name, eps in (("nu_i", real._nu(i)), ("nu_j", real._nu(j))):
+                    for epsp_name, epsp in (("nu_i", real._nu(i)), ("nu_j+1", real._nu(j + 1))):
+                        def combined(p, pieces=pieces, eps=eps, epsp=epsp):
+                            acc = SuperPoly(space, {})
+                            for kind, piece in pieces:
+                                part = piece.apply(p)
+                                if kind == "f1":
+                                    part = part.scale(eps)
+                                elif kind == "f3":
+                                    part = part.scale(-epsp)
+                                acc = acc + part
+                            return acc
 
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            parity = (root.gen_parity(i) + root.gen_parity(j)) % 2
-            pieces = []
-            pieces.append(("f2", bracket_of(real.atom_e_ii(i), real.atom_f2(j))))
-            for ip in range(1, i):
-                for jp in range(1, j):
-                    pieces.append(("f1", bracket_of(
-                        real.atom_e_iip(i, ip), real.atom_f1(j, jp))))
-                for jp in range(j + 2, total + 1):
-                    pieces.append(("f3", bracket_of(
-                        real.atom_e_iip(i, ip), real.atom_f3(j, jp))))
-            rhs = real.build_h_bracket(i) if i == j else zero_map(space)
-            for eps_name, eps in (("nu_i", real._nu(i)), ("nu_j", real._nu(j))):
-                for epsp_name, epsp in (("nu_i", real._nu(i)), ("nu_j+1", real._nu(j + 1))):
-                    def combined(p, pieces=pieces, eps=eps, epsp=epsp):
-                        acc = SuperPoly(space, {})
-                        for kind, piece in pieces:
-                            part = piece.apply(p)
-                            if kind == "f1":
-                                part = part.scale(eps)
-                            elif kind == "f3":
-                                part = part.scale(-epsp)
-                            acc = acc + part
-                        return acc
+                        yield (dict(base, i=i, j=j, eps=eps_name, epsp=epsp_name),
+                               cases(LinMap(combined, parity), rhs))
 
-                    lhs = LinMap(combined, parity)
-                    out.append(_compare_maps(
-                        f"intermediate.eq33.i={i}.j={j}.eps={eps_name}.epsp={epsp_name}",
-                        dict(base, i=i, j=j, eps=eps_name, epsp=epsp_name),
-                        lhs, rhs, basis, space, seed,
-                    ))
-    return out
+    return out + run("intermediate.eq33", ("i", "j", "eps", "epsp"), eq33())
 
 
 def check_remarks(M, N, D, seed=0) -> list:
+    """remark1 and remark2 on the clean realization: a sabotage is never
+    passed here, whatever the run's --sabotage."""
     real = FiniteRealization(M, N)
-    root, space = real.root, real.space
-    basis = basis_upto(space, D)
-    out = []
+    nodes = range(1, real.root.rank + 1)
+    run, cases = _driver(real, D, seed)
     base = {"M": M, "N": N, "D": D}
     sigma = real.parity_map()
 
-    for i in range(1, root.rank + 1):
-        scale = real._nu(i + 1)
-        for gen_name, build in (("e", real.build_e), ("f", real.build_f)):
-            lhs = scale_map(compose(sigma, compose(build(i, "i"), sigma)), scale)
-            rhs = build(i, "ii")
-            out.append(_compare_maps(
-                f"remark1.gen={gen_name}.i={i}", dict(base, gen=gen_name, i=i),
-                lhs, rhs, basis, space, seed,
-            ))
+    out = run("remark1", ("gen", "i"), (
+        (dict(base, gen=gen_name, i=i),
+         cases(scale_map(compose(sigma, compose(build(i, "i"), sigma)), real._nu(i + 1)),
+               build(i, "ii")))
+        for i in nodes for gen_name, build in (("e", real.build_e), ("f", real.build_f))))
+    return out + run("remark2", ("j",), (
+        (dict(base, j=j), cases(real._op([real.atom_f2_half(j)]), real._op([real.atom_f2(j)])))
+        for j in nodes))
 
-    for j in range(1, root.rank + 1):
-        lhs = real._op([real.atom_f2_half(j)])
-        rhs = real._op([real.atom_f2(j)])
-        out.append(_compare_maps(
-            f"remark2.j={j}", dict(base, j=j), lhs, rhs, basis, space, seed,
+
+def check_bracket(nmax: int = BRACKET_NMAX) -> list:
+    """The exponent-splitting bracket identity as relation reports."""
+    out = []
+    for n in range(1, nmax + 1):
+        ok = verify_bracket_identity(n)
+        out.append(RelationResult(
+            relation_id("bracket.eq32", ("n",), {"n": n}), "pass" if ok else "fail", 1,
+            {"n": n}, None if ok else {"element": "formal exponents",
+                                       "reason": "sum of shifted brackets != joint bracket"},
         ))
     return out
+
+
+# Every finite task in run order: (check, the options it reads), run through
+# report.run_family.  remarks and bracket read no sabotage, so they run on
+# the clean realization under --sabotage.
+FAMILIES = {
+    "chevalley": (check_chevalley, ("M", "N", "variant", "D", "seed", "sabotage")),
+    "intermediate": (check_intermediate, ("M", "N", "D", "seed", "sabotage")),
+    "remarks": (check_remarks, ("M", "N", "D", "seed")),
+    "bracket": (check_bracket, ()),
+}

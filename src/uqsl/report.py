@@ -135,6 +135,35 @@ def numeric_check(seed: int, rel_id: str, pairs: list, count: int = 3) -> dict:
     return {"assignments": count, "pairs": capped, "status": "pass"}
 
 
+def relation_id(prefix: str, keys, params: dict) -> str:
+    """The family prefix, then .key=value for each id key present in
+    params, in the declared order; every relation id is formed here."""
+    return prefix + "".join(f".{k}={params[k]}" for k in keys if k in params)
+
+
+def run_family(family, opts: dict) -> list:
+    """One entry of a suite's FAMILIES, a (check, reads) pair: check called
+    with the options named by reads, in that order."""
+    check, reads = family
+    return check(*(opts[name] for name in reads))
+
+
+def run_instances(seed: int, prefix: str, keys, instances, zero, key,
+                  fmt) -> list:
+    """The driver: one RelationResult per (params, cases) of a family's
+    instances, in their order, through compare_cases.  cases given as a
+    string is the reason the instance has no index set: not-applicable."""
+    out = []
+    for params, cases in instances:
+        rel_id = relation_id(prefix, keys, params)
+        if isinstance(cases, str):
+            out.append(RelationResult(rel_id, "not-applicable", 0, params,
+                                      {"reason": cases}))
+        else:
+            out.append(compare_cases(seed, rel_id, params, cases, zero, key, fmt))
+    return out
+
+
 def compare_cases(seed: int, rel_id: str, params: dict, cases, zero, key,
                   fmt) -> RelationResult:
     """Check one relation: compare both sides of every case exactly.

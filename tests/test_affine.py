@@ -2,16 +2,14 @@
 
 import functools
 import itertools
-import re
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsl import LinForm, RingElem, affine, affine_symbols, bulk
+from uqsl import LinForm, RingElem, affine, affine_symbols, bulk, report
 from uqsl.affine import (
     EQ11_PAIRS,
     EQ13_PAIRS,
@@ -28,6 +26,8 @@ from uqsl.affine import (
 )
 from uqsl.bulk import BulkError
 from uqsl.oscillators import VACUUM, enumerate_basis, format_state
+
+from readme_ids import readme_rows, unmatched
 
 
 @pytest.fixture(scope="module")
@@ -73,16 +73,9 @@ class TestSmokeSuite:
     def test_ids_match_readme(self, smoke):
         """Each id has the fields of one row of the README's affine table,
         in order; a field written name=value there must carry that value."""
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        rows = re.findall(r"^\| `((?:drinfeld|psi)\.[^`]*)` \|", text, re.M)
-
-        def matches(row, rid):
-            rf, idf = row.split("."), rid.split(".")
-            return len(rf) == len(idf) and all(
-                r == i or ("=" not in r and i.split("=")[0] == r) for r, i in zip(rf, idf))
-
-        assert [r.id for r in smoke if not any(matches(row, r.id) for row in rows)] == []
-        assert [row for row in rows if not any(matches(row, r.id) for r in smoke)] == []
+        stray_ids, stray_rows = unmatched(readme_rows("drinfeld|psi"), [r.id for r in smoke])
+        assert stray_ids == []
+        assert stray_rows == []
 
     def test_numeric_blocks(self, smoke):
         for r in smoke:
@@ -129,7 +122,7 @@ class TestOracleNegativeControl:
             return run_affine(E_cut=0, window=1, k=2, psi_nmax=1,
                               f_overrides={"f13": affine_symbols(2).one()})
 
-        real = affine.compare_cases
+        real = report.compare_cases
 
         def blinded(seed, rel_id, params, cases, zero, key, fmt):
             cases = list(cases)  # built with the real arithmetic
@@ -138,7 +131,8 @@ class TestOracleNegativeControl:
                 return real(seed, rel_id, params, cases, zero, key, fmt)
 
         plain = {r.id: r for r in run()}
-        monkeypatch.setattr(affine, "compare_cases", blinded)
+        # the driver, report.run_instances, calls this name
+        monkeypatch.setattr(report, "compare_cases", blinded)
         blind = {r.id: r for r in run()}
         assert blind.keys() == plain.keys()
         failed = sorted(rid for rid, r in plain.items() if r.status == "fail")
@@ -518,11 +512,11 @@ class TestBatchedKernel:
         batched = check_eq11(sab_k2, basis, 1) + check_eq13(sab_k2, basis, 1)
 
         def per_instance(ctx, basis, instances):
-            return [affine._run_cases(ctx, rel_id, params, [
+            return [(params, [
                 (format_state(s), ctx.engine.extract_sum(ctx._jobs(pieces), s), {})
-                for s in basis]) for rel_id, params, pieces in instances]
+                for s in basis]) for params, pieces in instances]
 
-        monkeypatch.setattr(affine, "_run_zero_cases", per_instance)
+        monkeypatch.setattr(affine, "_zero_cases", per_instance)
         reference = check_eq11(sab_k2, basis, 1) + check_eq13(sab_k2, basis, 1)
         assert [r.to_json() for r in batched] == [r.to_json() for r in reference]
         assert sum(r.status == "fail" for r in batched) == 6 + 15
@@ -681,9 +675,9 @@ class TestIntegerCoefficients:
         # every family at E_cut=1, window=1 (the affine_full_e1w1 workload),
         # then every element the context still holds
         ctx = AffineContext()
-        basis = enumerate_basis(1)
+        opts = {"ctx": ctx, "basis": enumerate_basis(1), "window": 1, "psi_nmax": 2}
         for family in affine.FAMILIES.values():
-            family(ctx, basis, 1, 2)
+            report.run_family(family, opts)
         elems = list(_ring_elems(ctx))
         assert len(elems) > 5_000
         assert all(type(c) is int for el in elems for c in el.terms.values())

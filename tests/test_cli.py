@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from uqsl import LinForm, affine_symbols, cli
+from uqsl import LinForm, affine_symbols, cli, finite, report
 from uqsl.affine import FAMILIES, run_affine
 from uqsl.cli import main, parse_scalar
 
@@ -165,6 +165,15 @@ class TestCheckFinite:
         assert a == (tmp_path / "b").read_bytes()
         assert a == (tmp_path / "c").read_bytes()
 
+    def test_sabotage_spares_remarks_and_bracket(self, tmp_path):
+        # they run on the clean realization: f2 would break remark2
+        code, data = run_json(tmp_path, ["check-finite", "--M", "3", "--N", "1",
+                                         "--max-degree", "2", "--sabotage", "f2"])
+        assert code == 1
+        clean = [r for r in data["relations"] if r["id"].startswith(("remark", "bracket."))]
+        assert len(clean) == 6 + 3 + 4
+        assert all(r["status"] == "pass" for r in clean)
+
 
 class TestCheckAffine:
     def test_vacuum_suite(self, tmp_path):
@@ -251,6 +260,21 @@ class TestCheckAffine:
         data = json.loads(capsys.readouterr().out)
         assert data["suite"] == "affine"
 
+    def test_seed_reaches_the_oracle(self, tmp_path, monkeypatch):
+        seeds = set()
+        real = report.numeric_check
+
+        def spy(seed, rel_id, pairs):
+            seeds.add(seed)
+            return real(seed, rel_id, pairs)
+
+        monkeypatch.setattr(report, "numeric_check", spy)
+        for argv in (FAST_AFFINE, ["check-finite", "--M", "2", "--N", "1",
+                                   "--max-degree", "1"]):
+            seeds.clear()
+            assert main(argv + ["--seed", "7", "--report", str(tmp_path / "r.json")]) == 0
+            assert seeds == {7}
+
     def test_context_released_after_run(self, monkeypatch):
         # the families of one run share one context; none outlives main
         built = []
@@ -295,7 +319,7 @@ class TestUsage:
         assert main(FAST_AFFINE + ["--jobs", "500", "--report", str(tmp_path / "a")]) == 0
         assert main(["check-finite", "--M", "2", "--N", "1", "--max-degree", "1",
                      "--jobs", "500", "--report", str(tmp_path / "f")]) == 0
-        assert sizes == [len(FAMILIES), len(cli._FINITE_TASKS)]
+        assert sizes == [len(FAMILIES), len(finite.FAMILIES)]
 
     def test_jobs_floor(self, capsys):
         assert main(FAST_AFFINE + ["--jobs", "0"]) == 2

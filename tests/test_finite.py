@@ -1,10 +1,12 @@
 """q-difference realization: worked values, relation suites, controls."""
 
-import pytest
-
+import json
 from fractions import Fraction
 
+import pytest
+
 from uqsl import LinForm, finite_symbols
+from uqsl.cli import main
 from uqsl.finite import (
     SABOTAGE_IDS,
     Atom,
@@ -21,6 +23,8 @@ from uqsl.finite import (
     scale_map,
 )
 from uqsl.grassmann import SuperPoly
+
+from readme_ids import readme_rows, unmatched
 
 
 @pytest.fixture
@@ -243,6 +247,22 @@ class TestReports:
         reports = check_chevalley(2, 1, "i", 2)
         # degree <= 2 over 3 variables (two odd): 1 + 3 + 4 = 8 monomials
         assert all(r.checked == 8 for r in reports if r.status == "pass")
+
+    def test_ids_match_readme(self, tmp_path):
+        """Each check-finite id has the fields of one row of the README's
+        finite tables, each row is met by some id, and no report repeats an
+        id: (2|2) in both variants and (2|1) reach every row."""
+        rows = readme_rows("chevalley|intermediate|remark1|remark2|bracket")
+        seen = []
+        for M, N, variant in (("2", "2", "i"), ("2", "2", "ii"), ("2", "1", "i")):
+            path = tmp_path / f"{M}{N}{variant}.json"
+            assert main(["check-finite", "--M", M, "--N", N, "--variant", variant,
+                         "--max-degree", "1", "--report", str(path)]) == 0
+            ids = [r["id"] for r in json.loads(path.read_text(encoding="utf-8"))["relations"]]
+            assert len(set(ids)) == len(ids)
+            assert unmatched(rows, ids)[0] == []
+            seen += ids
+        assert unmatched(rows, seen)[1] == []
 
 
 # -- the weight sums against their former statement ---------------------------

@@ -26,10 +26,12 @@ out["check-finite"] = [code, loaded()]
 
 from uqsl.affine import FAMILIES, AffineContext
 from uqsl.oscillators import enumerate_basis
-ctx, basis = AffineContext(), enumerate_basis(0)
+from uqsl.report import run_family
+ctx = AffineContext()
+opts = {"ctx": ctx, "basis": enumerate_basis(0), "window": 1, "psi_nmax": 1}
 ran = []
 for fam in ("eq6", "eq7", "eq8", "eq9", "eq10", "eq12", "eq14", "eq15"):
-    ran += FAMILIES[fam](ctx, basis, 1, 1)
+    ran += run_family(FAMILIES[fam], opts)
 out["exact families"] = [sorted({r.status for r in ran}), loaded(), "bulk" in vars(ctx)]
 
 calls = []
@@ -38,7 +40,7 @@ def count(frame, event, arg):
             and frame.f_code.co_filename.endswith("bulk.py")):
         calls.append(1)
 sys.setprofile(count)
-ran = FAMILIES["eq11"](ctx, basis, 1, 1)
+ran = run_family(FAMILIES["eq11"], opts)
 sys.setprofile(None)
 out["eq11"] = [sorted({r.status for r in ran}), loaded(), len(calls)]
 print(json.dumps(out))

@@ -14,6 +14,8 @@ from uqsl.report import (
     compare_cases,
     numeric_assignments,
     numeric_check,
+    relation_id,
+    run_instances,
 )
 from uqsl.ring import RingElem, SymbolTable
 
@@ -311,3 +313,33 @@ class TestCompareCases:
         assert res.status == "not-applicable" and res.checked == 0
         assert res.witness == {"reason": "no case inside the bounded subspace"}
         assert res.numeric is None
+
+
+class TestDriver:
+    T = finite_symbols(2)
+
+    def test_relation_id_reads_declared_keys_in_order(self):
+        params = {"m": 0, "window": 2, "i": 1, "sign": "plus", "n": -1}
+        keys = ("i", "j", "sign", "n", "m")
+        assert relation_id("fam.eq9", keys, params) == "fam.eq9.i=1.sign=plus.n=-1.m=0"
+        assert relation_id("fam.eq14", (), params) == "fam.eq14"
+
+    def test_instances_in_order_with_their_ids_and_seed(self, monkeypatch):
+        seen = []
+
+        def spy(seed, rel_id, pairs):
+            seen.append((seed, rel_id))
+            return numeric_check(seed, rel_id, pairs)
+
+        monkeypatch.setattr(report, "numeric_check", spy)
+        one = self.T.one()
+        instances = [({"n": n, "D": 2}, [("c", {0: one}, {0: one})]) for n in (2, 1)]
+        instances.append(({"n": 3}, "needs a node 4"))
+        res = run_instances(5, "fam", ("n",), instances, self.T.zero(), None, str)
+        assert [r.id for r in res] == ["fam.n=2", "fam.n=1", "fam.n=3"]
+        assert [r.status for r in res] == ["pass", "pass", "not-applicable"]
+        assert res[0].params == {"n": 2, "D": 2}
+        # a reason in place of cases reaches no comparison and no oracle
+        assert seen == [(5, "fam.n=2"), (5, "fam.n=1")]
+        assert res[2] == RelationResult("fam.n=3", "not-applicable", 0, {"n": 3},
+                                        {"reason": "needs a node 4"})
