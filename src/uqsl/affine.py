@@ -524,9 +524,9 @@ def check_eq15(ctx: AffineContext, basis: list, nmax: int):
                 yield {"i": i, "sign": sign, "n": n}, cases
 
 
-# Every relation family in run order: (check, the options it reads after
-# the context), run through report.run_family with the options ctx, basis,
-# window and psi_nmax.
+# Every relation family in run order: (check, the options it reads, in
+# order), run through report.run_family with the options ctx, basis, window
+# and psi_nmax.
 FAMILIES = {
     "eq6": (check_eq6, ("ctx", "window")),
     "eq7": (check_eq7, ("ctx", "basis", "window")),
