@@ -292,11 +292,11 @@ def _descending(m: tuple) -> tuple:
     return tuple(-e for e in m)
 
 
-def _driver(real: FiniteRealization, D: int, seed: int):
-    """run(prefix, keys, instances), the driver for one realization, and
-    cases(lhs, rhs): both maps applied to every flag monomial of degree
-    <= D (rhs None is the zero map), outputs compared in descending
-    monomial order."""
+def _runner(real: FiniteRealization, D: int, seed: int):
+    """run(prefix, keys, instances), which runs a family's instances on one
+    realization through report.run_instances, and cases(lhs, rhs): both
+    maps applied to every flag monomial of degree <= D (rhs None is the
+    zero map), outputs compared in descending monomial order."""
     space = real.space
     basis = basis_upto(space, D)
     one = space.table.one()
@@ -319,7 +319,7 @@ def check_chevalley(M, N, variant, D, seed=0, sabotage=None) -> list:
     root, table = real.root, real.table
     rank = root.rank
     nodes = range(1, rank + 1)
-    run, cases = _driver(real, D, seed)
+    run, cases = _runner(real, D, seed)
     base = {"M": M, "N": N, "variant": variant, "D": D}
 
     t = {i: real.build_t(i) for i in nodes}
@@ -424,7 +424,7 @@ def check_intermediate(M, N, D, seed=0, sabotage=None) -> list:
     root, space = real.root, real.space
     rank, total = root.rank, root.total
     nodes = range(1, rank + 1)
-    run, cases = _driver(real, D, seed)
+    run, cases = _runner(real, D, seed)
     base = {"M": M, "N": N, "D": D}
 
     def bracket_of(a_atom, f_atom):
@@ -498,7 +498,7 @@ def check_remarks(M, N, D, seed=0) -> list:
     passed here, whatever the run's --sabotage."""
     real = FiniteRealization(M, N)
     nodes = range(1, real.root.rank + 1)
-    run, cases = _driver(real, D, seed)
+    run, cases = _runner(real, D, seed)
     base = {"M": M, "N": N, "D": D}
     sigma = real.parity_map()
 

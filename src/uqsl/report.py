@@ -150,9 +150,10 @@ def run_family(family, opts: dict) -> list:
 
 def run_instances(seed: int, prefix: str, keys, instances, zero, key,
                   fmt) -> list:
-    """The driver: one RelationResult per (params, cases) of a family's
-    instances, in their order, through compare_cases.  cases given as a
-    string is the reason the instance has no index set: not-applicable."""
+    """The one loop from a family's instances to results: one RelationResult
+    per (params, cases), in their order, through compare_cases.  cases
+    given as a string is the reason the instance has no index set:
+    not-applicable."""
     out = []
     for params, cases in instances:
         rel_id = relation_id(prefix, keys, params)

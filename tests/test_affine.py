@@ -131,7 +131,7 @@ class TestOracleNegativeControl:
                 return real(seed, rel_id, params, cases, zero, key, fmt)
 
         plain = {r.id: r for r in run()}
-        # the driver, report.run_instances, calls this name
+        # report.run_instances calls this name
         monkeypatch.setattr(report, "compare_cases", blinded)
         blind = {r.id: r for r in run()}
         assert blind.keys() == plain.keys()

@@ -315,7 +315,7 @@ class TestCompareCases:
         assert res.numeric is None
 
 
-class TestDriver:
+class TestRunInstances:
     T = finite_symbols(2)
 
     def test_relation_id_reads_declared_keys_in_order(self):
