@@ -170,17 +170,19 @@ class AffineContext:
         return self.engine.extract_sum(self._jobs(pieces), state)
 
     def combo_zero(self, jobs, state: FockState) -> list:
-        """combo_vec for many relation instances whose right side is zero,
-        through one call of the packed-row engine: jobs holds each
-        instance's job list, as _jobs builds it from the instance's pieces.
-        If any guard trips, every instance falls back to the exact path
-        with its own jobs."""
+        """combo_vec for many relation instances whose right side is zero:
+        jobs holds each instance's job list, as _jobs builds it from the
+        instance's pieces.  One call of the packed-row engine certifies the
+        instances whose residual vanishes; every other instance, and every
+        instance when a guard trips, is computed on the exact path with its
+        own jobs."""
         from .bulk import BulkError
         bulk = self.bulk  # outside the try: a constructor error is no fallback
         try:
-            return bulk.combo_residual(jobs, state)
+            zero = bulk.combo_residual(jobs, state)
         except BulkError:
-            return [self.engine.extract_sum(j, state) for j in jobs]
+            zero = [False] * len(jobs)
+        return [{} if z else self.engine.extract_sum(j, state) for z, j in zip(zero, jobs)]
 
     def _jobs(self, pieces) -> list:
         jobs = []
@@ -248,19 +250,16 @@ def _zero_cases(ctx: AffineContext, basis: list, instances) -> list:
 
     compare_cases reports a relation's first nonzero difference and asks
     the oracle only when there is none, so residuals that follow an
-    instance's first nonzero one cannot change its result: they are dropped
-    as they arrive, and their cases carry {} instead."""
+    instance's first nonzero one cannot change its result: the instance
+    goes on with an empty job list, and its later cases carry {}."""
     jobs = [ctx._jobs(pieces) for _, pieces in instances]
     cases = [[] for _ in instances]
-    settled = [False] * len(instances)
     for s in basis:
         label = format_state(s)
         for k, res in enumerate(ctx.combo_zero(jobs, s)):
-            if settled[k]:
-                res = {}
-            else:
-                settled[k] = any(not c.is_zero() for c in res.values())
             cases[k].append((label, res, {}))
+            if res:
+                jobs[k] = []
     return [(params, inst_cases) for (params, _), inst_cases in zip(instances, cases)]
 
 

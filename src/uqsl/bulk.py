@@ -1,4 +1,4 @@
-"""Vectorized expansion of joint mode extractions.
+"""Vectorized zero test of joint mode extractions.
 
 The exact engine spends nearly all of its time multiplying sparse Laurent
 polynomials whose exponents occupy a few bits and whose rational
@@ -8,16 +8,18 @@ Gamma in low bit fields, the remaining symbol content interned as an
 opaque monomial id, and the output Fock state interned likewise.  Cross
 products become numpy outer products and cancellation becomes one sort
 plus a segmented sum, which is where the savings come from: the work is
-identical, term for term, to the RingElem pipeline.
+identical, term for term, to the RingElem pipeline.  A relation that holds
+leaves no row, so the kernel's one job is to certify that; it never turns
+a row back into a RingElem.
 
 One call per state.  combo_residual takes every instance of a relation
-family on one state at once, one job list per instance, and returns one
-residual per instance.  The residue walk is array work: a fused term's
-annihilation branches on a state form a table (annihilated energy per
-variable, its sum, the output sector), every job meets every branch of its
-table in one int64 broadcast, one compare drops the residues that no
-creation can reach, and each distinct (fused term, residue) looks up its
-flow map once.  A block is a (job, branch) pair with a nonempty flow map.
+family on one state at once, one job list per instance, and returns per
+instance whether its residual vanishes.  The residue walk is array work: a
+fused term's annihilation branches on a state form a table (annihilated
+energy per variable, its sum, the output sector), every job meets every
+branch of its table in one int64 broadcast, one compare drops the residues
+that no creation can reach, and each distinct (fused term, residue) looks
+up its flow map once.  A block is a (job, branch) pair with a nonempty flow map.
 The encodings a block needs, its branch's weighted base and its flow map,
 sit in append-only pools, so a call gathers their rows, guards and group
 keys by fancy indexing; Python runs only to encode what no earlier call
@@ -56,9 +58,10 @@ denominator with the largest possible absolute partial sum bounded below
 2^62, and any violation raises BulkError before a row it guards is built.
 Stage A runs its size guards in float64 over all blocks at once and
 repeats them in exact integers whenever a float lands near a limit.
-Callers catch BulkError and fall back to the exact scalar path, so the
-vectorized route either reproduces the RingElem result (the same value,
-rendered identically) or declines to run.
+The kernel certifies a zero residual or leaves the instance to the exact
+path: an instance with a surviving row, like every instance of a call
+whose guard raises BulkError, is computed by VertexEngine.extract_sum, the
+one path that renders a witness.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .oscillators import FockState, occ_add
-from .ring import _HALF, _MASK, _SLOT_BITS, RingElem, _lowest
+from .ring import _HALF, _MASK, _SLOT_BITS, RingElem
 
 # One side of a product: s biased by 2^12, Gamma by 2^11.  Sums of two
 # sides then need 14 and 13 bits.
@@ -299,10 +302,11 @@ class _Blocks(NamedTuple):
 
 
 class BulkEngine:
-    """Packed-row twin of VertexEngine.extract_sum for one symbol table,
-    batched over relation instances: stage A is the packed aggregate, stage
-    B the creation-bucket expansion.  Entry point is combo_residual, called
-    once per state with every instance of a relation family.
+    """Packed-row zero test of VertexEngine.extract_sum for one symbol
+    table, batched over relation instances: stage A is the packed
+    aggregate, stage B the creation-bucket expansion.  Entry point is
+    combo_residual, called once per state with every instance of a
+    relation family.
 
     Fed by the engine's cached state branches, its flow tables and its
     bucket builder, which caches nothing; keeps per state a branch table for
@@ -679,51 +683,29 @@ class BulkEngine:
     # -- the two stages --------------------------------------------------------
 
     def combo_residual(self, jobs, state: FockState) -> list:
-        """Sums of weighted mode extractions applied to one state, one per
-        relation instance, computed through packed rows.  jobs[i] is
+        """Whether each relation instance's sum of weighted mode extractions
+        vanishes on one state, decided through packed rows.  jobs[i] is
         instance i's job list in VertexEngine.extract_sum's form, and entry
-        i of the answer equals extract_sum(jobs[i], state).  Raises
-        BulkError instead of answering when any guard trips."""
-        out = [{} for _ in jobs]
+        i of the answer is True exactly when extract_sum(jobs[i], state) is
+        {}.  Raises BulkError instead of answering when any guard trips."""
+        zero = [True] * len(jobs)
         found = self._blocks(jobs, state)
         if found is None:
-            return out
-        blocks, metas, d_max, denom_a = self._guard_a(*found)
-        kept = []
+            return zero
+        blocks, d_max, denom_a = self._guard_a(*found)
         cuts = (np.flatnonzero(np.diff(blocks.inst)) + 1).tolist()
         for b0, b1 in zip([0, *cuts], [*cuts, blocks.inst.size]):
             stage_a = self._stage_a(_Blocks(*(a[b0:b1] for a in blocks)), d_max)
-            if stage_a is not None:
-                stage_b = self._stage_b(*stage_a, d_max, denom_a)
-                if stage_b is not None:
-                    kept.append((int(blocks.inst[b0]), *stage_b))
-
-        # Nonzero residuals: decode into exact elements for the witness.
-        occs, moms = list(self._occ_ids), list(self._mom_ids)
-        meta_list = list(self._meta_ids)
-        for ins, bkeys, bvals, denom_b in kept:
-            by_state: dict = {}
-            for key, val in zip(bkeys.tolist(), bvals.tolist()):
-                s_exp = (key & _S_MASK) - 2 * _SB
-                g_exp = ((key >> _A_G_SHIFT) & _G_MASK) - 2 * _GB
-                occ = occs[(key >> _B_OCC_SHIFT) & (_OCC_MAX - 1)]
-                momenta = moms[key >> _B_MOM_SHIFT]
-                rk = meta_list[metas[(key >> _B_META_SHIFT) & (_META_MAX - 1)]] + s_exp
-                if self.g_slot is not None:
-                    rk += g_exp << _SLOT_BITS
-                elif g_exp:
-                    raise BulkError("Gamma exponent without a Gamma slot")
-                by_state.setdefault(FockState(momenta, occ), {})[rk] = val
-            out[ins] = {st: _lowest(self.table, terms, d_max, denom_b)
-                        for st, terms in by_state.items()}
-        return out
+            if stage_a is not None and self._stage_b(*stage_a, d_max, denom_a):
+                zero[int(blocks.inst[b0])] = False
+        return zero
 
     def _guard_a(self, inst, sector, bi, fi):
         """Stage A's guards over every block of the call, before any row
         exists: meta ids, exponent fields, denominator powers, the common
         denominator and, per instance, the sum bound.  Returns the blocks
-        with their key offsets and lifts, the meta ids' global ids, the
-        largest denominator power and the stage denominator."""
+        with their key offsets and lifts, the largest denominator power and
+        the stage denominator."""
         B = self._base_stats.cols
         F = self._flow_stats.cols
         # Meta travels as a row field: rows of one group may mix monomials
@@ -769,7 +751,7 @@ class BulkEngine:
                 raise BulkError("stage sum bound exceeded")
         kadd = (mid << _B_META_SHIFT) + ((d_max - dpow) << _A_DEF_SHIFT)
         up = np.asarray(ups, dtype=np.int64)[pinv]
-        return _Blocks(inst, sector, bi, fi, kadd, up), metas.tolist(), d_max, denom
+        return _Blocks(inst, sector, bi, fi, kadd, up), d_max, denom
 
     def _stage_a(self, run: _Blocks, d_max: int):
         """The packed aggregate over one instance's blocks: its merged rows,
@@ -826,10 +808,9 @@ class BulkEngine:
             raise BulkError("aggregate exponent above packed range")
         return akeys, avals, (secs.tolist(), ndk, groups.tolist())
 
-    def _stage_b(self, akeys, avals, read, d_max, denom_a):
-        """The creation-bucket expansion of one instance's surviving
-        groups: its merged rows and their denominator, or None when every
-        row cancels."""
+    def _stage_b(self, akeys, avals, read, d_max, denom_a) -> bool:
+        """Whether a row of the creation-bucket expansion of one instance's
+        surviving groups outlives the merge."""
         secs, ndk, groups = read
         # The same two-pass shape as stage A, its guards fed by per-group
         # reductions over the sorted rows.
@@ -865,7 +846,7 @@ class BulkEngine:
             divs.append(g)
             right.append((self._occ_keys(occ_after, dkey, penc), penc, momid))
         if not right:
-            return None
+            return False
         denom_b = _stage_denom(fits)
 
         live = np.asarray(live)
@@ -874,14 +855,12 @@ class BulkEngine:
         rn = np.asarray([penc.keys.size for _, penc, _ in right], dtype=np.int64)
         mom_keys = [momid << _B_MOM_SHIFT for _, _, momid in right]
         ups = [denom_b // d for d, _, _ in fits]
-        bkeys, bvals = _outer_blocks(
+        bkeys, _ = _outer_blocks(
             lo[rows], avals[rows] // np.repeat(divs, ln), ln,
             np.concatenate([k for k, _, _ in right]) + np.repeat(mom_keys, rn),
             np.concatenate([penc.vals for _, penc, _ in right]) * np.repeat(ups, rn), rn,
         )
-        if bkeys.size == 0:
-            return None
-        return bkeys, bvals, denom_b
+        return bkeys.size > 0
 
     @staticmethod
     def _abs(stats: _Pool, rows: _Pool, i: int, fold) -> int:

@@ -387,8 +387,8 @@ class VertexEngine:
         return branches, taueig, momenta
 
     def branches(self, fused: FusedTerm, state: FockState):
-        """The (branches, taueig, momenta) of fused on state, from the
-        cache that residues fills."""
+        """The (branches, taueig, momenta) of fused on state, built once
+        per (state, fused term) and cached."""
         cached = self._branches.setdefault(state, {})
         data = cached.get(fused.uid)
         if data is None:
@@ -401,12 +401,8 @@ class VertexEngine:
         occ_after) with res the z-powers the creation side and the
         contraction series still owe, sum(res) >= 0, and index the branch's
         position in the cached branch list of (fused, state)."""
-        cached = self._branches.setdefault(state, {})
         for fused, targets, weight in jobs:
-            data = cached.get(fused.uid)
-            if data is None:
-                data = cached[fused.uid] = self._state_branches(fused, state)
-            branches, taueig, momenta = data
+            branches, taueig, momenta = self.branches(fused, state)
             off = tuple(map(sub, map(sub, targets, fused.p0s), taueig))
             need = -sum(off)
             for i, (base, annE, ann_sum, occ_after) in enumerate(branches):

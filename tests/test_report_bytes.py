@@ -28,7 +28,7 @@ PINNED = [
     # the numeric oracle
     (["check-affine", "--energy-cut", "0", "--mode-window", "2", "--psi-nmax", "4"], 0,
      "a70ae2f4f686ecccc3b18e98363e50db29fa3ea444db52fb1dff905c41db2c58"),
-    # stage B of the packed kernel decodes residuals spread over many groups
+    # residuals spread over many groups of the packed kernel's stage B
     (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2",
       "--k", "2", "--override", "f13=1"], 1,
      "7c63652413745d2e35928d85d89428571f09940ee71c54b878d9a0ed7e32f95a"),
@@ -67,15 +67,15 @@ def test_report_digest(tmp_path, argv, code, digest):
     assert _digest(tmp_path, argv, code) == digest
 
 
-# the failing affine reports, whose witnesses the packed kernel renders
+# the failing affine reports, whose witnesses come from the exact path
 OVERRIDES = [case for case in PINNED if "--override" in case[0]]
 
 
 @pytest.mark.parametrize("argv, code, digest", OVERRIDES,
                          ids=[" ".join(argv) for argv, _, _ in OVERRIDES])
 def test_witnesses_independent_of_path(tmp_path, monkeypatch, argv, code, digest):
-    """The exact path renders every witness as the packed kernel does: a
-    fallback from the kernel moves no byte."""
+    """With the packed kernel declining every call, so that the exact path
+    computes every residual, zero or not, no byte moves."""
     def refuse(self, jobs, state):
         raise BulkError("row value overflow")
 
