@@ -316,13 +316,17 @@ def check_eq7(ctx: AffineContext, basis: list, window: int):
                    conj_cases(i, act, T.one(), [n for n in modes if n]))
 
 
+# eq8 checks its central scalars out to |n| = EQ8_SCALAR_MAX
+EQ8_SCALAR_MAX = 6
+
+
 @_family("drinfeld.eq8", "i", "j", "n", "m")
-def check_eq8(ctx: AffineContext, basis: list, window: int, scalar_max: int = 6):
+def check_eq8(ctx: AffineContext, basis: list, window: int):
     """[H^i_n, H^j_m] = delta_{n+m,0} (1/n)[a_ij n](gamma^n - gamma^-n)/(q-q^-1),
-    as maps inside the window and as central scalars out to |n| = scalar_max."""
+    as maps inside the window and as central scalars out to |n| = EQ8_SCALAR_MAX."""
     T = ctx.table
     inside = [x for x in range(-window, window + 1) if x]
-    beyond = [x for s in range(window + 1, scalar_max + 1) for x in (s, -s)]
+    beyond = [x for s in range(window + 1, EQ8_SCALAR_MAX + 1) for x in (s, -s)]
     for i in NODES:
         for j in NODES:
             for n in inside + beyond:

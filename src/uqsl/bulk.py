@@ -14,7 +14,8 @@ a row back into a RingElem.
 
 One call per state.  combo_residual takes every instance of a relation
 family on one state at once, one job list per instance, and returns per
-instance whether its residual vanishes.  The residue walk is array work: a
+instance whether its residual vanishes; every job of a call has the same
+number of variables.  The residue walk is array work: a
 fused term's annihilation branches on a state form a table (annihilated
 energy per variable, its sum, the output sector), every job meets every
 branch of its table in one int64 broadcast, one compare drops the residues
@@ -23,9 +24,10 @@ up its flow map once.  A block is a (job, branch) pair with a nonempty flow map.
 The encodings a block needs, its branch's weighted base and its flow map,
 sit in append-only pools, so a call gathers their rows, guards and group
 keys by fancy indexing; Python runs only to encode what no earlier call
-did.  A flow map's scalars are entries of the engine's residue-free flow
-table of its vertex terms, so each entry is encoded once per (vertex-term
-uids, delta) and a new flow map's rows are gathered from those encodings.
+did.  The engine hands over a flow map as (dkey, delta, scalar) triples,
+each scalar the entry of delta in the residue-free flow table of its
+vertex terms, so each entry is encoded once per (vertex-term uids, delta)
+and a new flow map's rows are gathered from those encodings.
 
 Stage A's guards run once over every block of the call.  Then each
 instance runs the two stages (the aggregate over its residue blocks, then
@@ -39,9 +41,12 @@ Rows:
     stage B  s [0,14) | G [14,27) | meta [27,35) | occ [35,53) | mom [53,63)
 
 Only stage A's weighted bases carry powers of (q - q^-1); one binomial
-step settles the factors each row lacks.  Flow maps and bucket lists are
-Laurent polynomials in q in the free-boson realization, so they are
-encoded without a denominator power, and a scalar with one is refused.
+step settles the factors each row lacks, and only they and the bucket
+lists carry rational denominators.  In the free-boson realization every
+flow scalar is a product of contraction-series coefficients, an integral
+Laurent polynomial in q, so flow rows are plain integers and a flow scalar
+with a denominator or a denominator power is refused.  Bucket scalars
+carry 1/mult! but no denominator power, and one with a power is refused.
 
 Encodings are cached by value: a branch's weighted base per state (branch
 index and weight value), a flow-table entry per (vertex-term uids, delta),
@@ -175,12 +180,12 @@ class _Pool:
         return first
 
 
-# Per encoded scalar (a weighted base or a flow map): where its rows sit in
-# the matching row pool, and what the guards read.  den is an id in the
-# engine's denominator registry; maxabs and sumabs are floats, and the
-# exact values follow from the scalar's pooled rows.
-_STATS = dict(start=np.int64, n=np.int64, den=np.int64, smax=np.int64,
-              gmax=np.int64, maxabs=np.float64, sumabs=np.float64)
+# Per encoded scalar (a weighted base, a flow-table entry or a flow map):
+# where its rows sit in the matching row pool, and what the guards read.
+# maxabs and sumabs are floats, and the exact values follow from the
+# scalar's pooled rows.
+_STATS = dict(start=np.int64, n=np.int64, smax=np.int64, gmax=np.int64,
+              maxabs=np.float64, sumabs=np.float64)
 
 
 class _Table:
@@ -215,23 +220,11 @@ def _stack(encs, tags) -> _Rows:
     )
 
 
-def _fit(left, right):
-    """Guard one left x right product before any of its rows exist: both
-    sides carry smax, gmax, denom, maxabs and sumabs.  Returns the rows'
-    denominator with the largest absolute row value and the absolute sum
-    of all rows, both over that denominator."""
-    if left.smax + right.smax > _S_MASK or left.gmax + right.gmax > _G_MASK:
-        raise BulkError("exponent field overflow")
-    return (left.denom * right.denom, left.maxabs * right.maxabs,
-            left.sumabs * right.sumabs)
-
-
-def _stage_denom(fits, dpow: int = 0) -> int:
-    """The common denominator of a stage's products, given the _fit of
-    each.  Lifted onto it, every row value must fit int64 and the absolute
-    sum of all rows must stay below 2^62; stage A settles up to dpow
-    missing (q - q^-1) factors after its first merge, which grows that sum
-    by at most 2^dpow."""
+def _stage_denom(fits) -> int:
+    """The common denominator of stage B's products, given per product its
+    rows' denominator, largest absolute row value and absolute row sum.
+    Lifted onto it, every row value must fit int64 and the absolute sum of
+    all rows must stay below 2^62."""
     denom = lcm(*(d for d, _, _ in fits))
     total = 0
     for d, maxabs, sumabs in fits:
@@ -239,7 +232,7 @@ def _stage_denom(fits, dpow: int = 0) -> int:
         if maxabs * up >= _VAL_LIMIT:
             raise BulkError("row value overflow")
         total += sumabs * up
-    if (total << dpow) >= _SUM_LIMIT:
+    if total >= _SUM_LIMIT:
         raise BulkError("stage sum bound exceeded")
     return denom
 
@@ -328,8 +321,9 @@ class BulkEngine:
             self._span = 2 * _SLOT_BITS
         self._tables: dict = {}  # state -> {fused.uid: _Table}
         # Weighted bases and flow maps: stats per scalar and rows.  A base
-        # is also tagged with its meta id and denominator power.
-        self._base_stats = _Pool(**_STATS, meta=np.int64, dpow=np.int64)
+        # is also tagged with its denominator id, meta id and denominator
+        # power.
+        self._base_stats = _Pool(**_STATS, den=np.int64, meta=np.int64, dpow=np.int64)
         self._base_rows = _Pool(keys=np.int64, vals=np.int64)
         self._flow_stats = _Pool(**_STATS)
         self._flow_rows = _Pool(keys=np.int64, vals=np.int64, dk=np.int64)
@@ -344,8 +338,8 @@ class BulkEngine:
         self._deltas: dict = {}  # occupation delta -> the one tuple _p_cache tags hold
         # Registries, key -> dense id in insertion order: output occupations,
         # output momenta, the flow entries' dkeys, sectors (momentum id,
-        # occ_after), metas and denominators.  A key whose id does not fit
-        # its row field is refused whenever it is looked up.
+        # occ_after), metas and the bases' denominators.  A key whose id does
+        # not fit its row field is refused whenever it is looked up.
         self._occ_ids: dict = {}
         self._mom_ids: dict = {}
         self._dkey_ids: dict = {}
@@ -401,10 +395,8 @@ class BulkEngine:
         sizes = np.asarray([e.keys.size for e in encs], dtype=np.int64)
         start = rows.extend(keys=np.concatenate([e.keys for e in encs]),
                             vals=np.concatenate([e.vals for e in encs]))
-        dens = self._den_ids
         return stats.extend(
             start=start + np.cumsum(sizes) - sizes, n=sizes,
-            den=[dens.setdefault(e.denom, len(dens)) for e in encs],
             smax=[e.smax for e in encs], gmax=[e.gmax for e in encs],
             maxabs=[float(e.maxabs) for e in encs], sumabs=[float(e.sumabs) for e in encs],
             **extra)
@@ -412,10 +404,13 @@ class BulkEngine:
     # -- structure encoding ---------------------------------------------------
 
     def _enc_flow(self, scalar) -> _Enc:
-        """One flow-table entry encoded; flow scalars carry neither a
-        (q - q^-1) power nor symbol content."""
+        """One flow-table entry encoded; flow scalars are integral Laurent
+        polynomials in q, with neither a (q - q^-1) power, a denominator
+        nor symbol content."""
         if scalar.dpow:
             raise BulkError("denominator power above target")
+        if scalar.den != 1:
+            raise BulkError("flow numerator outside packed range")
         e = self._enc(scalar)
         if e.meta:
             raise BulkError("flow scalar carries symbol content")
@@ -438,7 +433,7 @@ class BulkEngine:
                 ids[fused.uid, res] = -1
                 continue
             idx = []
-            for (_, scalar), delta in zip(flows, self.engine.flow_deltas(fused, res)):
+            for _, delta, scalar in flows:
                 key = (fused.uids, delta)
                 e = entry_ids.get(key)
                 if e is None:
@@ -448,7 +443,7 @@ class BulkEngine:
                         e = fresh[key] = self._entry_stats.size + len(encs) - 1
                 idx.append(e)
             new.append(((fused.uid, res), idx,
-                        [dkey_ids.setdefault(dkey, len(dkey_ids)) for dkey, _ in flows]))
+                        [dkey_ids.setdefault(dkey, len(dkey_ids)) for dkey, _, _ in flows]))
             if len(new) == _FLOW_BATCH:
                 self._pool_flows(new, fresh, encs)
                 new, fresh, encs = [], {}, []
@@ -459,8 +454,8 @@ class BulkEngine:
 
     def _pool_flows(self, new, fresh, encs):
         """Pool and register the new entries, then append the new flow maps,
-        each gathered from its entries' rows and lifted onto its own
-        common denominator, to the flow pools and register them."""
+        each gathered from its entries' rows, to the flow pools and register
+        them.  Entries are integral, so a map's rows need no lift."""
         if encs:
             self._pool_encs(self._entry_stats, self._entry_rows, encs)
             self._entry_ids.update(fresh)
@@ -468,37 +463,18 @@ class BulkEngine:
         cnt = np.asarray([len(idx) for _, idx, _ in new], dtype=np.int64)
         firsts = np.cumsum(cnt) - cnt
         ei = np.asarray([e for _, idx, _ in new for e in idx], dtype=np.int64)
-        den = E["den"][ei]
-        map_den = den[firsts]
-        up = np.ones(ei.size, dtype=np.int64)
-        # A map whose entries share a denominator keeps it (each entry's
-        # numerators are below 2^62); the others lift onto the lcm, exactly.
-        mixed = np.minimum.reduceat(den, firsts) != np.maximum.reduceat(den, firsts)
-        dens = self._den_ids
-        den_list = list(dens)
-        for j in np.flatnonzero(mixed).tolist():
-            part = slice(int(firsts[j]), int(firsts[j] + cnt[j]))
-            ds = [den_list[d] for d in den[part].tolist()]
-            denom = lcm(*ds)
-            ups = [denom // d for d in ds]
-            if max(self._abs(self._entry_stats, self._entry_rows, e, max) * u
-                   for e, u in zip(ei[part].tolist(), ups)) >= _SUM_LIMIT:
-                raise BulkError("flow numerator outside packed range")
-            up[part] = ups
-            map_den[j] = dens.setdefault(denom, len(dens))
         n = E["n"][ei]
         ri = _ranges(E["start"][ei], n)
         start = self._flow_rows.extend(
-            keys=ER["keys"][ri], vals=ER["vals"][ri] * np.repeat(up, n),
+            keys=ER["keys"][ri], vals=ER["vals"][ri],
             dk=np.repeat(np.asarray([d for _, _, dks in new for d in dks], dtype=np.int64), n))
         rows = np.add.reduceat(n, firsts)
-        upf = up.astype(np.float64)
         first = self._flow_stats.extend(
-            start=start + np.cumsum(rows) - rows, n=rows, den=map_den,
+            start=start + np.cumsum(rows) - rows, n=rows,
             smax=np.maximum.reduceat(E["smax"][ei], firsts),
             gmax=np.maximum.reduceat(E["gmax"][ei], firsts),
-            maxabs=np.maximum.reduceat(E["maxabs"][ei] * upf, firsts),
-            sumabs=np.add.reduceat(E["sumabs"][ei] * upf, firsts))
+            maxabs=np.maximum.reduceat(E["maxabs"][ei], firsts),
+            sumabs=np.add.reduceat(E["sumabs"][ei], firsts))
         for i, (key, _, _) in enumerate(new):
             self._flow_ids[key] = first + i
 
@@ -604,20 +580,11 @@ class BulkEngine:
         # reachable residue, sum(res) >= 0: annihilated energies ascend
         # within a table, so those branches are a suffix, found by one
         # search over all tables with table t's energies lifted by t * lift.
-        # Variables beyond a table's own count are zero columns, so terms
-        # of different arity can share a call.
-        width = max(tab.r for tab in tabs)
-        if any(tab.r != width for tab in tabs):
-            targets = [tg + (0,) * (width - len(tg)) for tg in targets]
-
-        def cols(a):
-            return a if a.shape[1] == width else np.pad(a, ((0, 0), (0, width - a.shape[1])))
-
         nb = np.asarray([len(tab.branches) for tab in tabs], dtype=np.int64)
         first = np.cumsum(nb) - nb
         t_job = np.asarray([t for t, _, _ in stacks], dtype=np.int64)[s_job]
         off = np.asarray(targets, dtype=np.int64) - np.concatenate(
-            [cols(tab.shift) for tab in tabs])[t_job]
+            [tab.shift for tab in tabs])[t_job]
         lift = max((int(tab.ann_sum[-1]) for tab in tabs if tab.branches), default=0) + 2
         sums = np.concatenate([tab.ann_sum + t * lift for t, tab in enumerate(tabs)])
         begin = np.searchsorted(sums, t_job * lift + np.clip(-off.sum(axis=1), 0, lift - 1))
@@ -626,7 +593,7 @@ class BulkEngine:
         jb = _ranges(begin, cnt)
         if not jj.size:
             return None
-        res = off[jj] + np.concatenate([cols(tab.ann) for tab in tabs])[jb]
+        res = off[jj] + np.concatenate([tab.ann for tab in tabs])[jb]
 
         # Flow maps once per distinct (table, residue), through a dense key.
         t_blk = t_job[jj]
@@ -638,10 +605,10 @@ class BulkEngine:
         if radix >= _VAL_LIMIT:
             raise BulkError("exponent field overflow")
         key = t_blk
-        for c in range(width):
+        for c in range(span.size):
             key = key * span[c] + (res[:, c] - lo[c])
         _, at, inv = np.unique(key, return_index=True, return_inverse=True)
-        want = [(tabs[t].fused, tuple(rs[:tabs[t].r]))
+        want = [(tabs[t].fused, tuple(rs))
                 for t, *rs in np.column_stack((t_blk[at], res[at])).tolist()]
         fi = self._flows(want)[inv]
         del want, key, at, inv, res
@@ -667,8 +634,9 @@ class BulkEngine:
                 t, weight, _ = stacks[s]
                 base = tabs[t].branches[tabs[t].index[i]][0]
                 encs.append(self._enc(base if weight is None else base * weight))
-            metas = self._meta_ids
+            metas, dens = self._meta_ids, self._den_ids
             new0 = self._pool_encs(self._base_stats, self._base_rows, encs,
+                                   den=[dens.setdefault(e.denom, len(dens)) for e in encs],
                                    meta=[metas.setdefault(e.meta, len(metas)) for e in encs],
                                    dpow=[e.dpow for e in encs])
             for n, (s, i) in enumerate(items):
@@ -687,7 +655,8 @@ class BulkEngine:
         vanishes on one state, decided through packed rows.  jobs[i] is
         instance i's job list in VertexEngine.extract_sum's form, and entry
         i of the answer is True exactly when extract_sum(jobs[i], state) is
-        {}.  Raises BulkError instead of answering when any guard trips."""
+        {}.  Every job of one call has the same number of variables.
+        Raises BulkError instead of answering when any guard trips."""
         zero = [True] * len(jobs)
         found = self._blocks(jobs, state)
         if found is None:
@@ -696,7 +665,7 @@ class BulkEngine:
         cuts = (np.flatnonzero(np.diff(blocks.inst)) + 1).tolist()
         for b0, b1 in zip([0, *cuts], [*cuts, blocks.inst.size]):
             stage_a = self._stage_a(_Blocks(*(a[b0:b1] for a in blocks)), d_max)
-            if stage_a is not None and self._stage_b(*stage_a, d_max, denom_a):
+            if stage_a is not None and self._stage_b(*stage_a, denom_a):
                 zero[int(blocks.inst[b0])] = False
         return zero
 
@@ -725,14 +694,14 @@ class BulkEngine:
 
         # _stage_denom's two guards, in float64 and exactly for the blocks
         # (or instances) within _NEAR of a limit.  Rows of different
-        # instances never meet, so the sum bound holds per instance.
+        # instances never meet, so the sum bound holds per instance.  Flow
+        # maps are integral, so a block's denominator is its base's.
         dens = list(self._den_ids)
-        nd = len(dens)
-        pairs, pinv = np.unique(B["den"][bi] * nd + F["den"][fi], return_inverse=True)
-        prods = [dens[p // nd] * dens[p % nd] for p in pairs.tolist()]
-        denom = lcm(*prods)
-        ups = [denom // d for d in prods]
-        # every pair has a block, and every block's largest value is >= 1
+        used, pinv = np.unique(B["den"][bi], return_inverse=True)
+        ds = [dens[d] for d in used.tolist()]
+        denom = lcm(*ds)
+        ups = [denom // d for d in ds]
+        # every denominator has a block, and every block's largest value is >= 1
         if max(ups) >= _VAL_LIMIT:
             raise BulkError("row value overflow")
         upf = np.asarray(ups, dtype=np.float64)[pinv]
@@ -808,7 +777,7 @@ class BulkEngine:
             raise BulkError("aggregate exponent above packed range")
         return akeys, avals, (secs.tolist(), ndk, groups.tolist())
 
-    def _stage_b(self, akeys, avals, read, d_max, denom_a) -> bool:
+    def _stage_b(self, akeys, avals, read, denom_a) -> bool:
         """Whether a row of the creation-bucket expansion of one instance's
         surviving groups outlives the merge."""
         secs, ndk, groups = read
@@ -832,7 +801,7 @@ class BulkEngine:
         live = []  # per group: kept for stage B
         divs = []  # per live group: the common factor taken out of its values
         right = []
-        fits = []
+        fits = []  # per live group: its product's denominator, largest value and sum
         for gid, gv, smax, gmax, maxabs, sumabs in stats:
             momid, occ_after = sector_list[secs[groups[gid] // ndk]]
             dkey = dkeys[groups[gid] % ndk]
@@ -840,9 +809,11 @@ class BulkEngine:
             live.append(penc is not None)
             if penc is None:
                 continue
+            if smax + penc.smax > _S_MASK or gmax + penc.gmax > _G_MASK:
+                raise BulkError("exponent field overflow")
             g = gcd(gv, denom_a)
-            seg = _Enc(None, None, denom_a // g, 0, smax, gmax, maxabs // g, sumabs // g, d_max)
-            fits.append(_fit(seg, penc))
+            fits.append((denom_a // g * penc.denom, maxabs // g * penc.maxabs,
+                         sumabs // g * penc.sumabs))
             divs.append(g)
             right.append((self._occ_keys(occ_after, dkey, penc), penc, momid))
         if not right:

@@ -397,27 +397,27 @@ class VertexEngine:
 
     def residues(self, jobs, state: FockState):
         """Every annihilation branch of every job on `state` that leaves a
-        reachable residue: yields (fused, res, index, base, weight, momenta,
+        reachable residue: yields (fused, res, base, weight, momenta,
         occ_after) with res the z-powers the creation side and the
-        contraction series still owe, sum(res) >= 0, and index the branch's
-        position in the cached branch list of (fused, state)."""
+        contraction series still owe, sum(res) >= 0."""
         for fused, targets, weight in jobs:
             branches, taueig, momenta = self.branches(fused, state)
             off = tuple(map(sub, map(sub, targets, fused.p0s), taueig))
             need = -sum(off)
-            for i, (base, annE, ann_sum, occ_after) in enumerate(branches):
+            for base, annE, ann_sum, occ_after in branches:
                 if ann_sum >= need:
-                    yield fused, tuple(map(add, off, annE)), i, base, weight, momenta, occ_after
+                    yield fused, tuple(map(add, off, annE)), base, weight, momenta, occ_after
 
     def flows_map(self, fused: FusedTerm, res):
         """Creation-degree multisets reachable from `res` with their summed
-        series scalars, as (dkey, scalar) pairs, for any number of variables.
+        series scalars, as (dkey, delta, scalar) triples, for any number of
+        variables.
 
         Order l of pair a < b (coefficient C_l of G_ab) moves l units of
         creation degree from b to a, so an order vector takes res to
         d = res + delta with delta independent of res, and the scalar of d
         is the entry of delta in the flow table of fused's vertex terms.
-        Every d >= 0 with a nonzero entry gives one pair, in table order:
+        Every d >= 0 with a nonzero entry gives one triple, in table order:
         the order in which a walk from res meets them.
 
         A dkey is the sorted ((vterm uid, degree), ...) of the nonzero
@@ -428,14 +428,8 @@ class VertexEngine:
         for delta, s in self._flow_table(fused, res).entries:
             dvec = tuple(map(add, delta, res))
             if min(dvec) >= 0:
-                out.append((tuple(sorted((vt.uid, d) for vt, d in zip(vts, dvec) if d)), s))
+                out.append((tuple(sorted((vt.uid, d) for vt, d in zip(vts, dvec) if d)), delta, s))
         return tuple(out)
-
-    def flow_deltas(self, fused: FusedTerm, res) -> list:
-        """The delta of each pair of flows_map(fused, res), in its order: the
-        key of the pair's scalar in the flow table of fused's vertex terms."""
-        return [delta for delta, _ in self._flow_table(fused, res).entries
-                if min(map(add, delta, res)) >= 0]
 
     def _flow_table(self, fused: FusedTerm, res) -> _FlowTable:
         """The flow table of fused's vertex terms, complete for res.  When
@@ -492,11 +486,11 @@ class VertexEngine:
         cancel do so while still cheap, and a zero aggregate later skips
         its whole block of output states."""
         acc: dict = {}
-        for fused, res, _, base, weight, momenta, occ_after in self.residues(jobs, state):
+        for fused, res, base, weight, momenta, occ_after in self.residues(jobs, state):
             flows = self._flowcache.get((fused.uid, res))
             if flows is None:
                 flows = self._flowcache[fused.uid, res] = self.flows_map(fused, res)
-            for dkey, ssum in flows:
+            for dkey, _, ssum in flows:
                 key = (momenta, occ_after, dkey)
                 mid = base * ssum
                 if weight is not None:

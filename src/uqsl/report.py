@@ -83,11 +83,14 @@ class SuiteReport:
             fh.write("\n")
 
 
-# the most (lhs, rhs) coefficient pairs one relation sends to the oracle
+# the most (lhs, rhs) coefficient pairs one relation sends to the oracle,
+# and the points it evaluates them at
 ORACLE_PAIRS = 64
+ORACLE_ASSIGNMENTS = 3
 
 
-def numeric_assignments(seed: int, rel_id: str, table, count: int = 3) -> list:
+def numeric_assignments(seed: int, rel_id: str, table,
+                        count: int = ORACLE_ASSIGNMENTS) -> list:
     """Deterministic rational test points, one dict per assignment.
 
     Values are derived from sha256 over (seed, relation id, trial, symbol) and
@@ -110,16 +113,17 @@ def numeric_assignments(seed: int, rel_id: str, table, count: int = 3) -> list:
     return out
 
 
-def numeric_check(seed: int, rel_id: str, pairs: list, count: int = 3) -> dict:
+def numeric_check(seed: int, rel_id: str, pairs: list) -> dict:
     """Evaluate (lhs, rhs) ring-element pairs at random-looking rational
     points; compare_cases has already compared them exactly, so this is an
     independent guard against a systematically broken equality test.
 
     Of the first ORACLE_PAIRS pairs, only those whose sides are stored
-    differently (terms, dpow or den) are evaluated: identically stored
-    sides are equal at every point.  That test is a plain comparison of
-    the stored fields, not ring arithmetic.  A relation with no such pair
-    derives no point.  The result counts every capped pair either way.
+    differently (terms, dpow or den) are evaluated, at ORACLE_ASSIGNMENTS
+    points: identically stored sides are equal at every point.  That test
+    is a plain comparison of the stored fields, not ring arithmetic.  A
+    relation with no such pair derives no point.  The result counts every
+    capped pair either way.
     """
     pairs = pairs[:ORACLE_PAIRS]
     capped = len(pairs)
@@ -127,12 +131,12 @@ def numeric_check(seed: int, rel_id: str, pairs: list, count: int = 3) -> dict:
               if lhs.terms != rhs.terms or lhs.dpow != rhs.dpow or lhs.den != rhs.den]
     if differ:
         table = pairs[0][0].table
-        for vals in numeric_assignments(seed, rel_id, table, count):
+        for vals in numeric_assignments(seed, rel_id, table):
             point = table.numeric_point(vals)
             for lhs, rhs in differ:
                 if lhs.subst_numeric(point) != rhs.subst_numeric(point):
-                    return {"assignments": count, "pairs": capped, "status": "fail"}
-    return {"assignments": count, "pairs": capped, "status": "pass"}
+                    return {"assignments": ORACLE_ASSIGNMENTS, "pairs": capped, "status": "fail"}
+    return {"assignments": ORACLE_ASSIGNMENTS, "pairs": capped, "status": "pass"}
 
 
 def relation_id(prefix: str, keys, params: dict) -> str:

@@ -235,6 +235,47 @@ class TestMomentumSector:
         res = check_eq10(ctx, basis, 1)
         assert [r.status for r in res] == ["pass"] * 36
 
+    @pytest.mark.parametrize("level", ["formal", "k2_f13"])
+    def test_kernel_families_in_box(self, level, monkeypatch):
+        # eq11 and eq13, the packed kernel's families, on every momentum of
+        # the radius-1 box; on four states with nonzero momenta each
+        # instance's kernel flag must say whether its exact residual is zero
+        ctx = _level_ctx(level)
+        basis = enumerate_basis(0, 1, "box")
+        assert len(basis) == 81
+        probes = [s for s in basis if any(s.momenta)][::20]
+        assert len(probes) == 4
+        seen = []
+        real = ctx.bulk.combo_residual
+
+        def record(jobs, state):
+            out = real(jobs, state)
+            if state in probes:
+                # a copy: _zero_cases empties a settled instance's slot later
+                seen.append((list(jobs), state, out))
+            return out
+
+        monkeypatch.setattr(ctx.bulk, "combo_residual", record)
+        res = check_eq11(ctx, basis, 1) + check_eq13(ctx, basis, 1)
+        assert len(res) == 54 + 36
+        fails = [r for r in res if r.status == "fail"]
+        assert all(r.witness is not None for r in fails)
+        if level == "formal":
+            assert not fails
+        else:
+            sector = _level_ctx(level)
+            at_zero = [r.id for r in check_eq11(sector, [VACUUM], 1) + check_eq13(
+                sector, [VACUUM], 1) if r.status == "fail"]
+            # eq11 6 and eq13 18, as the box run of check-affine reports
+            assert at_zero and set(at_zero) <= {r.id for r in fails}
+            assert len(fails) == 6 + 18
+        assert len(seen) == (len(EQ11_PAIRS) + len(EQ13_PAIRS)) * 2 * len(probes)
+        for jobs, state, out in seen:
+            for inst_jobs, flag in zip(jobs, out):
+                assert flag == (ctx.engine.extract_sum(inst_jobs, state) == {})
+        # at f13 = 1 some probed instance leaks, so a flag stuck at True shows
+        assert all(all(out) for _, _, out in seen) == (level == "formal")
+
 
 def serre_pieces(ctx, pref, n1, n2, m, scale=1):
     """check_eq13's pieces, the q^{+-1} ones multiplied by scale."""
@@ -772,7 +813,7 @@ class TestDenominatorFree:
         for nm in names:
             for fused in ctx.fused_terms(nm):
                 for res in itertools.product(range(-1, 3), repeat=len(nm)):
-                    for dkey, scalar in ctx.engine.flows_map(fused, res):
+                    for dkey, _, scalar in ctx.engine.flows_map(fused, res):
                         assert scalar.dpow == 0, (nm, res, dkey)
                         assert scalar.den == 1, (nm, res, dkey)
                         assert all(type(c) is int for c in scalar.terms.values())
@@ -790,9 +831,11 @@ class TestDenominatorFree:
         inv = ctx.table.qdiff_inv()
 
         def tainted(*args):
+            # flows_map gives (dkey, delta, scalar), bucket_product_key
+            # (delta, scalar): the scalar is last in both
             out = list(real(*args))
             if out:
-                out[0] = (out[0][0], out[0][1] * inv)
+                out[0] = (*out[0][:-1], out[0][-1] * inv)
             return out
 
         monkeypatch.setattr(ctx.engine, builder, tainted)
@@ -815,11 +858,11 @@ class TestResidues:
                 memo[key] = engine._state_branches(fused, state)
             branches, taueig, momenta = memo[key]
             r = len(fused.vterms)
-            for i, (base, annE, _, occ_after) in enumerate(branches):
+            for base, annE, _, occ_after in branches:
                 res = tuple(
                     targets[v] - fused.p0s[v] - taueig[v] + annE[v] for v in range(r))
                 if sum(res) >= 0:
-                    out.append((fused, res, i, base, weight, momenta, occ_after))
+                    out.append((fused, res, base, weight, momenta, occ_after))
         return out
 
     def test_quadratic_and_serre_jobs(self, monkeypatch):
@@ -852,12 +895,16 @@ class TestResidues:
                 got = list(ctx.engine.residues(jobs, state))
                 want = self.reference(ctx.engine, jobs, state, memo)
                 assert len(got) == len(want)
+                cached = {}
                 for g, w in zip(got, want):
-                    assert g[0] is w[0] and g[2] == w[2] and g[3] == w[3] and g[4] is w[4]
+                    assert g[0] is w[0] and g[2] == w[2] and g[3] is w[3]
                     assert g[1] == w[1] and list(map(type, g[1])) == list(map(type, w[1]))
-                    assert g[5:] == w[5:]
-                    # the index addresses the engine's own cached branch list
-                    assert ctx.engine._branches[state][g[0].uid][0][g[2]][0] is g[3]
+                    assert g[4:] == w[4:]
+                    # the base is the scalar of the engine's own cached branch
+                    if g[0].uid not in cached:
+                        cached[g[0].uid] = {id(b[0]) for b
+                                            in ctx.engine._branches[state][g[0].uid][0]}
+                    assert id(g[2]) in cached[g[0].uid]
                 walked += len(got)
         assert walked
 
@@ -869,25 +916,24 @@ class TestResidues:
         assert {len(res) for _, res in reached} == {1, 2, 3}
         flows = 0
         for (_, res), fused in reached.items():
-            for dkey, _ in engine.flows_map(fused, res):
+            for dkey, delta, _ in engine.flows_map(fused, res):
                 assert all(d > 0 for _, d in dkey), (res, dkey)
                 assert sum(d for _, d in dkey) == sum(res), (res, dkey)
+                assert sum(delta) == 0 and min(d + x for d, x in zip(delta, res)) >= 0
                 flows += 1
         assert flows
 
     @pytest.mark.parametrize("level", ["formal", "k2_f13"])
     def test_flows_match_reference(self, level):
         # one walk over variable pairs gives the arity loops' flow maps term
-        # for term: same dkeys in the same order, same terms, same dpow
+        # for term: same dkeys and deltas in the same order, same terms,
+        # same dpow
         engine, reached = _reached_residues(level)
         assert {len(res) for _, res in reached} == {1, 2, 3}
         for (_, res), fused in reached.items():
             got = engine.flows_map(fused, res)
-            want = _reference_flows_map(engine, fused, res)
-            assert [dkey for dkey, _ in got] == [dkey for dkey, _ in want], res
-            for (_, g), (_, w) in zip(got, want):
-                assert list(g.terms.items()) == list(w.terms.items())
-                assert (g.dpow, g.den) == (w.dpow, w.den)
+            _same_flows(got, _reference_flows_map(engine, fused, res), res)
+            assert [delta for _, delta, _ in got] == _reference_deltas(engine, fused, res), res
 
 
 @functools.lru_cache(maxsize=None)
@@ -1003,9 +1049,10 @@ def _walk_flows_map(engine, fused, res):
 
 
 def _same_flows(got, want, res):
-    """Same dkeys in the same order, each scalar stored identically."""
-    assert [dkey for dkey, _ in got] == [dkey for dkey, _ in want], res
-    for (_, g), (_, w) in zip(got, want):
+    """flows_map's triples against reference (dkey, scalar) pairs: same
+    dkeys in the same order, each scalar stored identically."""
+    assert [dkey for dkey, _, _ in got] == [dkey for dkey, _ in want], res
+    for (_, _, g), (_, w) in zip(got, want):
         assert list(g.terms.items()) == list(w.terms.items()), res
         assert (g.dpow, g.den) == (w.dpow, w.den), res
 
@@ -1037,7 +1084,7 @@ class TestFlowTable:
                     for res in list(itertools.product(range(-2, 4), repeat=len(nm)))[::order]:
                         got = engine.flows_map(fused, res)
                         _same_flows(got, _reference_flows_map(engine, fused, res), res)
-                        assert engine.flow_deltas(fused, res) == _reference_deltas(
+                        assert [d for _, d, _ in got] == _reference_deltas(
                             engine, fused, res), res
                         pairs += len(got)
             assert pairs > 10_000
@@ -1055,7 +1102,7 @@ class TestFlowTable:
                     want, deltas = _walk_flows_map(engine, fused, res)
                     got = engine.flows_map(fused, res)
                     _same_flows(got, want, res)
-                    assert engine.flow_deltas(fused, res) == deltas, res
+                    assert [d for _, d, _ in got] == deltas, res
                     pairs += len(got)
         assert pairs > 1_000
 
@@ -1086,7 +1133,7 @@ class TestFlowTable:
         check_eq13(ctx, basis, 1)
         assert len(maps) == len({(f.uid, res) for f, res, _ in maps}) == 5_234
         assert sum(len(out) for _, _, out in maps) == 7_162
-        keys = {(f.uids, delta) for f, res, _ in maps for delta in ctx.engine.flow_deltas(f, res)}
+        keys = {(f.uids, delta) for f, _, out in maps for _, delta, _ in out}
         assert len(encoded) == len(keys) == len(ctx.bulk._entry_ids) == 850
         assert set(ctx.bulk._entry_ids) == keys
         # each pooled entry holds its table scalar's numerators, in order
@@ -1098,41 +1145,52 @@ class TestFlowTable:
 
 
 class TestFlowDenominators:
-    """Flow scalars of the realization have den 1.  Scaled by a rule on
-    delta (the pools key a scalar by delta), the entries of one flow map get
-    different denominators, and the kernel must lift each map onto its lcm
-    exactly, or refuse it."""
+    """Flow scalars of the realization have den 1, and the kernel takes
+    them only so.  Scaled by a rule on delta (the pools key a scalar by
+    delta), some entries of a flow map get a denominator, and the kernel
+    must refuse every call that meets one."""
 
     def scale(self, ctx, monkeypatch, rule):
         real = ctx.engine.flows_map
 
         def flows(fused, res):
-            return tuple((dkey, s * rule(delta)) for (dkey, s), delta
-                         in zip(real(fused, res), ctx.engine.flow_deltas(fused, res)))
+            return tuple((dkey, delta, s * rule(delta)) for dkey, delta, s in real(fused, res))
 
         monkeypatch.setattr(ctx.engine, "flows_map", flows)
 
     def mixed_maps(self, ctx, jobs, states):
-        return sum(len({d[0] % 2 for d in ctx.engine.flow_deltas(fused, res)}) == 2
+        return sum(len({d[0] % 2 for _, d, _ in ctx.engine.flows_map(fused, res)}) == 2
                    for state in states
                    for fused, res, *_ in ctx.engine.residues(jobs, state))
 
-    def test_mixed_denominators_lift_exactly(self, monkeypatch):
+    def test_non_integral_entry_refused(self, monkeypatch):
+        # entries over 2 beside entries over 1: a call that meets a flow map
+        # with one is refused, any other is answered, and combo_zero gives
+        # the exact residual either way
         ctx = AffineContext()
         self.scale(ctx, monkeypatch, lambda d: Fraction(1, 2) if d[0] % 2 else Fraction(3))
         jobs = ctx._jobs([(("E1", "F1"), (0, 0), None), (("F1", "E2"), (1, -1), None)])
         states = enumerate_basis(1)
         assert self.mixed_maps(ctx, jobs, states)
-        nonzero = 0
+        refused = answered = nonzero = 0
         for state in states:
-            fast, = ctx.bulk.combo_residual([jobs], state)
-            assert fast == (ctx.engine.extract_sum(jobs, state) == {})
-            nonzero += not fast
-        assert nonzero
+            slow = ctx.engine.extract_sum(jobs, state)
+            if any(s.den != 1 for fused, res, *_ in ctx.engine.residues(jobs, state)
+                   for _, _, s in ctx.engine.flows_map(fused, res)):
+                with pytest.raises(BulkError, match="^flow numerator outside packed range$"):
+                    ctx.bulk.combo_residual([jobs], state)
+                refused += 1
+            else:
+                assert ctx.bulk.combo_residual([jobs], state) == [slow == {}]
+                answered += 1
+            assert ctx.combo_zero([jobs], state) == [slow]
+            nonzero += slow != {}
+        assert refused and answered and nonzero
 
     def test_lifted_numerator_refused(self, monkeypatch):
-        # entries below 2^62 each, over 1 and over 9: lifted onto 9, the
-        # first ones pass 2^62 and the map is refused before any row
+        # entries below 2^62 each, over 1 and over 9: the entries over 9
+        # refuse the map before any row, so no lift onto 9 carries the
+        # first ones past 2^62
         ctx = AffineContext()
         self.scale(ctx, monkeypatch, lambda d: Fraction(1, 9) if d[0] % 2 else 2**59)
         jobs = ctx._jobs([(("E1", "F1"), (0, 0), None)])
