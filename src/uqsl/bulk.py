@@ -22,12 +22,11 @@ branch of its table in one int64 broadcast, one compare drops the residues
 that no creation can reach, and each distinct (fused term, residue) looks
 up its flow map once.  A block is a (job, branch) pair with a nonempty flow map.
 The encodings a block needs, its branch's weighted base and its flow map,
-sit in append-only pools, so a call gathers their rows, guards and group
-keys by fancy indexing; Python runs only to encode what no earlier call
-did.  The engine hands over a flow map as (dkey, delta, scalar) triples,
-each scalar the entry of delta in the residue-free flow table of its
-vertex terms, so each entry is encoded once per (vertex-term uids, delta)
-and a new flow map's rows are gathered from those encodings.
+sit in pools, so a call gathers their rows, guards and group keys by fancy
+indexing.  The engine hands over a flow map as (dkey, delta, scalar)
+triples, each scalar the entry of delta in the residue-free flow table of
+its vertex terms, so each entry is encoded once per (vertex-term uids,
+delta) and a new flow map's rows are gathered from those encodings.
 
 Stage A's guards run once over every block of the call.  Then each
 instance runs the two stages (the aggregate over its residue blocks, then
@@ -48,14 +47,17 @@ Laurent polynomial in q, so flow rows are plain integers and a flow scalar
 with a denominator or a denominator power is refused.  Bucket scalars
 carry 1/mult! but no denominator power, and one with a power is refused.
 
-Encodings are cached by value: a branch's weighted base per state (branch
-index and weight value), a flow-table entry per (vertex-term uids, delta),
-the rows of a flow map per (fused uid, residue), a creation bucket list per
-dkey.  The engine keeps its flow tables, which the exact path reads too, but
-builds each flow map and bucket list without caching it.
-Nothing is keyed by object identity across calls, so no object is kept
-alive only to pin its id, and a weight rebuilt with the same value for the
-next relation hits.
+The kernel's state has two lifetimes.  What later calls read is kept for
+the run and cached by value: a flow-table entry per (vertex-term uids,
+delta), the rows of a flow map per (fused uid, residue), a creation bucket
+list per dkey.  What only one call reads is built afresh by each call: the
+branch tables, the weighted bases (one per branch and weight value a live
+block meets) and the registries of momenta, sectors, metas and base
+denominators.  Fused terms are disjoint across a family's (pair, sign)
+groups, so no call would find an earlier call's branch table or base.  The
+engine keeps its flow tables, which the exact path reads too, but builds
+each flow map and bucket list without caching it.  Nothing is keyed by
+object identity: a weight is known by its value.
 
 Exactness is non-negotiable.  Every packing step is guarded: exponent
 fields are range checked, values are numerators over one common
@@ -160,8 +162,8 @@ class _Rows(NamedTuple):
 
 
 class _Pool:
-    """Append-only columns with spare room: what earlier calls encoded, read
-    back by fancy indexing instead of per-item Python."""
+    """Append-only columns with spare room, read back by fancy indexing
+    instead of per-item Python."""
 
     def __init__(self, **dtypes):
         self.size = 0
@@ -189,15 +191,13 @@ _STATS = dict(start=np.int64, n=np.int64, smax=np.int64, gmax=np.int64,
 
 
 class _Table:
-    """One fused term's annihilation branches on one state, as arrays in
-    ascending order of annihilated energy (slot i holds the engine's branch
-    index[i]): the annihilated energy per variable and its sum, each
-    branch's sector id, and the shift p0s + taueig a job's targets lose.
-    stacks maps a weight key to the base-pool index of each slot's weighted
-    base, -1 until a call first needs it."""
+    """One fused term's annihilation branches on the state of one call, as
+    arrays in ascending order of annihilated energy (slot i holds the
+    engine's branch index[i]): the annihilated energy per variable and its
+    sum, each branch's sector id, and the shift p0s + taueig a job's targets
+    lose."""
 
-    __slots__ = ("fused", "branches", "r", "index", "ann", "ann_sum", "shift", "sector",
-                 "stacks")
+    __slots__ = ("fused", "branches", "r", "index", "ann", "ann_sum", "shift", "sector")
 
 
 def _ranges(start, n):
@@ -302,10 +302,11 @@ class BulkEngine:
     relation family.
 
     Fed by the engine's cached state branches, its flow tables and its
-    bucket builder, which caches nothing; keeps per state a branch table for
-    each fused term, the packed encodings of weighted bases, flow-table
-    entries and flow maps in pools, bucket lists keyed by value, and global
-    registries."""
+    bucket builder, which caches nothing.  Keeps for the run the packed
+    encodings of flow-table entries and flow maps in pools, bucket lists
+    keyed by value and the occupation and dkey registries; each call builds
+    its own branch tables, weighted-base pools and other registries
+    (_new_call)."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -319,12 +320,8 @@ class BulkEngine:
         else:
             self._off = _HALF | (_HALF << _SLOT_BITS)
             self._span = 2 * _SLOT_BITS
-        self._tables: dict = {}  # state -> {fused.uid: _Table}
-        # Weighted bases and flow maps: stats per scalar and rows.  A base
-        # is also tagged with its denominator id, meta id and denominator
-        # power.
-        self._base_stats = _Pool(**_STATS, den=np.int64, meta=np.int64, dpow=np.int64)
-        self._base_rows = _Pool(keys=np.int64, vals=np.int64)
+        self._new_call()
+        # Flow maps: stats per scalar and rows.
         self._flow_stats = _Pool(**_STATS)
         self._flow_rows = _Pool(keys=np.int64, vals=np.int64, dk=np.int64)
         self._flow_ids: dict = {}  # (fused.uid, res) -> flow pool index, -1 if empty
@@ -336,13 +333,20 @@ class BulkEngine:
         self._p_cache: dict = {}  # dkey -> _Rows | None
         self._occkeys: dict = {}  # (occ_after, dkey) -> bucket keys with occ ids
         self._deltas: dict = {}  # occupation delta -> the one tuple _p_cache tags hold
-        # Registries, key -> dense id in insertion order: output occupations,
-        # output momenta, the flow entries' dkeys, sectors (momentum id,
-        # occ_after), metas and the bases' denominators.  A key whose id does
-        # not fit its row field is refused whenever it is looked up.
+        # Registries, key -> dense id in insertion order: output occupations
+        # and the flow entries' dkeys.  A key whose id does not fit its row
+        # field is refused whenever it is looked up.
         self._occ_ids: dict = {}
-        self._mom_ids: dict = {}
         self._dkey_ids: dict = {}
+
+    def _new_call(self):
+        """A call's own state, which no later call reads: the weighted bases
+        (stats per scalar, tagged with denominator id, meta id and
+        denominator power, and rows) and the registries of output momenta,
+        sectors (momentum id, occ_after), metas and base denominators."""
+        self._base_stats = _Pool(**_STATS, den=np.int64, meta=np.int64, dpow=np.int64)
+        self._base_rows = _Pool(keys=np.int64, vals=np.int64)
+        self._mom_ids: dict = {}
         self._sector_ids: dict = {}
         self._meta_ids: dict = {}
         self._den_ids: dict = {}
@@ -533,7 +537,6 @@ class BulkEngine:
         tab.shift = np.asarray([tuple(map(add, fused.p0s, taueig))], dtype=np.int64)
         tab.sector = np.asarray([sectors.setdefault((momid, branches[i][3]), len(sectors))
                                  for i in order], dtype=np.int64)
-        tab.stacks = {}
         return tab
 
     # -- the residue walk -------------------------------------------------------
@@ -541,35 +544,21 @@ class BulkEngine:
     def _blocks(self, jobs, state):
         """Every block of every instance: per block its instance, sector
         id, base-pool index and flow-pool index, or None without blocks."""
-        tables = self._tables.setdefault(state, {})
         tabs, tab_of = [], {}  # the call's tables, by fused uid
-        stacks, by_value = [], {}  # (table position, weight, pool indices), by (uid, weight key)
-        # The jobs keep every weight alive through the call, so until it
-        # returns a weight's id stands for its value.
-        stack_of = {}  # (uid, id(weight)) -> stack position
+        stacks, stack_of = [], {}  # (table position, weight), by (uid, weight key)
         s_job, targets = [], []
         for inst_jobs in jobs:
             for fused, tg, weight in inst_jobs:
-                s = stack_of.get((fused.uid, id(weight)))
+                wkey = None if weight is None else (
+                    tuple(weight.terms.items()), weight.dpow, weight.den)
+                s = stack_of.get((fused.uid, wkey))
                 if s is None:
-                    wkey = None if weight is None else (
-                        tuple(weight.terms.items()), weight.dpow, weight.den)
-                    s = by_value.get((fused.uid, wkey))
-                    if s is None:
-                        t = tab_of.get(fused.uid)
-                        if t is None:
-                            tab = tables.get(fused.uid)
-                            if tab is None:
-                                tab = tables[fused.uid] = self._table(fused, state)
-                            t = tab_of[fused.uid] = len(tabs)
-                            tabs.append(tab)
-                        pos = tabs[t].stacks.get(wkey)
-                        if pos is None:
-                            pos = tabs[t].stacks[wkey] = np.full(
-                                len(tabs[t].branches), -1, dtype=np.int64)
-                        s = by_value[fused.uid, wkey] = len(stacks)
-                        stacks.append((t, weight, pos))
-                    stack_of[fused.uid, id(weight)] = s
+                    t = tab_of.get(fused.uid)
+                    if t is None:
+                        t = tab_of[fused.uid] = len(tabs)
+                        tabs.append(self._table(fused, state))
+                    s = stack_of[fused.uid, wkey] = len(stacks)
+                    stacks.append((t, weight))
                 s_job.append(s)
                 targets.append(tg)
         if not s_job:
@@ -582,7 +571,7 @@ class BulkEngine:
         # search over all tables with table t's energies lifted by t * lift.
         nb = np.asarray([len(tab.branches) for tab in tabs], dtype=np.int64)
         first = np.cumsum(nb) - nb
-        t_job = np.asarray([t for t, _, _ in stacks], dtype=np.int64)[s_job]
+        t_job = np.asarray([t for t, _ in stacks], dtype=np.int64)[s_job]
         off = np.asarray(targets, dtype=np.int64) - np.concatenate(
             [tab.shift for tab in tabs])[t_job]
         lift = max((int(tab.ann_sum[-1]) for tab in tabs if tab.branches), default=0) + 2
@@ -617,32 +606,20 @@ class BulkEngine:
         if not jj.size:
             return None
 
-        # Weighted bases: branches no earlier call needed are encoded now.
-        s_blk = s_job[jj]
-        sizes = np.asarray([pos.size for _, _, pos in stacks], dtype=np.int64)
-        sfirst = np.cumsum(sizes) - sizes
-        pos = np.concatenate([pos for _, _, pos in stacks])
-        flat = sfirst[s_blk] + (jb - first[t_job[jj]])
-        bi = pos[flat]
-        if (bi < 0).any():
-            todo = np.sort(flat[bi < 0])
-            todo = todo[np.concatenate(([True], todo[1:] != todo[:-1]))]
-            owner = np.searchsorted(sfirst, todo, side="right") - 1
-            items = list(zip(owner.tolist(), (todo - sfirst[owner]).tolist()))
-            encs = []
-            for s, i in items:
-                t, weight, _ = stacks[s]
-                base = tabs[t].branches[tabs[t].index[i]][0]
-                encs.append(self._enc(base if weight is None else base * weight))
-            metas, dens = self._meta_ids, self._den_ids
-            new0 = self._pool_encs(self._base_stats, self._base_rows, encs,
-                                   den=[dens.setdefault(e.denom, len(dens)) for e in encs],
-                                   meta=[metas.setdefault(e.meta, len(metas)) for e in encs],
-                                   dpow=[e.dpow for e in encs])
-            for n, (s, i) in enumerate(items):
-                stacks[s][2][i] = new0 + n
-            pos[todo] = np.arange(new0, new0 + len(items))
-            bi = pos[flat]
+        # Weighted bases: each (stack, branch slot) the live blocks meet is
+        # encoded once, and its base-pool index is its rank.
+        span = int(nb.max())
+        used, bi = np.unique(s_job[jj] * span + (jb - first[t_job[jj]]), return_inverse=True)
+        encs = []
+        for s, i in zip((used // span).tolist(), (used % span).tolist()):
+            t, weight = stacks[s]
+            base = tabs[t].branches[tabs[t].index[i]][0]
+            encs.append(self._enc(base if weight is None else base * weight))
+        metas, dens = self._meta_ids, self._den_ids
+        self._pool_encs(self._base_stats, self._base_rows, encs,
+                        den=[dens.setdefault(e.denom, len(dens)) for e in encs],
+                        meta=[metas.setdefault(e.meta, len(metas)) for e in encs],
+                        dpow=[e.dpow for e in encs])
 
         inst = np.repeat(np.arange(len(jobs)), [len(j) for j in jobs])[jj]
         sector = np.concatenate([tab.sector for tab in tabs])[jb]
@@ -658,6 +635,7 @@ class BulkEngine:
         {}.  Every job of one call has the same number of variables.
         Raises BulkError instead of answering when any guard trips."""
         zero = [True] * len(jobs)
+        self._new_call()
         found = self._blocks(jobs, state)
         if found is None:
             return zero

@@ -24,7 +24,7 @@ from uqsl.affine import (
     check_eq14,
     run_affine,
 )
-from uqsl.bulk import BulkError
+from uqsl.bulk import BulkEngine, BulkError
 from uqsl.oscillators import VACUUM, enumerate_basis, format_state
 
 from readme_ids import readme_rows, unmatched
@@ -276,6 +276,22 @@ class TestMomentumSector:
         # at f13 = 1 some probed instance leaks, so a flag stuck at True shows
         assert all(all(out) for _, _, out in seen) == (level == "formal")
 
+    def test_other_families_in_box(self):
+        # every family off the kernel on the radius-1 box at k = 2, f13 = 1:
+        # only eq10 breaks, on the 9 relations the box run of check-affine
+        # reports, its radius-0 failures among them
+        ctx = _level_ctx("k2_f13")
+        opts = {"ctx": ctx, "basis": enumerate_basis(0, 1, "box"), "window": 1, "psi_nmax": 2}
+        names = ("eq6", "eq7", "eq8", "eq9", "eq10", "eq12", "eq14", "eq15")
+        res = {name: report.run_family(affine.FAMILIES[name], opts) for name in names}
+        assert [r.status for r in res.pop("eq14")] == ["not-applicable"]
+        fails = [r for r in res.pop("eq10") if r.status == "fail"]
+        assert len(fails) == 9 and all(r.witness is not None for r in fails)
+        at_zero = [r.id for r in check_eq10(_level_ctx("k2_f13"), [VACUUM], 1)
+                   if r.status == "fail"]
+        assert at_zero and set(at_zero) <= {r.id for r in fails}
+        assert {r.status for rs in res.values() for r in rs} == {"pass"}
+
 
 def serre_pieces(ctx, pref, n1, n2, m, scale=1):
     """check_eq13's pieces, the q^{+-1} ones multiplied by scale."""
@@ -369,7 +385,7 @@ class TestPackedEngine:
         def pools():
             b = ctx.bulk
             return tuple(p.size for p in (b._entry_stats, b._entry_rows, b._flow_stats,
-                                          b._flow_rows, b._base_stats, b._base_rows))
+                                          b._flow_rows))
 
         sizes = []
         deltas = []
@@ -382,8 +398,8 @@ class TestPackedEngine:
             grown.append((tables(), pools()))
         assert sizes[0] == sizes[1] > 0
         assert deltas[0] == deltas[1] > 0
-        # neither the engine's flow tables nor the kernel's pools grow on
-        # the second pass
+        # neither the engine's flow tables nor the kernel's run-long pools
+        # grow on the second pass
         assert grown[0] == grown[1] and all(grown[0][1])
         # every pooled entry is an entry of the engine's table
         held = {(uids, d) for uids, t in ctx.engine._flowtabs.items() for d, _ in t.entries}
@@ -409,6 +425,27 @@ class TestPackedEngine:
                 fast = self.answered(ctx, jobs, state)
                 assert fast == (ctx.engine.extract_sum(jobs, state) == {})
             del jobs
+
+    @pytest.mark.parametrize("apart", ["dpow", "den"])
+    def test_weights_apart_only_in_dpow_or_den(self, ctx, apart):
+        # q, then q/(q - q^-1) or q/2 (the same terms as q), then
+        # -(q + other): three jobs per fused term of one instance, whose
+        # residual is zero.  A weight key that confuses the first two
+        # leaves rows behind, so the flag must read every part of a weight.
+        T = ctx.table
+        q = T.qpow(LinForm(1))
+        other = RingElem(T, {2: 1}, 1) if apart == "dpow" else RingElem(T, {2: 1}, 0, 2)
+        assert other.terms == q.terms
+        weights = (q, other, -(q + other))
+        for names in (("E1", "E1"), ("E1", "E2"), ("E1", "E1", "E2")):
+            targets = (-1,) * len(names)
+            jobs = [(f, targets, w) for f in ctx.fused_terms(names) for w in weights]
+            live = 0
+            for state in enumerate_basis(1):
+                flag, = ctx.bulk.combo_residual([jobs], state)
+                assert flag == (ctx.engine.extract_sum(jobs, state) == {})
+                live += bool(ctx.engine.extract_sum(jobs[::3], state))
+            assert live  # the q jobs alone leave a residual somewhere
 
     def test_nonzero_product_not_certified(self, ctx):
         # a single product, not a cancelling combination: its rows survive
@@ -545,6 +582,25 @@ class TestBatchedKernel:
         assert len(calls) <= (3 + 1) * 2 * 7 == 56
         assert len(calls) == (len(EQ11_PAIRS) + len(EQ13_PAIRS)) * 2 * len(basis)
         assert sum(calls) == 630
+
+    def test_call_state_is_call_local(self, monkeypatch):
+        # a call builds its own branch tables, weighted bases and momentum,
+        # sector, meta and denominator registries: replayed after a full
+        # pass, each of the last calls leaves ctx.bulk holding what a fresh
+        # kernel on the same engine holds after it
+        ctx = AffineContext()
+        seen = self.calls(ctx, enumerate_basis(1), monkeypatch)
+        monkeypatch.undo()
+        fresh = BulkEngine(ctx.engine)
+
+        def call_state(b):
+            return (b._base_stats.size, b._base_rows.size, len(b._mom_ids),
+                    len(b._sector_ids), len(b._meta_ids), len(b._den_ids))
+
+        for jobs, state, out in seen[-3:]:
+            assert ctx.bulk.combo_residual(jobs, state) == fresh.combo_residual(jobs, state) == out
+            assert call_state(ctx.bulk) == call_state(fresh)
+            assert all(call_state(fresh))
 
     @pytest.mark.parametrize("level, exact_calls", [("formal", [0, 0]), ("k2_f13", [6, 15])])
     def test_exact_only_where_not_certified(self, level, exact_calls, monkeypatch):
