@@ -32,6 +32,11 @@ PINNED = [
     (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2",
       "--k", "2", "--override", "f13=1"], 1,
      "7c63652413745d2e35928d85d89428571f09940ee71c54b878d9a0ed7e32f95a"),
+    # two-letter states: a failing eq11 or eq13 instance may first leak on a
+    # state that sorts before its leaking sub-occupation
+    (["check-affine", "--energy-cut", "2", "--mode-window", "1", "--psi-nmax", "2",
+      "--k", "2", "--override", "f13=1"], 1,
+     "4d5808bde05d7f0da3555966f409cdff3cce436d98d779eb7160086a61b22b97"),
     (["check-finite", "--M", "2", "--N", "1", "--max-degree", "2"], 0,
      "3679a55edf0051c1ccb223980877fffcb3d4b1213d3fd3b567e54089e5ae4839"),
     (["check-finite", "--M", "3", "--N", "1", "--max-degree", "2",
