@@ -22,6 +22,7 @@ content.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -170,23 +171,34 @@ class AffineContext:
         return self.engine.extract_sum(self._jobs(pieces), state)
 
     def combo_zero(self, jobs, state: FockState) -> list:
-        """combo_vec for many relation instances whose right side is zero:
-        jobs holds each instance's job list, as _jobs builds it from the
-        instance's pieces.  One call of the packed-row engine certifies the
-        instances whose residual vanishes; every other instance, and every
-        instance when a guard trips, is computed on the exact path with its
-        own jobs."""
+        """Pass one of _zero_cases on one state: jobs holds each relation
+        instance's job list, as _jobs builds it from the instance's pieces,
+        and entry i is True when one call of the packed-row engine certifies
+        that the top branch of instance i's residual vanishes on state.
+        All False when a guard trips."""
         from .bulk import BulkError
         bulk = self.bulk  # outside the try: a constructor error is no fallback
         try:
-            zero = bulk.combo_residual(jobs, state)
+            return bulk.combo_residual(jobs, state)
         except BulkError:
-            zero = [False] * len(jobs)
-        return [{} if z else self.engine.extract_sum(j, state) for z, j in zip(zero, jobs)]
+            return [False] * len(jobs)
 
     def _jobs(self, pieces) -> list:
-        jobs = []
+        """The jobs of a weighted sum of current products.  Pieces with
+        equal (names, modes) are one product weighted by the sum of their
+        weights (None counts as 1), dropped when that sum is zero."""
+        merged: dict = {}
         for names, modes, weight in pieces:
+            key = (tuple(names), tuple(modes))
+            if key in merged:
+                prev = merged[key]
+                one = self.table.one()
+                weight = (one if prev is None else prev) + (one if weight is None else weight)
+            merged[key] = weight
+        jobs = []
+        for (names, modes), weight in merged.items():
+            if weight is not None and weight.is_zero():
+                continue
             targets = tuple(-n - 1 for n in modes)
             for f in self.fused_terms(names):
                 jobs.append((f, targets, weight))
@@ -243,24 +255,75 @@ def _family(prefix: str, *keys):
     return wrap
 
 
+def _sub_reach(basis: list):
+    """Per state of basis, the last position in basis of its
+    sub-occupations at the same momenta (the state among them), or None
+    when one of them is not in basis: the basis is not closed under
+    sub-occupations."""
+    pos = {s: i for i, s in enumerate(basis)}
+    reach = []
+    for s in basis:
+        last = -1
+        for mults in itertools.product(*(range(mult + 1) for _, mult in s.occ)):
+            sub = FockState(s.momenta, tuple((mode, k) for (mode, _), k in zip(s.occ, mults) if k))
+            i = pos.get(sub)
+            if i is None:
+                return None
+            last = max(last, i)
+        reach.append(last)
+    return reach
+
+
 def _zero_cases(ctx: AffineContext, basis: list, instances) -> list:
     """(params, pieces) of relation instances whose right side is zero ->
-    (params, cases), state-outer: one combo_zero call per state for all of
-    them, then each instance's cases in basis order.
+    (params, cases), in two passes.
 
-    compare_cases reports a relation's first nonzero difference and asks
-    the oracle only when there is none, so residuals that follow an
-    instance's first nonzero one cannot change its result: the instance
-    goes on with an empty job list, and its later cases carry {}."""
+    The residual R of an instance acts on a state s as
+    R|s> = sum over sub-occupations a of s of c(s, a) R_a|s - a>, where
+    R_a annihilates the letters a, c(s, a) is a nonzero multinomial and R_a
+    does not depend on the rest of s; the top branch of R on s is the term
+    a = s.  So when the top branches on every sub-occupation of s vanish,
+    R|s> = 0 (the normal-ordered/PBW argument, Kac, Vertex Algebras for
+    Beginners, 1998).
+
+    Pass one, state by state in basis order: one combo_zero call per state
+    certifies the top branch of every live instance, and an instance drops
+    out at its first state that is not certified.  Pass two, instance by
+    instance: a state whose sub-occupations at the same momenta were all
+    certified has case {}, any other gets its full residual from
+    extract_sum.  compare_cases reports a relation's first nonzero
+    difference and asks the oracle only when there is none, so every case
+    after an instance's first nonzero residual is {} too.  A basis that is
+    not closed under sub-occupations sends every state to extract_sum."""
     jobs = [ctx._jobs(pieces) for _, pieces in instances]
-    cases = [[] for _ in instances]
-    for s in basis:
-        label = format_state(s)
-        for k, res in enumerate(ctx.combo_zero(jobs, s)):
-            cases[k].append((label, res, {}))
-            if res:
-                jobs[k] = []
-    return [(params, inst_cases) for (params, _), inst_cases in zip(instances, cases)]
+    n = len(basis)
+    reach = _sub_reach(basis)
+    # bad[k]: the position of instance k's first uncertified state
+    if reach is None:
+        reach, bad = range(n), [0] * len(jobs)
+    else:
+        bad = [n] * len(jobs)
+        live = list(jobs)
+        for i, s in enumerate(basis):
+            if not any(live):
+                break
+            for k, ok in enumerate(ctx.combo_zero(live, s)):
+                if not ok and bad[k] == n:
+                    bad[k] = i
+                    live[k] = []
+    labels = [format_state(s) for s in basis]
+    out = []
+    for (params, _), inst_jobs, first_bad in zip(instances, jobs, bad):
+        cases = []
+        leaked = False
+        for s, label, last in zip(basis, labels, reach):
+            res = {}
+            if not leaked and last >= first_bad:
+                res = ctx.engine.extract_sum(inst_jobs, s)
+                leaked = bool(res)
+            cases.append((label, res, {}))
+        out.append((params, cases))
+    return out
 
 
 def _kstr(k) -> str:
@@ -412,18 +475,18 @@ def check_eq11(ctx: AffineContext, basis: list, window: int):
     """[X_{n+1}^i, X_m^j]_{q^{+-a_ij}} + [X_{m+1}^j, X_n^i]_{q^{+-a_ij}} = 0
     for every node pair i <= j (a_22 = 0 included)."""
     T = ctx.table
+    instances = []
     for (i, j) in EQ11_PAIRS:
         a = ROOT.cartan(i, j)
         for sign, pref in (("plus", "E"), ("minus", "F")):
             s = 1 if sign == "plus" else -1
             xi = T.qpow(LinForm(s * a))
-            instances = []
             for n in range(-window, window + 1):
                 for m in range(-window, window + 1):
                     pieces = ctx._pair_pieces(f"{pref}{i}", n + 1, f"{pref}{j}", m, xi)
                     pieces += ctx._pair_pieces(f"{pref}{j}", m + 1, f"{pref}{i}", n, xi)
                     instances.append(({"i": i, "j": j, "sign": sign, "n": n, "m": m}, pieces))
-            yield from _zero_cases(ctx, basis, instances)
+    yield from _zero_cases(ctx, basis, instances)
 
 
 @_family("drinfeld.eq12", "i", "j", "sign", "n", "m")
@@ -446,11 +509,11 @@ def check_eq13(ctx: AffineContext, basis: list, window: int):
     T = ctx.table
     mq = -T.qpow(LinForm(1))
     mqinv = -T.qpow(LinForm(-1))
+    instances = []
     for (i, j) in EQ13_PAIRS:
         for sign, pref in (("plus", "E"), ("minus", "F")):
             x, y = f"{pref}{i}", f"{pref}{j}"
             names_aab, names_aba, names_baa = (x, x, y), (x, y, x), (y, x, x)
-            instances = []
             for n1 in range(-window, window + 1):
                 for n2 in range(n1, window + 1):
                     for m in range(-window, window + 1):
@@ -465,7 +528,7 @@ def check_eq13(ctx: AffineContext, basis: list, window: int):
                         params = {"i": i, "j": j, "sign": sign,
                                   "n1": n1, "n2": n2, "m": m}
                         instances.append((params, pieces))
-            yield from _zero_cases(ctx, basis, instances)
+    yield from _zero_cases(ctx, basis, instances)
 
 
 @_family("drinfeld.eq14")

@@ -12,15 +12,19 @@ identical, term for term, to the RingElem pipeline.  A relation that holds
 leaves no row, so the kernel's one job is to certify that; it never turns
 a row back into a RingElem.
 
-One call per state.  combo_residual takes every instance of a relation
-family on one state at once, one job list per instance, and returns per
-instance whether its residual vanishes; every job of a call has the same
-number of variables.  The residue walk is array work: a
-fused term's annihilation branches on a state form a table (annihilated
-energy per variable, its sum, the output sector), every job meets every
-branch of its table in one int64 broadcast, one compare drops the residues
-that no creation can reach, and each distinct (fused term, residue) looks
-up its flow map once.  A block is a (job, branch) pair with a nonempty flow map.
+One call per family and state.  combo_residual takes every instance of a
+relation family on one state at once, one job list per instance, and
+returns per instance whether the top branch of its residual vanishes: the
+part of the residual that annihilates every letter of the state.  On a
+basis closed under sub-occupations, the top branches of all states vanish
+exactly when the full residuals do (affine._zero_cases, which sends every
+other state to the exact path).  Every job of a call has the same number
+of variables.  The residue walk is array work: a fused term's top branches
+on a state form a table (annihilated energy per variable, the output
+momenta), every job meets every branch of its table in one int64
+broadcast, one compare drops the residues that no creation can reach, and
+each distinct (fused term, residue) looks up its flow map once.  A block
+is a (job, branch) pair with a nonempty flow map.
 The encodings a block needs, its branch's weighted base and its flow map,
 sit in pools, so a call gathers their rows, guards and group keys by fancy
 indexing.  The engine hands over a flow map as (dkey, delta, scalar)
@@ -52,9 +56,11 @@ the run and cached by value: a flow-table entry per (vertex-term uids,
 delta), the rows of a flow map per (fused uid, residue), a creation bucket
 list per dkey.  What only one call reads is built afresh by each call: the
 branch tables, the weighted bases (one per branch and weight value a live
-block meets) and the registries of momenta, sectors, metas and base
-denominators.  Fused terms are disjoint across a family's (pair, sign)
-groups, so no call would find an earlier call's branch table or base.  The
+block meets) and the registries of momenta, metas and base denominators.
+A fused term meets one state in one call, so no call would find an earlier
+call's branch table or base.  A top branch leaves no occupation behind, so
+an output occupation is a bucket delta, and its id is part of the bucket
+list's cached rows.  The
 engine keeps its flow tables, which the exact path reads too, but builds
 each flow map and bucket list without caching it.  Nothing is keyed by
 object identity: a weight is known by its value.
@@ -65,7 +71,7 @@ denominator with the largest possible absolute partial sum bounded below
 2^62, and any violation raises BulkError before a row it guards is built.
 Stage A runs its size guards in float64 over all blocks at once and
 repeats them in exact integers whenever a float lands near a limit.
-The kernel certifies a zero residual or leaves the instance to the exact
+The kernel certifies a zero top branch or leaves the instance to the exact
 path: an instance with a surviving row, like every instance of a call
 whose guard raises BulkError, is computed by VertexEngine.extract_sum, the
 one path that renders a witness.
@@ -79,7 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscillators import FockState, occ_add
+from .oscillators import FockState
 from .ring import _HALF, _MASK, _SLOT_BITS, RingElem
 
 # One side of a product: s biased by 2^12, Gamma by 2^11.  Sums of two
@@ -147,13 +153,11 @@ class _Enc(NamedTuple):
 
 class _Rows(NamedTuple):
     """A merged creation bucket list stacked over one common denominator,
-    one entry per occupation delta.  Row i came from entry idx[i], tagged
-    tags[idx[i]].  It carries no power of (q - q^-1)."""
+    one entry per occupation delta, each row keyed with its delta's
+    occupation id.  It carries no power of (q - q^-1)."""
 
     keys: np.ndarray
     vals: np.ndarray
-    idx: np.ndarray
-    tags: tuple
     denom: int
     smax: int
     gmax: int
@@ -191,13 +195,11 @@ _STATS = dict(start=np.int64, n=np.int64, smax=np.int64, gmax=np.int64,
 
 
 class _Table:
-    """One fused term's annihilation branches on the state of one call, as
-    arrays in ascending order of annihilated energy (slot i holds the
-    engine's branch index[i]): the annihilated energy per variable and its
-    sum, each branch's sector id, and the shift p0s + taueig a job's targets
-    lose."""
+    """One fused term's top branches on the state of one call, as arrays:
+    the annihilated energy per variable, the id of the output momenta, and
+    the shift p0s + taueig a job's targets lose."""
 
-    __slots__ = ("fused", "branches", "r", "index", "ann", "ann_sum", "shift", "sector")
+    __slots__ = ("fused", "branches", "ann", "shift", "momid")
 
 
 def _ranges(start, n):
@@ -205,16 +207,15 @@ def _ranges(start, n):
     return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
-def _stack(encs, tags) -> _Rows:
-    """Concatenate encoded scalars, lifting each onto the lcm denominator."""
+def _stack(encs, occs) -> _Rows:
+    """Concatenate encoded scalars, lifting each onto the lcm denominator;
+    the rows of encs[i] carry occupation id occs[i]."""
     denom = lcm(*(e.denom for e in encs))
     ups = [denom // e.denom for e in encs]
-    sizes = [e.keys.size for e in encs]
     return _Rows(
-        np.concatenate([e.keys for e in encs]),
+        np.concatenate([e.keys + (o << _B_OCC_SHIFT) for e, o in zip(encs, occs)]),
         np.concatenate([e.vals * up for e, up in zip(encs, ups)]),
-        np.repeat(np.arange(len(encs), dtype=np.int64), sizes),
-        tuple(tags), denom, max(e.smax for e in encs), max(e.gmax for e in encs),
+        denom, max(e.smax for e in encs), max(e.gmax for e in encs),
         max(e.maxabs * up for e, up in zip(encs, ups)),
         sum(e.sumabs * up for e, up in zip(encs, ups)),
     )
@@ -281,13 +282,13 @@ def _outer_blocks(lk, lv, ln, rk, rv, rn):
 
 
 class _Blocks(NamedTuple):
-    """Per block of a call, instance after instance: its instance, sector
+    """Per block of a call, instance after instance: its instance, momentum
     id, base-pool and flow-pool index, the key offset its left rows take
     (meta id, less its denominator power in the deficit field) and the
     lift of its right rows onto the stage denominator."""
 
     inst: np.ndarray
-    sector: np.ndarray
+    momid: np.ndarray
     bi: np.ndarray
     fi: np.ndarray
     kadd: np.ndarray
@@ -295,14 +296,15 @@ class _Blocks(NamedTuple):
 
 
 class BulkEngine:
-    """Packed-row zero test of VertexEngine.extract_sum for one symbol
-    table, batched over relation instances: stage A is the packed
-    aggregate, stage B the creation-bucket expansion.  Entry point is
-    combo_residual, called once per state with every instance of a
+    """Packed-row zero test of the top branch of VertexEngine.extract_sum
+    for one symbol table, batched over relation instances: stage A is the
+    packed aggregate, stage B the creation-bucket expansion.  Entry point
+    is combo_residual, called once per state with every instance of a
     relation family.
 
-    Fed by the engine's cached state branches, its flow tables and its
-    bucket builder, which caches nothing.  Keeps for the run the packed
+    Fed by the engine's top branches (built from its cached prefactors and
+    letter options), its flow tables and its bucket builder, which caches
+    nothing.  Keeps for the run the packed
     encodings of flow-table entries and flow maps in pools, bucket lists
     keyed by value and the occupation and dkey registries; each call builds
     its own branch tables, weighted-base pools and other registries
@@ -331,10 +333,9 @@ class BulkEngine:
         self._entry_rows = _Pool(keys=np.int64, vals=np.int64)
         self._entry_ids: dict = {}  # (vterm uids, delta) -> entry pool index
         self._p_cache: dict = {}  # dkey -> _Rows | None
-        self._occkeys: dict = {}  # (occ_after, dkey) -> bucket keys with occ ids
-        self._deltas: dict = {}  # occupation delta -> the one tuple _p_cache tags hold
         # Registries, key -> dense id in insertion order: output occupations
-        # and the flow entries' dkeys.  A key whose id does not fit its row
+        # (a top branch leaves none, so these are the buckets' deltas) and
+        # the flow entries' dkeys.  A key whose id does not fit its row
         # field is refused whenever it is looked up.
         self._occ_ids: dict = {}
         self._dkey_ids: dict = {}
@@ -343,11 +344,10 @@ class BulkEngine:
         """A call's own state, which no later call reads: the weighted bases
         (stats per scalar, tagged with denominator id, meta id and
         denominator power, and rows) and the registries of output momenta,
-        sectors (momentum id, occ_after), metas and base denominators."""
+        metas and base denominators."""
         self._base_stats = _Pool(**_STATS, den=np.int64, meta=np.int64, dpow=np.int64)
         self._base_rows = _Pool(keys=np.int64, vals=np.int64)
         self._mom_ids: dict = {}
-        self._sector_ids: dict = {}
         self._meta_ids: dict = {}
         self._den_ids: dict = {}
 
@@ -429,7 +429,9 @@ class BulkEngine:
         map's rows are gathered from the entry pools."""
         ids, entry_ids, dkey_ids = self._flow_ids, self._entry_ids, self._dkey_ids
         new, fresh, encs = [], {}, []
-        for fused, res in want:
+        # Largest residue first: the engine refills a flow table when a
+        # residue passes its reach, so each table is filled at most once.
+        for fused, res in sorted(want, key=lambda w: -max(w[1])):
             if (fused.uid, res) in ids:
                 continue
             flows = self.engine.flows_map(fused, res)
@@ -489,60 +491,41 @@ class BulkEngine:
         part = self.engine.bucket_product_key(dkey)
         rows = None
         if part:
-            encs = []
-            for _, scal in part:
+            encs, occs = [], []
+            for delta, scal in part:
                 if scal.dpow:
                     raise BulkError("denominator power above target")
                 e = self._enc(scal)
                 if e.meta:
                     raise BulkError("bucket scalar carries symbol content")
                 encs.append(e)
-            rows = _stack(encs, (self._deltas.setdefault(d, d) for d, _ in part))
+                occs.append(self._occ_ids.setdefault(delta, len(self._occ_ids)))
+                if occs[-1] >= _OCC_MAX:
+                    raise BulkError("occupation registry full")
+            rows = _stack(encs, occs)
             if rows.maxabs >= _SUM_LIMIT:
                 raise BulkError("bucket numerator outside packed range")
         self._p_cache[dkey] = rows
         return rows
 
-    def _occ_keys(self, occ_after, dkey, penc: _Rows):
-        """penc's row keys with each row's output occupation id in place."""
-        key = (occ_after, dkey)
-        hit = self._occkeys.get(key)
-        if hit is None:
-            ids = []
-            for delta in penc.tags:
-                ids.append(self._occ_ids.setdefault(occ_add(occ_after, delta), len(self._occ_ids)))
-                if ids[-1] >= _OCC_MAX:
-                    raise BulkError("occupation registry full")
-            occrows = np.asarray(ids, dtype=np.int64)[penc.idx]
-            hit = penc.keys + (occrows << _B_OCC_SHIFT)
-            self._occkeys[key] = hit
-        return hit
-
     def _table(self, fused, state) -> _Table:
-        """The branch table of fused on state, from the engine's cached
-        branches, in ascending order of annihilated energy."""
-        branches, taueig, momenta = self.engine.branches(fused, state)
-        momid = self._mom_ids.setdefault(momenta, len(self._mom_ids))
-        if momid >= _MOM_MAX:
-            raise BulkError("momentum registry full")
-        sectors = self._sector_ids
+        """The branch table of fused on state: the engine's top branches,
+        which annihilate every letter of state (occ_after empty)."""
         tab = _Table()
         tab.fused = fused
-        tab.branches = branches
-        tab.r = len(fused.vterms)
-        tab.index = np.argsort([b[2] for b in branches], kind="stable").astype(np.int64)
-        order = tab.index.tolist()
-        tab.ann = np.asarray([branches[i][1] for i in order], dtype=np.int64).reshape(-1, tab.r)
-        tab.ann_sum = np.asarray([branches[i][2] for i in order], dtype=np.int64)
+        tab.branches, taueig, momenta = self.engine.top_branches(fused, state)
+        tab.ann = np.asarray([b[1] for b in tab.branches],
+                             dtype=np.int64).reshape(-1, len(fused.vterms))
         tab.shift = np.asarray([tuple(map(add, fused.p0s, taueig))], dtype=np.int64)
-        tab.sector = np.asarray([sectors.setdefault((momid, branches[i][3]), len(sectors))
-                                 for i in order], dtype=np.int64)
+        tab.momid = self._mom_ids.setdefault(momenta, len(self._mom_ids))
+        if tab.momid >= _MOM_MAX:
+            raise BulkError("momentum registry full")
         return tab
 
     # -- the residue walk -------------------------------------------------------
 
     def _blocks(self, jobs, state):
-        """Every block of every instance: per block its instance, sector
+        """Every block of every instance: per block its instance, momentum
         id, base-pool index and flow-pool index, or None without blocks."""
         tabs, tab_of = [], {}  # the call's tables, by fused uid
         stacks, stack_of = [], {}  # (table position, weight), by (uid, weight key)
@@ -566,23 +549,19 @@ class BulkEngine:
         s_job = np.asarray(s_job, dtype=np.int64)
 
         # Every job against the branches of its table that leave a
-        # reachable residue, sum(res) >= 0: annihilated energies ascend
-        # within a table, so those branches are a suffix, found by one
-        # search over all tables with table t's energies lifted by t * lift.
+        # reachable residue, sum(res) >= 0.
         nb = np.asarray([len(tab.branches) for tab in tabs], dtype=np.int64)
         first = np.cumsum(nb) - nb
         t_job = np.asarray([t for t, _ in stacks], dtype=np.int64)[s_job]
         off = np.asarray(targets, dtype=np.int64) - np.concatenate(
             [tab.shift for tab in tabs])[t_job]
-        lift = max((int(tab.ann_sum[-1]) for tab in tabs if tab.branches), default=0) + 2
-        sums = np.concatenate([tab.ann_sum + t * lift for t, tab in enumerate(tabs)])
-        begin = np.searchsorted(sums, t_job * lift + np.clip(-off.sum(axis=1), 0, lift - 1))
-        cnt = first[t_job] + nb[t_job] - begin
-        jj = np.repeat(np.arange(cnt.size), cnt)
-        jb = _ranges(begin, cnt)
+        jj = np.repeat(np.arange(t_job.size), nb[t_job])
+        jb = _ranges(first[t_job], nb[t_job])
+        res = off[jj] + np.concatenate([tab.ann for tab in tabs])[jb]
+        reach = res.sum(axis=1) >= 0
+        jj, jb, res = jj[reach], jb[reach], res[reach]
         if not jj.size:
             return None
-        res = off[jj] + np.concatenate([tab.ann for tab in tabs])[jb]
 
         # Flow maps once per distinct (table, residue), through a dense key.
         t_blk = t_job[jj]
@@ -613,7 +592,7 @@ class BulkEngine:
         encs = []
         for s, i in zip((used // span).tolist(), (used % span).tolist()):
             t, weight = stacks[s]
-            base = tabs[t].branches[tabs[t].index[i]][0]
+            base = tabs[t].branches[i][0]
             encs.append(self._enc(base if weight is None else base * weight))
         metas, dens = self._meta_ids, self._den_ids
         self._pool_encs(self._base_stats, self._base_rows, encs,
@@ -622,18 +601,20 @@ class BulkEngine:
                         dpow=[e.dpow for e in encs])
 
         inst = np.repeat(np.arange(len(jobs)), [len(j) for j in jobs])[jj]
-        sector = np.concatenate([tab.sector for tab in tabs])[jb]
-        return inst, sector, bi, fi
+        momid = np.asarray([tab.momid for tab in tabs], dtype=np.int64)[t_job[jj]]
+        return inst, momid, bi, fi
 
     # -- the two stages --------------------------------------------------------
 
     def combo_residual(self, jobs, state: FockState) -> list:
-        """Whether each relation instance's sum of weighted mode extractions
-        vanishes on one state, decided through packed rows.  jobs[i] is
-        instance i's job list in VertexEngine.extract_sum's form, and entry
-        i of the answer is True exactly when extract_sum(jobs[i], state) is
-        {}.  Every job of one call has the same number of variables.
-        Raises BulkError instead of answering when any guard trips."""
+        """Whether the top branch of each relation instance's sum of
+        weighted mode extractions vanishes on one state, decided through
+        packed rows.  jobs[i] is instance i's job list in
+        VertexEngine.extract_sum's form, and entry i of the answer is True
+        exactly when extract_sum(jobs[i], state), run on the branches that
+        annihilate every letter of state (occ_after empty), is {}.  Every
+        job of one call has the same number of variables.  Raises BulkError
+        instead of answering when any guard trips."""
         zero = [True] * len(jobs)
         self._new_call()
         found = self._blocks(jobs, state)
@@ -647,7 +628,7 @@ class BulkEngine:
                 zero[int(blocks.inst[b0])] = False
         return zero
 
-    def _guard_a(self, inst, sector, bi, fi):
+    def _guard_a(self, inst, momid, bi, fi):
         """Stage A's guards over every block of the call, before any row
         exists: meta ids, exponent fields, denominator powers, the common
         denominator and, per instance, the sum bound.  Returns the blocks
@@ -698,23 +679,23 @@ class BulkEngine:
                 raise BulkError("stage sum bound exceeded")
         kadd = (mid << _B_META_SHIFT) + ((d_max - dpow) << _A_DEF_SHIFT)
         up = np.asarray(ups, dtype=np.int64)[pinv]
-        return _Blocks(inst, sector, bi, fi, kadd, up), d_max, denom
+        return _Blocks(inst, momid, bi, fi, kadd, up), d_max, denom
 
     def _stage_a(self, run: _Blocks, d_max: int):
         """The packed aggregate over one instance's blocks: its merged rows,
-        rebiased, with the sector ids and dkey count that read their group
+        rebiased, with the momentum ids and dkey count that read their group
         ids, or None when every row cancels."""
         B = self._base_stats.cols
         F = self._flow_stats.cols
 
-        # A group is a (sector, dkey) pair; group ids follow their order.
-        secs, sloc = np.unique(run.sector, return_inverse=True)
+        # A group is a (momentum id, dkey) pair; group ids follow their order.
+        moms, mloc = np.unique(run.momid, return_inverse=True)
         ndk = len(self._dkey_ids)
         ln = B["n"][run.bi]
         rn = F["n"][run.fi]
         ri = _ranges(F["start"][run.fi], rn)
         FR = self._flow_rows.cols
-        gkeys = np.repeat(sloc * ndk, rn) + FR["dk"][ri]
+        gkeys = np.repeat(mloc * ndk, rn) + FR["dk"][ri]
         groups, row_gids = np.unique(gkeys, return_inverse=True)
         if groups.size > _GID_MAX:
             raise BulkError("group registry full")
@@ -753,12 +734,12 @@ class BulkEngine:
             raise BulkError("aggregate exponent above packed range")
         if ((((akeys >> _A_G_SHIFT) & _G_MASK) >> _GW) != 0).any():
             raise BulkError("aggregate exponent above packed range")
-        return akeys, avals, (secs.tolist(), ndk, groups.tolist())
+        return akeys, avals, (moms.tolist(), ndk, groups.tolist())
 
     def _stage_b(self, akeys, avals, read, denom_a) -> bool:
         """Whether a row of the creation-bucket expansion of one instance's
         surviving groups outlives the merge."""
-        secs, ndk, groups = read
+        moms, ndk, groups = read
         # The same two-pass shape as stage A, its guards fed by per-group
         # reductions over the sorted rows.
         gids = akeys >> _A_GID_SHIFT
@@ -766,7 +747,6 @@ class BulkEngine:
         counts = np.diff(np.append(starts, gids.size))
         lo = akeys & _LO_MASK
         absv = np.abs(avals)
-        sector_list = list(self._sector_ids)
         dkeys = list(self._dkey_ids)
         stats = zip(
             gids[starts].tolist(),
@@ -781,7 +761,7 @@ class BulkEngine:
         right = []
         fits = []  # per live group: its product's denominator, largest value and sum
         for gid, gv, smax, gmax, maxabs, sumabs in stats:
-            momid, occ_after = sector_list[secs[groups[gid] // ndk]]
+            momid = moms[groups[gid] // ndk]
             dkey = dkeys[groups[gid] % ndk]
             penc = self._enc_p(dkey)
             live.append(penc is not None)
@@ -793,7 +773,7 @@ class BulkEngine:
             fits.append((denom_a // g * penc.denom, maxabs // g * penc.maxabs,
                          sumabs // g * penc.sumabs))
             divs.append(g)
-            right.append((self._occ_keys(occ_after, dkey, penc), penc, momid))
+            right.append((penc, momid))
         if not right:
             return False
         denom_b = _stage_denom(fits)
@@ -801,13 +781,13 @@ class BulkEngine:
         live = np.asarray(live)
         rows = np.repeat(live, counts)
         ln = counts[live]
-        rn = np.asarray([penc.keys.size for _, penc, _ in right], dtype=np.int64)
-        mom_keys = [momid << _B_MOM_SHIFT for _, _, momid in right]
+        rn = np.asarray([penc.keys.size for penc, _ in right], dtype=np.int64)
+        mom_keys = [momid << _B_MOM_SHIFT for _, momid in right]
         ups = [denom_b // d for d, _, _ in fits]
         bkeys, _ = _outer_blocks(
             lo[rows], avals[rows] // np.repeat(divs, ln), ln,
-            np.concatenate([k for k, _, _ in right]) + np.repeat(mom_keys, rn),
-            np.concatenate([penc.vals for _, penc, _ in right]) * np.repeat(ups, rn), rn,
+            np.concatenate([penc.keys for penc, _ in right]) + np.repeat(mom_keys, rn),
+            np.concatenate([penc.vals for penc, _ in right]) * np.repeat(ups, rn), rn,
         )
         return bkeys.size > 0
 

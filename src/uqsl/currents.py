@@ -222,6 +222,11 @@ class VertexEngine:
         self._flowtabs: dict = {}  # vterm uids -> _FlowTable
         self._buckets: dict = {}  # (vt.uid, degree) -> [(delta occ, scalar)]
         self._branches: dict = {}  # state -> {fused.uid: branch data}
+        # The state-independent parts of the branches, keyed by value:
+        # (fused.uid, momenta) -> (prefactor, z-shifts, output momenta) and
+        # (fused.uid, mode, multiplicity) -> that letter's options.
+        self._heads: dict = {}
+        self._letters: dict = {}
         # flows_map and bucket_product_key keep no cache: these two are the
         # exact path's (aggregate, extract_sum); bulk.py keeps its encodings.
         # The flow tables under both are shared.
@@ -340,36 +345,19 @@ class VertexEngine:
             merged[occ] = s if prev is None else prev + s
         return [(k, s) for k, s in merged.items() if not s.is_zero()]
 
-    def _state_branches(self, fused: FusedTerm, state: FockState):
+    def _state_branches(self, fused: FusedTerm, state: FockState, top: bool = False):
         """Annihilation branches of `fused` on `state`, scalars carrying the
         state-level prefactor; target independent.  Each branch is
-        (scalar, annihilated energy per variable, its sum, occ_after)."""
-        T = self.table
+        (scalar, annihilated energy per variable, its sum, occ_after).
+        With top, only the branches that take every copy of every letter.
+        The prefactor and each letter's options are built once per fused
+        term and momenta, or letter and multiplicity."""
         r = len(fused.vterms)
-        p = state.momenta
-        common = fused.const * momentum_eigen(T, fused.sigma, fused.sigma_a, p)
-        if cocycle_sign(fused.eps, p) < 0:
-            common = -common
-        taueig = tuple(z_power(tau, p) for tau in fused.taus)
-        momenta = tuple(m + e for m, e in zip(p, fused.eps))
-
+        common, taueig, momenta = self._head(fused, state.momenta)
         letter_opts = []
-        for (fam, m), mult in state.occ:
-            values = [vt.ann_value(fam, m) for vt in fused.vterms]
-            live = [v for v in range(r) if not values[v].is_zero()]
-            opts = []
-            for js in itertools.product(*(range(mult + 1) if v in live else (0,) for v in range(r))):
-                total = sum(js)
-                if total > mult:
-                    continue
-                scalar = T.rational(
-                    factorial(mult) // (factorial(mult - total) * prod(map(factorial, js))))
-                for v in range(r):
-                    for _ in range(js[v]):
-                        scalar = scalar * values[v]
-                opts.append((scalar, tuple(m * j for j in js), -total))
-            letter_opts.append(((fam, m), opts))
-
+        for mode, mult in state.occ:
+            opts = self._letter(fused, mode, mult)
+            letter_opts.append((mode, [o for o in opts if o[2] == -mult] if top else opts))
         branches = []
         for combo in itertools.product(*(opts for _, opts in letter_opts)):
             scalar = common
@@ -386,6 +374,46 @@ class VertexEngine:
 
         return branches, taueig, momenta
 
+    def _head(self, fused: FusedTerm, p):
+        """fused's prefactor, z-shift per variable and output momenta on
+        states of momenta p."""
+        head = self._heads.get((fused.uid, p))
+        if head is None:
+            T = self.table
+            common = fused.const * momentum_eigen(T, fused.sigma, fused.sigma_a, p)
+            if cocycle_sign(fused.eps, p) < 0:
+                common = -common
+            head = self._heads[fused.uid, p] = (
+                common, tuple(z_power(tau, p) for tau in fused.taus),
+                tuple(m + e for m, e in zip(p, fused.eps)))
+        return head
+
+    def _letter(self, fused: FusedTerm, mode, mult: int) -> list:
+        """The ways fused's variables annihilate some of mult copies of one
+        creation letter: (scalar, annihilated energy per variable, minus
+        the copies taken) each, the scalar a multinomial times the
+        variables' annihilation values."""
+        key = (fused.uid, mode, mult)
+        opts = self._letters.get(key)
+        if opts is None:
+            T = self.table
+            fam, m = mode
+            r = len(fused.vterms)
+            values = [vt.ann_value(fam, m) for vt in fused.vterms]
+            live = [v for v in range(r) if not values[v].is_zero()]
+            opts = self._letters[key] = []
+            for js in itertools.product(*(range(mult + 1) if v in live else (0,) for v in range(r))):
+                total = sum(js)
+                if total > mult:
+                    continue
+                scalar = T.rational(
+                    factorial(mult) // (factorial(mult - total) * prod(map(factorial, js))))
+                for v in range(r):
+                    for _ in range(js[v]):
+                        scalar = scalar * values[v]
+                opts.append((scalar, tuple(m * j for j in js), -total))
+        return opts
+
     def branches(self, fused: FusedTerm, state: FockState):
         """The (branches, taueig, momenta) of fused on state, built once
         per (state, fused term) and cached."""
@@ -394,6 +422,12 @@ class VertexEngine:
         if data is None:
             data = cached[fused.uid] = self._state_branches(fused, state)
         return data
+
+    def top_branches(self, fused: FusedTerm, state: FockState):
+        """branches, keeping only the top ones, which annihilate every
+        letter of state (occ_after empty).  Not cached: the packed kernel
+        reads each (state, fused term) once."""
+        return self._state_branches(fused, state, top=True)
 
     def residues(self, jobs, state: FockState):
         """Every annihilation branch of every job on `state` that leaves a

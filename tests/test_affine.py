@@ -1,5 +1,6 @@
 """Loop-algebra relation suites: counts, spot identities, negative controls."""
 
+import contextlib
 import functools
 import itertools
 from fractions import Fraction
@@ -25,7 +26,7 @@ from uqsl.affine import (
     run_affine,
 )
 from uqsl.bulk import BulkEngine, BulkError
-from uqsl.oscillators import VACUUM, enumerate_basis, format_state
+from uqsl.oscillators import VACUUM, FockState, enumerate_basis, format_state
 
 from readme_ids import readme_rows, unmatched
 
@@ -240,6 +241,8 @@ class TestMomentumSector:
         # eq11 and eq13, the packed kernel's families, on every momentum of
         # the radius-1 box; on four states with nonzero momenta each
         # instance's kernel flag must say whether its exact residual is zero
+        # (the box holds no letters at E_cut = 0, so a state's top branch is
+        # its whole residual)
         ctx = _level_ctx(level)
         basis = enumerate_basis(0, 1, "box")
         assert len(basis) == 81
@@ -269,7 +272,7 @@ class TestMomentumSector:
             # eq11 6 and eq13 18, as the box run of check-affine reports
             assert at_zero and set(at_zero) <= {r.id for r in fails}
             assert len(fails) == 6 + 18
-        assert len(seen) == (len(EQ11_PAIRS) + len(EQ13_PAIRS)) * 2 * len(probes)
+        assert len(seen) == 2 * len(probes)  # one call per family and state
         for jobs, state, out in seen:
             for inst_jobs, flag in zip(jobs, out):
                 assert flag == (ctx.engine.extract_sum(inst_jobs, state) == {})
@@ -349,7 +352,8 @@ class TestPackedEngine:
     def test_pair_residual_matches(self, ctx, sab_k2):
         # weights of one term, of two terms, of the same two numerators over
         # 2 and with a denominator power meet the same branches, so each
-        # needs its own cached encoding
+        # needs its own cached encoding; each flag says whether the top
+        # branch vanishes
         T = ctx.table
         two = T.qpow(LinForm(1)) + T.qpow(LinForm(-1))
         weights = (None, two, two * Fraction(1, 2), T.qdiff_inv())
@@ -357,15 +361,18 @@ class TestPackedEngine:
             for xi in weights:
                 jobs = ctx._jobs(ctx._pair_pieces(*pair, xi))
                 for state in enumerate_basis(2)[:10]:
-                    assert ctx.bulk.combo_residual([jobs], state) == [ctx.engine.extract_sum(
-                        jobs, state) == {}]
+                    assert ctx.bulk.combo_residual([jobs], state) == [top_residual(
+                        ctx.engine, jobs, state) == {}]
+        leaked = 0
         for pieces, leaks in ((sab_k2._pair_pieces("E2", 1, "E2", -1), False),
                               (sab_k2._pair_pieces("F1", 0, "F1", -1), True)):
             jobs = sab_k2._jobs(pieces)
             for state in enumerate_basis(1):
                 fast = self.answered(sab_k2, jobs, state)
-                assert fast == (not leaks)
-                assert fast == (sab_k2.engine.extract_sum(jobs, state) == {})
+                assert fast == (top_residual(sab_k2.engine, jobs, state) == {})
+                assert leaks or fast
+                leaked += not fast
+        assert leaked
 
     def test_cache_entries_stop_growing(self):
         # eq11 builds new weight objects for every relation; the second
@@ -394,7 +401,7 @@ class TestPackedEngine:
             check_eq11(ctx, basis, 1)
             check_eq13(ctx, basis, 1)
             sizes.append(entries())
-            deltas.append(len(ctx.bulk._deltas))
+            deltas.append(len(ctx.bulk._occ_ids))
             grown.append((tables(), pools()))
         assert sizes[0] == sizes[1] > 0
         assert deltas[0] == deltas[1] > 0
@@ -404,10 +411,17 @@ class TestPackedEngine:
         # every pooled entry is an entry of the engine's table
         held = {(uids, d) for uids, t in ctx.engine._flowtabs.items() for d, _ in t.entries}
         assert set(ctx.bulk._entry_ids) <= held
-        # equal occupation deltas are one shared tuple across bucket lists
-        tags = [t for rows in ctx.bulk._p_cache.values() if rows for t in rows.tags]
-        assert len({id(t) for t in tags}) == len(set(tags)) < len(tags)
-        assert all(ctx.bulk._deltas[t] is t for t in tags)
+        # a bucket list's rows carry the occupation ids of its deltas, and
+        # lists that share a delta share its id
+        occs = list(ctx.bulk._occ_ids)
+        shared = 0
+        for dkey, rows in ctx.bulk._p_cache.items():
+            if rows is not None:
+                ids = set((rows.keys >> bulk._B_OCC_SHIFT).tolist())
+                assert {occs[i] for i in ids} == {
+                    d for d, _ in ctx.engine.bucket_product_key(dkey)}
+                shared += len(ids)
+        assert shared > len(occs)
         # the engine's flow and bucket caches belong to the exact path,
         # which the kernel families never enter
         assert not ctx.engine._flowcache and not ctx.engine._prodcache
@@ -450,10 +464,12 @@ class TestPackedEngine:
     def test_nonzero_product_not_certified(self, ctx):
         # a single product, not a cancelling combination: its rows survive
         # stage B, so the kernel leaves it to the exact path
-        jobs = ctx._jobs([(("E1", "F1"), (0, 0), None)])
+        pieces = [(("E1", "F1"), (0, 0), None)]
+        jobs = ctx._jobs(pieces)
         fast, = ctx.bulk.combo_residual([jobs], VACUUM)
         assert fast is False and ctx.engine.extract_sum(jobs, VACUUM)
-        assert ctx.combo_zero([jobs], VACUUM) == [ctx.engine.extract_sum(jobs, VACUUM)]
+        assert ctx.combo_zero([jobs], VACUUM) == [False]
+        assert zero_cases(ctx, pieces, [VACUUM]) == [ctx.engine.extract_sum(jobs, VACUUM)]
 
     def test_guard_declines_wide_exponents(self, ctx):
         huge = ctx.table.qpow(LinForm(3000))
@@ -461,9 +477,10 @@ class TestPackedEngine:
         jobs = ctx._jobs(pieces)
         with pytest.raises(BulkError):
             ctx.bulk.combo_residual([jobs], VACUUM)
-        # the public entry falls back to the exact path
-        out = ctx.combo_zero([jobs], VACUUM)
-        assert out == [ctx.engine.extract_sum(jobs, VACUUM)]
+        # pass one reads a trip as not certified, and pass two falls back
+        # to the exact path
+        assert ctx.combo_zero([jobs], VACUUM) == [False]
+        assert zero_cases(ctx, pieces, [VACUUM]) == [ctx.engine.extract_sum(jobs, VACUUM)]
 
     def test_chunked_reduce_matches(self, sab_k2, monkeypatch):
         # a few rows per chunk: every stage is built and merged in pieces
@@ -515,15 +532,16 @@ class TestPackedEngine:
         jobs = ctx._jobs(pieces)
         with pytest.raises(BulkError, match="^stage sum bound exceeded$"):
             ctx.bulk.combo_residual([jobs], VACUUM)
-        out, = ctx.combo_zero([jobs], VACUUM)
+        assert ctx.combo_zero([jobs], VACUUM) == [False]
+        out, = zero_cases(ctx, pieces, [VACUUM])
         assert out and out == ctx.engine.extract_sum(jobs, VACUUM)
 
 
 class TestBatchedKernel:
-    """eq11 and eq13 make one combo_zero -> combo_residual call per (pair,
-    sign, state) that carries every instance of the family, and each
+    """eq11 and eq13 make one combo_zero -> combo_residual call per family
+    and state that carries every live instance of the family, and each
     instance's flag must say whether the exact path on that instance's own
-    jobs gives zero."""
+    jobs, run on the state's top branches, gives zero."""
 
     def calls(self, ctx, basis, monkeypatch):
         """Every combo_residual call of check_eq11 and check_eq13 at window
@@ -552,12 +570,12 @@ class TestBatchedKernel:
                AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()}))
         basis = enumerate_basis(E_cut)
         seen = self.calls(ctx, basis, monkeypatch)
-        assert len(seen) == (len(EQ11_PAIRS) + len(EQ13_PAIRS)) * 2 * len(basis)
+        assert len(seen) == 2 * len(basis)
         nonzero = mixed = 0
         for jobs, state, out in seen:
             assert len(out) == len(jobs) > 1
             for inst_jobs, got in zip(jobs, out):
-                assert got == (ctx.engine.extract_sum(inst_jobs, state) == {})
+                assert got == (top_residual(ctx.engine, inst_jobs, state) == {})
             nonzero += out.count(False)
             mixed += any(out) and not all(out)
         # at f13 = 1 one call holds vanishing and leaking instances side by
@@ -565,8 +583,8 @@ class TestBatchedKernel:
         assert (nonzero > 0, mixed > 0) == ((True, True) if level == "k2_f13" else (False, False))
 
     def test_one_call_per_state(self, monkeypatch):
-        # the affine_full_e1w1 configuration: eq11 and eq13 made 630 calls
-        # when each instance had its own
+        # the affine_full_e1w1 configuration: one call per family and state
+        # carries all 630 (instance, state) job lists
         ctx = AffineContext()
         basis = enumerate_basis(1)
         calls = []
@@ -579,8 +597,7 @@ class TestBatchedKernel:
         monkeypatch.setattr(ctx.bulk, "combo_residual", counted)
         check_eq11(ctx, basis, 1)
         check_eq13(ctx, basis, 1)
-        assert len(calls) <= (3 + 1) * 2 * 7 == 56
-        assert len(calls) == (len(EQ11_PAIRS) + len(EQ13_PAIRS)) * 2 * len(basis)
+        assert len(calls) == 2 * len(basis) == 14
         assert sum(calls) == 630
 
     def test_call_state_is_call_local(self, monkeypatch):
@@ -595,7 +612,7 @@ class TestBatchedKernel:
 
         def call_state(b):
             return (b._base_stats.size, b._base_rows.size, len(b._mom_ids),
-                    len(b._sector_ids), len(b._meta_ids), len(b._den_ids))
+                    len(b._meta_ids), len(b._den_ids))
 
         for jobs, state, out in seen[-3:]:
             assert ctx.bulk.combo_residual(jobs, state) == fresh.combo_residual(jobs, state) == out
@@ -605,11 +622,22 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("level, exact_calls", [("formal", [0, 0]), ("k2_f13", [6, 15])])
     def test_exact_only_where_not_certified(self, level, exact_calls, monkeypatch):
         # the exact path runs once per failing relation, on the first state
-        # where its residual is nonzero: the kernel certifies every zero,
-        # and a settled instance sends an empty job list from then on
+        # where its residual is nonzero: the kernel certifies every zero
+        # top branch, and an instance that was not certified sends an empty
+        # job list from then on
+        assert self.exact_calls(level, 1, monkeypatch) == exact_calls
+
+    def test_exact_only_where_not_certified_two_letters(self, monkeypatch):
+        # E_cut=2 has two-letter states, some of which sort before a
+        # sub-occupation; still one exact call per failing relation
+        assert self.exact_calls("k2_f13", 2, monkeypatch) == [8, 17]
+
+    def exact_calls(self, level, E_cut, monkeypatch):
+        """The exact calls that check_eq11 and check_eq13 make, per family,
+        each one asserted to leak, with the kernel's calls checked."""
         ctx = _level_ctx(level)
-        basis = enumerate_basis(1)
-        exact, sizes, settled_now = [], [], []
+        basis = enumerate_basis(E_cut)
+        exact, sizes, dropped_now = [], [], []
         real_exact = ctx.engine.extract_sum
         real_kernel = ctx.bulk.combo_residual
         real_zero = ctx.combo_zero
@@ -625,7 +653,7 @@ class TestBatchedKernel:
 
         def zero(jobs, state):
             out = real_zero(jobs, state)
-            settled_now.append([k for k, res in enumerate(out) if res])
+            dropped_now.append([k for k, ok in enumerate(out) if not ok])
             return out
 
         monkeypatch.setattr(ctx.engine, "extract_sum", counted_exact)
@@ -637,15 +665,14 @@ class TestBatchedKernel:
             fails = sum(r.status == "fail" for r in check(ctx, basis, 1))
             assert len(exact) == fails and all(exact)
             made.append(len(exact))
-        assert made == exact_calls
-        assert len(sizes) == len(settled_now) == (
-            len(EQ11_PAIRS) + len(EQ13_PAIRS)) * 2 * len(basis)
-        settled = set()
-        for (state, lens), now in zip(sizes, settled_now):
-            if state == basis[0]:  # the first state of a (pair, sign) batch
-                settled = set()
-            assert all((n == 0) == (k in settled) for k, n in enumerate(lens))
-            settled.update(now)
+        assert len(sizes) == len(dropped_now) == 2 * len(basis)
+        dropped = set()
+        for (state, lens), now in zip(sizes, dropped_now):
+            if state == basis[0]:  # the first state of a family
+                dropped = set()
+            assert all((n == 0) == (k in dropped) for k, n in enumerate(lens))
+            dropped.update(now)
+        return made
 
     def test_results_match_per_instance_loop(self, sab_k2, monkeypatch):
         # the reference is the per-instance loop on the exact path, every
@@ -694,10 +721,11 @@ class TestBatchedKernel:
         # the smallest _GID_MAX that answers, and one below it: the guard
         # trips and combo_zero answers every instance on the exact path
         # with its own jobs
-        jobs = [sab_k2._jobs(serre_pieces(sab_k2, "F", n1, n2, m))
-                for n1, n2, m in ((-1, -1, 0), (0, 0, 0), (-1, 1, 1), (1, 1, 1))]
+        pieces = [serre_pieces(sab_k2, "F", n1, n2, m)
+                  for n1, n2, m in ((-1, -1, 0), (0, 0, 0), (-1, 1, 1), (1, 1, 1))]
+        jobs = [sab_k2._jobs(p) for p in pieces]
         state = enumerate_basis(1)[1]
-        slow = [sab_k2.engine.extract_sum(j, state) for j in jobs]
+        slow = [top_residual(sab_k2.engine, j, state) for j in jobs]
         assert any(slow) and not all(slow)
 
         def answer(limit):
@@ -716,6 +744,11 @@ class TestBatchedKernel:
             lo, hi = (mid, hi) if answer(mid) is None else (lo, mid)
         assert answer(hi) == flags
         assert answer(hi - 1) is None
+        assert sab_k2.combo_zero(jobs, state) == [False] * len(jobs)
+        # a trip on the first state leaves every state of every instance to
+        # the exact path, each instance with its own jobs
+        monkeypatch.setattr(bulk, "_GID_MAX", 0)
+        basis = enumerate_basis(1)
         asked = []
         real = sab_k2.engine.extract_sum
 
@@ -724,8 +757,110 @@ class TestBatchedKernel:
             return real(j, s)
 
         monkeypatch.setattr(sab_k2.engine, "extract_sum", exact)
-        assert sab_k2.combo_zero(jobs, state) == slow
-        assert len(asked) == len(jobs) and all(a is j for a, j in zip(asked, jobs))
+        instances = [({}, p) for p in pieces]
+        got = [[res for _, res, _ in cases]
+               for _, cases in affine._zero_cases(sab_k2, basis, instances)]
+        monkeypatch.undo()
+        assert got == [exact_cases(sab_k2, p, basis) for p in pieces]
+        assert all(a in jobs for a in asked) and all(j in asked for j in jobs)
+
+
+def _refuse(self, jobs, state):
+    raise BulkError("row value overflow")
+
+
+class TestTopBranches:
+    """The lemma behind _zero_cases: on a basis closed under
+    sub-occupations, a residual vanishes on every state exactly when its
+    top branch (the part that annihilates every letter) does on every
+    state, so the kernel certifies top branches only."""
+
+    @pytest.mark.parametrize("norm", ["l1", "box"])
+    @pytest.mark.parametrize("radius", [0, 1])
+    @pytest.mark.parametrize("E_cut", [0, 1, 2, 3])
+    def test_bases_closed(self, E_cut, radius, norm):
+        # one copy of one letter less stays in the basis, so every
+        # sub-occupation does
+        basis = enumerate_basis(E_cut, radius, norm)
+        have = set(basis)
+        for s in basis:
+            for (fam, m), _ in s.occ:
+                assert s.with_creation(fam, m, -1) in have
+        reach = affine._sub_reach(basis)
+        assert reach is not None and len(reach) == len(basis)
+        if E_cut <= 2 and radius == 0:
+            # each state's last sub-occupation in basis order, by brute force
+            def within(a, b):
+                return all(mult <= dict(b.occ).get(mode, 0) for mode, mult in a.occ)
+            assert reach == [max(i for i, t in enumerate(basis)
+                                 if t.momenta == s.momenta and within(t, s)) for s in basis]
+        if E_cut:  # without its vacua, no excited state keeps its sub-occupations
+            assert affine._sub_reach([t for t in basis if t.occ]) is None
+
+    @pytest.mark.parametrize("E_cut", [0, 1, 2])
+    @pytest.mark.parametrize("level", ["formal", "k2_f13"])
+    def test_top_statuses_match_full(self, level, E_cut, monkeypatch):
+        # on the exact path alone, every eq11 and eq13 instance: its
+        # residual is zero on every state exactly when its top branch is
+        monkeypatch.setattr(BulkEngine, "combo_residual", _refuse)
+        ctx = _level_ctx(level)
+        basis = enumerate_basis(E_cut)
+
+        def statuses():
+            res = check_eq11(ctx, basis, 1) + check_eq13(ctx, basis, 1)
+            return {r.id: r.status for r in res}
+
+        full = statuses()
+        with top_only(ctx.engine):
+            top = statuses()
+        assert len(full) == 54 + 36
+        assert top == full
+        fails = sum(status == "fail" for status in full.values())
+        assert fails == (0 if level == "formal" else {0: 13, 1: 21, 2: 25}[E_cut])
+
+    def test_closed_basis_in_any_order(self, monkeypatch):
+        # the basis reversed, vacuum last: a state can now come before a
+        # sub-occupation whose top branch leaks, and must still go to the
+        # exact path, so the results equal the all-exact path's
+        basis = enumerate_basis(1)[::-1]
+        ctx = _level_ctx("k2_f13")
+        got = [r.to_json() for r in check_eq11(ctx, basis, 1) + check_eq13(ctx, basis, 1)]
+        monkeypatch.setattr(BulkEngine, "combo_residual", _refuse)
+        exact = _level_ctx("k2_f13")
+        want = [r.to_json() for r in check_eq11(exact, basis, 1) + check_eq13(exact, basis, 1)]
+        assert got == want
+        assert sum(r["status"] == "fail" for r in want) == 6 + 15
+
+    def test_non_closed_basis_all_exact(self, monkeypatch):
+        # one excited state alone lacks its sub-occupations: no kernel call,
+        # and the cases are those of the all-exact path, although on some of
+        # these states a failing instance has a zero top branch
+        ctx = _level_ctx("k2_f13")
+        states = enumerate_basis(1)[1:]
+        calls = []
+        real = ctx.bulk.combo_residual
+        monkeypatch.setattr(ctx.bulk, "combo_residual",
+                            lambda jobs, state: calls.append(state) or real(jobs, state))
+        got = [[r.to_json() for r in check_eq11(ctx, [s], 1) + check_eq13(ctx, [s], 1)]
+               for s in states]
+        assert not calls
+        exact = _level_ctx("k2_f13")
+        instances = []
+        real_cases = affine._zero_cases
+
+        def record(c, basis, insts):
+            instances.extend(insts)
+            return real_cases(c, basis, insts)
+
+        monkeypatch.setattr(BulkEngine, "combo_residual", _refuse)
+        monkeypatch.setattr(affine, "_zero_cases", record)
+        want = [[r.to_json() for r in check_eq11(exact, [s], 1) + check_eq13(exact, [s], 1)]
+                for s in states]
+        assert got == want
+        jobs = [exact._jobs(pieces) for _, pieces in instances[:54 + 36]]
+        hidden = sum(top_residual(exact.engine, j, s) == {} and bool(exact.engine.extract_sum(j, s))
+                     for s in states for j in jobs)
+        assert hidden
 
 
 _EQ11_PAIRS = [(pref, i, j) for pref in "EF" for i, j in ((1, 1), (1, 2), (2, 2))]
@@ -787,7 +922,7 @@ class TestPackedGuards:
 
     def assert_kernel_agrees(self, ctx, pieces, state):
         jobs = ctx._jobs(pieces)
-        slow = ctx.engine.extract_sum(jobs, state)
+        slow = top_residual(ctx.engine, jobs, state)
         try:
             fast, = ctx.bulk.combo_residual([jobs], state)
         except BulkError:
@@ -881,7 +1016,7 @@ class TestDenominatorFree:
     @pytest.mark.parametrize("builder", ["flows_map", "bucket_product_key"])
     def test_denominator_refused(self, builder, monkeypatch):
         # one scalar of every flow map (or bucket list) divided by
-        # (q - q^-1): the kernel declines and combo_zero answers exactly
+        # (q - q^-1): the kernel declines and _zero_cases answers exactly
         ctx = AffineContext()
         real = getattr(ctx.engine, builder)
         inv = ctx.table.qdiff_inv()
@@ -901,7 +1036,8 @@ class TestDenominatorFree:
             ctx.bulk.combo_residual([jobs], VACUUM)
         slow = ctx.engine.extract_sum(jobs, VACUUM)
         assert slow and any(c.dpow for c in slow.values())
-        assert ctx.combo_zero([jobs], VACUUM) == [slow]
+        assert ctx.combo_zero([jobs], VACUUM) == [False]
+        assert zero_cases(ctx, pieces, [VACUUM]) == [slow]
 
 
 class TestResidues:
@@ -931,7 +1067,7 @@ class TestResidues:
         def record_zero(jobs, state):
             if state == basis[0]:
                 seen.extend(jobs)
-            return [{} for _ in jobs]
+            return [True] * len(jobs)
 
         def record_vec(pieces, state):  # eq12's exact path
             if state == basis[0]:
@@ -1118,6 +1254,48 @@ def _level_ctx(level):
             AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()}))
 
 
+@contextlib.contextmanager
+def top_only(engine):
+    """engine.branches keeps only the top branches, those that annihilate
+    every letter of the state (occ_after empty): the branches the kernel
+    certifies."""
+    real = engine.branches
+
+    def top(fused, state):
+        branches, taueig, momenta = real(fused, state)
+        return [b for b in branches if not b[3]], taueig, momenta
+
+    engine.branches = top
+    try:
+        yield
+    finally:
+        del engine.branches
+
+
+def top_residual(engine, jobs, state):
+    """The top branch of extract_sum(jobs, state), on the exact path: what
+    combo_residual's flag says is zero or not."""
+    with top_only(engine):
+        return engine.extract_sum(jobs, state)
+
+
+def zero_cases(ctx, pieces, basis):
+    """_zero_cases on one instance: its residual per state of basis."""
+    (_, cases), = affine._zero_cases(ctx, basis, [({}, pieces)])
+    assert [label for label, _, _ in cases] == [format_state(s) for s in basis]
+    return [res for _, res, _ in cases]
+
+
+def exact_cases(ctx, pieces, basis):
+    """What _zero_cases must give one instance: its exact residual per state
+    up to the first nonzero one, then {}."""
+    jobs = ctx._jobs(pieces)
+    out = []
+    for s in basis:
+        out.append({} if any(out) else ctx.engine.extract_sum(jobs, s))
+    return out
+
+
 class TestFlowTable:
     """flows_map reads one residue-free table per vertex-term tuple: the
     scalar of degree vector d is the table's entry for delta = d - res, and
@@ -1161,6 +1339,34 @@ class TestFlowTable:
                     assert [d for _, d, _ in got] == deltas, res
                     pairs += len(got)
         assert pairs > 1_000
+
+    def test_one_fill_per_table_per_call(self, monkeypatch):
+        # eq11 and eq13 at E_cut=1, window=1 (affine_full_e1w1): the kernel
+        # asks each table for its largest residue first, so no call fills a
+        # flow table twice; a table is filled again only by a later state
+        # that reaches further
+        ctx = AffineContext()
+        calls, fills = [], []
+        real_walk = ctx.engine._walk_orders
+        real_kernel = ctx.bulk.combo_residual
+
+        def walk(vts, pairs, i, *args):
+            if i == 0:
+                fills.append((len(calls), tuple(vt.uid for vt in vts)))
+            return real_walk(vts, pairs, i, *args)
+
+        def kernel(jobs, state):
+            calls.append(state)
+            return real_kernel(jobs, state)
+
+        monkeypatch.setattr(ctx.engine, "_walk_orders", walk)
+        monkeypatch.setattr(ctx.bulk, "combo_residual", kernel)
+        basis = enumerate_basis(1)
+        check_eq11(ctx, basis, 1)
+        check_eq13(ctx, basis, 1)
+        assert len(calls) == 14
+        assert len(set(fills)) == len(fills) == 372
+        assert len({uids for _, uids in fills}) == len(ctx.engine._flowtabs) == 188
 
     def test_kernel_encodes_each_entry_once(self, monkeypatch):
         # eq11 and eq13 at E_cut=1, window=1 (affine_full_e1w1): 5,234 flow
@@ -1220,28 +1426,33 @@ class TestFlowDenominators:
                    for fused, res, *_ in ctx.engine.residues(jobs, state))
 
     def test_non_integral_entry_refused(self, monkeypatch):
-        # entries over 2 beside entries over 1: a call that meets a flow map
-        # with one is refused, any other is answered, and combo_zero gives
-        # the exact residual either way
+        # entries over 2 beside entries over 1: a call whose top branches
+        # meet a flow map with one is refused, any other is answered, and
+        # _zero_cases gives the exact residuals either way
         ctx = AffineContext()
         self.scale(ctx, monkeypatch, lambda d: Fraction(1, 2) if d[0] % 2 else Fraction(3))
-        jobs = ctx._jobs([(("E1", "F1"), (0, 0), None), (("F1", "E2"), (1, -1), None)])
+        pieces = [(("E1", "F1"), (0, 0), None), (("F1", "E2"), (1, -1), None)]
+        jobs = ctx._jobs(pieces)
         states = enumerate_basis(1)
-        assert self.mixed_maps(ctx, jobs, states)
+        with top_only(ctx.engine):
+            assert self.mixed_maps(ctx, jobs, states)
         refused = answered = nonzero = 0
         for state in states:
-            slow = ctx.engine.extract_sum(jobs, state)
-            if any(s.den != 1 for fused, res, *_ in ctx.engine.residues(jobs, state)
-                   for _, _, s in ctx.engine.flows_map(fused, res)):
+            with top_only(ctx.engine):
+                top = ctx.engine.extract_sum(jobs, state)
+                mixed = any(s.den != 1 for fused, res, *_ in ctx.engine.residues(jobs, state)
+                            for _, _, s in ctx.engine.flows_map(fused, res))
+            if mixed:
                 with pytest.raises(BulkError, match="^flow numerator outside packed range$"):
                     ctx.bulk.combo_residual([jobs], state)
+                assert ctx.combo_zero([jobs], state) == [False]
                 refused += 1
             else:
-                assert ctx.bulk.combo_residual([jobs], state) == [slow == {}]
+                assert ctx.combo_zero([jobs], state) == [top == {}]
                 answered += 1
-            assert ctx.combo_zero([jobs], state) == [slow]
-            nonzero += slow != {}
+            nonzero += top != {}
         assert refused and answered and nonzero
+        assert zero_cases(ctx, pieces, states) == exact_cases(ctx, pieces, states)
 
     def test_lifted_numerator_refused(self, monkeypatch):
         # entries below 2^62 each, over 1 and over 9: the entries over 9
@@ -1249,13 +1460,17 @@ class TestFlowDenominators:
         # first ones past 2^62
         ctx = AffineContext()
         self.scale(ctx, monkeypatch, lambda d: Fraction(1, 9) if d[0] % 2 else 2**59)
-        jobs = ctx._jobs([(("E1", "F1"), (0, 0), None)])
-        states = [s for s in enumerate_basis(1) if self.mixed_maps(ctx, jobs, [s])]
+        pieces = [(("E1", "F1"), (0, 0), None)]
+        jobs = ctx._jobs(pieces)
+        basis = enumerate_basis(1)
+        with top_only(ctx.engine):
+            states = [s for s in basis if self.mixed_maps(ctx, jobs, [s])]
         assert states
         for state in states[:3]:
             with pytest.raises(BulkError, match="^flow numerator outside packed range$"):
                 ctx.bulk.combo_residual([jobs], state)
-            assert ctx.combo_zero([jobs], state) == [ctx.engine.extract_sum(jobs, state)]
+            assert ctx.combo_zero([jobs], state) == [False]
+        assert zero_cases(ctx, pieces, basis) == exact_cases(ctx, pieces, basis)
 
 
 class TestNegativeControls:
