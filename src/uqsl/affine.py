@@ -288,7 +288,8 @@ def _zero_cases(ctx: AffineContext, basis: list, instances) -> list:
 
     Pass one, state by state in basis order: one combo_zero call per state
     certifies the top branch of every live instance, and an instance drops
-    out at its first state that is not certified.  Pass two, instance by
+    out at its first state that is not certified, a state whose call tripped
+    a guard included.  Pass two, instance by
     instance: a state whose sub-occupations at the same momenta were all
     certified has case {}, any other gets its full residual from
     extract_sum.  compare_cases reports a relation's first nonzero

@@ -221,7 +221,10 @@ class VertexEngine:
         self._series: dict = {}  # (uidA, uidB) -> [C_l, l <= largest order asked]
         self._flowtabs: dict = {}  # vterm uids -> _FlowTable
         self._buckets: dict = {}  # (vt.uid, degree) -> [(delta occ, scalar)]
-        self._branches: dict = {}  # state -> {fused.uid: branch data}
+        # state -> {fused.uid: branch data}; the exact path asks for each
+        # (state, fused term) about seven times (6,087 asks, 859 builds at
+        # --energy-cut 1 --mode-window 1)
+        self._branches: dict = {}
         # The state-independent parts of the branches, keyed by value:
         # (fused.uid, momenta) -> (prefactor, z-shifts, output momenta) and
         # (fused.uid, mode, multiplicity) -> that letter's options.

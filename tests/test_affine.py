@@ -363,16 +363,18 @@ class TestPackedEngine:
                 for state in enumerate_basis(2)[:10]:
                     assert ctx.bulk.combo_residual([jobs], state) == [top_residual(
                         ctx.engine, jobs, state) == {}]
-        leaked = 0
+        # the E2 pair's top and full residuals vanish on every state, the F1
+        # pair's on none, and the two passes give the exact path's cases
+        basis = enumerate_basis(1)
         for pieces, leaks in ((sab_k2._pair_pieces("E2", 1, "E2", -1), False),
                               (sab_k2._pair_pieces("F1", 0, "F1", -1), True)):
             jobs = sab_k2._jobs(pieces)
-            for state in enumerate_basis(1):
+            for state in basis:
                 fast = self.answered(sab_k2, jobs, state)
+                assert fast == (not leaks)
                 assert fast == (top_residual(sab_k2.engine, jobs, state) == {})
-                assert leaks or fast
-                leaked += not fast
-        assert leaked
+                assert fast == (sab_k2.engine.extract_sum(jobs, state) == {})
+            assert zero_cases(sab_k2, pieces, basis) == exact_cases(sab_k2, pieces, basis)
 
     def test_cache_entries_stop_growing(self):
         # eq11 builds new weight objects for every relation; the second
