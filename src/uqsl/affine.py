@@ -127,16 +127,7 @@ class AffineContext:
         elif name.startswith("H"):
             acc = apply_oscillator(self.alg, self._h_coeffs(int(name[1:]), n), n, state)
         else:
-            if name.startswith("psi"):
-                target = -n
-                pref = self.gamma_pow(Fraction(n, 2) if name.endswith("+") else Fraction(-n, 2))
-            else:
-                target = -n - 1
-                pref = None
-            acc = {}
-            for vt in self.currents[name]:
-                for s, c in self.engine.extract(self.engine.single(vt), (target,), state).items():
-                    add_term(acc, s, c if pref is None else c * pref)
+            acc = self.engine.extract_sum(self._jobs((((name,), (n,), None),)), state)
         hit = tuple(acc.items())
         self._app[key] = hit
         return hit
@@ -155,7 +146,7 @@ class AffineContext:
         return out
 
     def mode_vec(self, name: str, n: int, vec: dict) -> dict:
-        """X_n applied to a vector; psi modes carry their gamma^(+-n) factor."""
+        """X_n applied to a vector; a psi mode carries its gamma factor (_mode)."""
         return self._act(name, n, vec)
 
     def h_vec(self, i: int, n: int, vec: dict) -> dict:
@@ -183,10 +174,19 @@ class AffineContext:
         except BulkError:
             return [False] * len(jobs)
 
+    def _mode(self, name: str, n: int):
+        """(z-target, gamma factor or None) of mode n of current name:
+        psi^{+-}_n is the z^-n coefficient times gamma^{+-n/2}, E_n and F_n
+        the z^{-n-1} coefficient."""
+        if name.startswith("psi"):
+            return -n, self.gamma_pow(Fraction(n if name.endswith("+") else -n, 2))
+        return -n - 1, None
+
     def _jobs(self, pieces) -> list:
         """The jobs of a weighted sum of current products.  Pieces with
         equal (names, modes) are one product weighted by the sum of their
-        weights (None counts as 1), dropped when that sum is zero."""
+        weights (None counts as 1), dropped when that sum is zero; a psi
+        mode multiplies in its gamma factor."""
         merged: dict = {}
         for names, modes, weight in pieces:
             key = (tuple(names), tuple(modes))
@@ -199,9 +199,14 @@ class AffineContext:
         for (names, modes), weight in merged.items():
             if weight is not None and weight.is_zero():
                 continue
-            targets = tuple(-n - 1 for n in modes)
+            targets = []
+            for name, n in zip(names, modes):
+                target, factor = self._mode(name, n)
+                targets.append(target)
+                if factor is not None:
+                    weight = factor if weight is None else weight * factor
             for f in self.fused_terms(names):
-                jobs.append((f, targets, weight))
+                jobs.append((f, tuple(targets), weight))
         return jobs
 
     def _pair_pieces(self, nameA: str, nA: int, nameB: str, nB: int,
@@ -212,11 +217,6 @@ class AffineContext:
         if xi is not None:
             w = w * xi
         return [((nameA, nameB), (nA, nB), None), ((nameB, nameA), (nB, nA), w)]
-
-    def graded_pair(self, nameA: str, nA: int, nameB: str, nB: int, state: FockState,
-                    xi: RingElem = None) -> dict:
-        """[A_nA, B_nB]_xi |state> with the Koszul sign from the parities."""
-        return self.combo_vec(self._pair_pieces(nameA, nA, nameB, nB, xi), state)
 
     def h_scalar(self, i: int, j: int, n: int) -> RingElem:
         """The central value of [H^i_n, H^j_{-n}] from the raw contractions."""
@@ -444,31 +444,20 @@ def check_eq9(ctx: AffineContext, basis: list, window: int):
 @_family("drinfeld.eq10", "i", "j", "n", "m", "k")
 def check_eq10(ctx: AffineContext, basis: list, window: int):
     """[E^i_n, F^j_m} = delta_ij (gamma^{(n-m)/2} psi^i_{+,n+m}
-    - gamma^{-(n-m)/2} psi^i_{-,n+m})/(q - q^-1)."""
-    T = ctx.table
-    inv = T.qdiff_inv()
+    - gamma^{-(n-m)/2} psi^i_{-,n+m})/(q - q^-1), as one residual."""
+    inv = ctx.table.qdiff_inv()
     for i in NODES:
         for j in NODES:
             for n in range(-window, window + 1):
                 for m in range(-window, window + 1):
-                    cases = []
-                    for state in basis:
-                        lhs = ctx.graded_pair(f"E{i}", n, f"F{j}", m, state)
-                        if i != j:
-                            rhs = {}
-                        else:
-                            one = {state: T.one()}
-                            plus = vec_scale(
-                                ctx.mode_vec(f"psi{i}+", n + m, one),
-                                ctx.gamma_pow(Fraction(n - m, 2)) * inv,
-                            )
-                            minus = vec_scale(
-                                ctx.mode_vec(f"psi{i}-", n + m, one),
-                                ctx.gamma_pow(Fraction(m - n, 2)) * inv,
-                            )
-                            rhs = vec_sub(plus, minus)
-                        cases.append((format_state(state), lhs, rhs))
-                    yield {"i": i, "j": j, "n": n, "m": m, "k": _kstr(ctx.k)}, cases
+                    pieces = ctx._pair_pieces(f"E{i}", n, f"F{j}", m)
+                    if i == j:
+                        pieces += [
+                            ((f"psi{i}+",), (n + m,), -ctx.gamma_pow(Fraction(n - m, 2)) * inv),
+                            ((f"psi{i}-",), (n + m,), ctx.gamma_pow(Fraction(m - n, 2)) * inv),
+                        ]
+                    yield ({"i": i, "j": j, "n": n, "m": m, "k": _kstr(ctx.k)},
+                           ((format_state(s), ctx.combo_vec(pieces, s), {}) for s in basis))
 
 
 @_family("drinfeld.eq11", "i", "j", "sign", "n", "m")

@@ -26,7 +26,17 @@ from uqsl.affine import (
     run_affine,
 )
 from uqsl.bulk import BulkEngine, BulkError
-from uqsl.oscillators import VACUUM, FockState, enumerate_basis, format_state
+from uqsl.currents import CURRENT_PARITY
+from uqsl.oscillators import (
+    VACUUM,
+    FockState,
+    add_term,
+    enumerate_basis,
+    format_state,
+    vec_scale,
+    vec_sub,
+)
+from uqsl.structure import graded_bracket_sign
 
 from readme_ids import readme_rows, unmatched
 
@@ -1000,8 +1010,9 @@ class TestDenominatorFree:
         ctx = (AffineContext() if level == "formal" else
                AffineContext(k=2, f_overrides={"f13": affine_symbols(2).one()}))
         names = self.fused_names(ctx, monkeypatch)
-        assert {len(nm) for nm in names} == {2, 3}
-        assert {nm[0][0] for nm in names} == {"E", "F"}
+        # eq10's psi pieces are the products of arity 1
+        assert {len(nm) for nm in names} == {1, 2, 3}
+        assert {nm[0][0] for nm in names} == {"E", "F", "p"}
         dkeys = set()
         for nm in names:
             for fused in ctx.fused_terms(nm):
@@ -1310,7 +1321,7 @@ class TestFlowTable:
         # every fused term eq10-eq13 use, at every residue in range(-2, 4)^r,
         # on two fresh contexts that fill their tables in opposite orders
         names = TestDenominatorFree().fused_names(_level_ctx(level), monkeypatch)
-        assert {len(nm) for nm in names} == {2, 3}
+        assert {len(nm) for nm in names} == {1, 2, 3}
         for order in (1, -1):
             ctx = _level_ctx(level)
             engine = ctx.engine
@@ -1473,6 +1484,79 @@ class TestFlowDenominators:
                 ctx.bulk.combo_residual([jobs], state)
             assert ctx.combo_zero([jobs], state) == [False]
         assert zero_cases(ctx, pieces, basis) == exact_cases(ctx, pieces, basis)
+
+
+def _instance_pieces(ctx, family, window):
+    """(params, pieces) of every instance of an eq10-eq13 family."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ctx, "combo_vec", lambda pieces, state: pieces)
+        m.setattr(affine, "_zero_cases", lambda ctx, basis, instances: instances)
+        out = []
+        for params, cases in family.__wrapped__(ctx, [VACUUM], window):
+            if family in (check_eq10, check_eq12):
+                (_, cases, _), = cases
+            out.append((params, cases))
+    return out
+
+
+class TestModeByModeRoute:
+    """A second route for eq10-eq13: the joint extraction of an instance's
+    pieces against the same weighted sum applied one mode at a time."""
+
+    @staticmethod
+    def weighted_sum(vecs):
+        out = {}
+        for vec, weight in vecs:
+            for s, c in vec.items():
+                add_term(out, s, c if weight is None else c * weight)
+        return out
+
+    @pytest.mark.parametrize("level", ["formal", "k2_f13"])
+    def test_every_instance_at_e0w1(self, level):
+        ctx = _level_ctx(level)
+        basis = enumerate_basis(0)
+        counts, leaks = {}, 0
+        for family in (check_eq10, check_eq11, check_eq12, check_eq13):
+            instances = _instance_pieces(ctx, family, 1)
+            counts[family.__name__] = len(instances)
+            for params, pieces in instances:
+                for s in basis:
+                    want = self.weighted_sum(
+                        (ctx.product_vec(names, modes, s), weight)
+                        for names, modes, weight in pieces)
+                    assert ctx.combo_vec(pieces, s) == want, (family.__name__, params)
+                    leaks += bool(want)
+        assert counts == {"check_eq10": 36, "check_eq11": 54,
+                          "check_eq12": 12, "check_eq13": 36}
+        assert (leaks > 0) == (level == "k2_f13")
+
+    @pytest.mark.parametrize("level", ["formal", "k2_f13"])
+    def test_eq10_against_two_sides(self, level):
+        # the residual against the two-sided form it replaced: [E_n, F_m}
+        # from both orders with the Koszul sign, minus the psi side
+        ctx = _level_ctx(level)
+        T = ctx.table
+        inv = T.qdiff_inv()
+        leaks = 0
+        for params, pieces in _instance_pieces(ctx, check_eq10, 1):
+            i, j, n, m = params["i"], params["j"], params["n"], params["m"]
+            e, f = f"E{i}", f"F{j}"
+            sign = graded_bracket_sign(CURRENT_PARITY[e], CURRENT_PARITY[f])
+            for s in enumerate_basis(1):
+                lhs = vec_sub(ctx.product_vec((e, f), (n, m), s),
+                              vec_scale(ctx.product_vec((f, e), (m, n), s), sign))
+                rhs = {}
+                if i == j:
+                    one = {s: T.one()}
+                    rhs = vec_sub(
+                        vec_scale(ctx.mode_vec(f"psi{i}+", n + m, one),
+                                  ctx.gamma_pow(Fraction(n - m, 2)) * inv),
+                        vec_scale(ctx.mode_vec(f"psi{i}-", n + m, one),
+                                  ctx.gamma_pow(Fraction(m - n, 2)) * inv))
+                got = ctx.combo_vec(pieces, s)
+                assert got == vec_sub(lhs, rhs), (params, format_state(s))
+                leaks += bool(got)
+        assert (leaks > 0) == (level == "k2_f13")
 
 
 class TestNegativeControls:

@@ -182,7 +182,7 @@ class TestVacuumAnchors:
 
     def test_ef_bracket(self, ctx):
         T = ctx.table
-        out = ctx.graded_pair("E1", 0, "F1", 0, VACUUM)
+        out = ctx.combo_vec(ctx._pair_pieces("E1", 0, "F1", 0), VACUUM)
         want = (T.monomial({"W1": 1}) - T.monomial({"W1": -1})) * T.qdiff_inv()
         assert out == {VACUUM: want}
 
@@ -228,11 +228,11 @@ class TestFusedRoute:
 class TestZeroModeOrdering:
     def test_mixed_bracket_cancels(self, ctx):
         # the three-constant F1 term must cancel against E2 exactly
-        assert ctx.graded_pair("E2", 0, "F1", -1, VACUUM) == {}
+        assert ctx.combo_vec(ctx._pair_pieces("E2", 0, "F1", -1), VACUUM) == {}
 
     def test_sabotage_leaks(self):
         sab = AffineContext(f_overrides={"f13": affine_symbols().one()})
-        out = sab.graded_pair("E2", 0, "F1", -1, VACUUM)
+        out = sab.combo_vec(sab._pair_pieces("E2", 0, "F1", -1), VACUUM)
         assert list(out) == [FockState((1, 0, 1, 1))]
 
 

@@ -18,25 +18,25 @@ AFFINE_E0W1 = ["check-affine", "--energy-cut", "0", "--mode-window", "1",
 
 PINNED = [
     (AFFINE_E0W1, 0,
-     "a00375ff041213901c947c929bcedd0360e04c59745d4471491cb3e48804a31e"),
+     "3c344c69e96632f01d62504bd3e7f7d174fd23e3f144c913b8bd9ab698907b27"),
     (AFFINE_E0W1 + ["--k", "2", "--override", "f13=1"], 1,
-     "518826927bd65526c9aebe5a5a1af37cc67a3c21f321e62e80330aa39b2ba1f4"),
+     "1ea07812d7831ffae214464e06867e73117078dd9ce86714df2d6e9a1fbf7ab5"),
     # the kernel families at a formal level above the vacuum energy
     (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2"], 0,
-     "5092ee5d8e665d66bd7586d584645b5ddbeda86f56664c3a52c013b028a4f9b6"),
-    # eq9 and eq10 at window 2, whose relations send stored-apart pairs to
-    # the numeric oracle
+     "4b28ee38811b0b52cc353f4d9b3315ce6788b9b406c37133956fcc90b9ca6414"),
+    # eq9 at window 2, whose relations send stored-apart pairs to the
+    # numeric oracle
     (["check-affine", "--energy-cut", "0", "--mode-window", "2", "--psi-nmax", "4"], 0,
-     "a70ae2f4f686ecccc3b18e98363e50db29fa3ea444db52fb1dff905c41db2c58"),
+     "72d8a565a8c1cdd3a1236ede5b5544a6e43268424b13cf925f16df498f3c131d"),
     # residuals spread over many groups of the packed kernel's stage B
     (["check-affine", "--energy-cut", "1", "--mode-window", "1", "--psi-nmax", "2",
       "--k", "2", "--override", "f13=1"], 1,
-     "7c63652413745d2e35928d85d89428571f09940ee71c54b878d9a0ed7e32f95a"),
+     "2421e710ca374b470f8b13d186056eed905c873b01e485c8783a2815be2e3205"),
     # two-letter states: a failing eq11 or eq13 instance may first leak on a
     # state that sorts before its leaking sub-occupation
     (["check-affine", "--energy-cut", "2", "--mode-window", "1", "--psi-nmax", "2",
       "--k", "2", "--override", "f13=1"], 1,
-     "4d5808bde05d7f0da3555966f409cdff3cce436d98d779eb7160086a61b22b97"),
+     "1bf43ca3fff9235d47cae8334af8dce38aee2a966f69c99d092afa33afddb6c3"),
     (["check-finite", "--M", "2", "--N", "1", "--max-degree", "2"], 0,
      "3679a55edf0051c1ccb223980877fffcb3d4b1213d3fd3b567e54089e5ae4839"),
     (["check-finite", "--M", "3", "--N", "1", "--max-degree", "2",
